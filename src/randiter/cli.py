@@ -5,14 +5,17 @@ Commands:
     randiter solve PROBLEM_DIR --method rk ...
     randiter compare PROBLEM_DIR --method rk --method rcd ...
 
-Exit codes: 0 success, 2 usage error, 3 non-convergence under a
-consistent regime, 4 I/O error. Diagnostics go to stderr (controlled by
-RANDITER_LOG={off,info,debug}); data output never does.
+Exit codes: 0 success, 2 usage error, 3 the run did not reach --tol in
+its method's own measure (see _converged), 4 I/O error. Diagnostics go
+to stderr (controlled by RANDITER_LOG={off,info,debug}); data output
+never does.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import logging
 import os
 import sys
@@ -36,16 +39,38 @@ class UsageError(Exception):
     pass
 
 
-def _setup_logging() -> None:
-    level = os.environ.get("RANDITER_LOG", "off").lower()
-    if level == "off":
-        logging.disable(logging.CRITICAL)
+@contextlib.contextmanager
+def _stderr_logging():
+    """While one command runs, send the randiter logger's records to
+    stderr at the RANDITER_LOG level (info or debug; off adds nothing).
+    Only that logger is touched, and it is restored afterwards, so a
+    process that calls main() keeps its own logging."""
+    setting = os.environ.get("RANDITER_LOG", "off").lower()
+    if setting == "off":
+        yield
         return
-    logging.basicConfig(
-        stream=sys.stderr,
-        level=logging.DEBUG if level == "debug" else logging.INFO,
-        format="randiter: %(message)s",
-    )
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("randiter: %(message)s"))
+    saved = log.level, log.propagate
+    log.addHandler(handler)
+    log.setLevel(logging.DEBUG if setting == "debug" else logging.INFO)
+    log.propagate = False
+    try:
+        yield
+    finally:
+        log.removeHandler(handler)
+        log.setLevel(saved[0])
+        log.propagate = saved[1]
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -61,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--iters", type=int, default=10000)
+        p.add_argument("--iters", type=_positive_int, default=10000)
         p.add_argument("--tol", type=float, default=1e-12)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
@@ -69,8 +94,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--gamma", type=float, default=1.0)
         p.add_argument("--degree", type=int, default=2)
         p.add_argument("--offset", type=float, default=0.0)
-        p.add_argument("--checkpoint-every", type=int, default=None)
-        p.add_argument("--trials", type=int, default=1)
+        p.add_argument("--checkpoint-every", type=_positive_int, default=None)
+        p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--beta0", default=None, help="vector file; default zero")
         p.add_argument("--out", required=True)
 
@@ -143,53 +168,51 @@ def _kernel_spec(args) -> kernel.KernelSpec:
     return kernel.KernelSpec(family, gamma=args.gamma, degree=args.degree, offset=args.offset)
 
 
-def _run_one(method, X, y, reference, regime, args, seed):
-    """One solver run; returns (trace, theoretical_rate). Oracle
-    quantities (targets and rates) are computed here, outside the
-    solver hot path."""
-    config = solvers.RunConfig(
-        max_iters=args.iters,
-        tol=args.tol,
-        seed=seed,
-        checkpoint_every=args.checkpoint_every,
-        beta0=io.read_vector(args.beta0) if args.beta0 else None,
-    )
+def _oracle_step(method, X, y, reference, regime, args):
+    """One method's oracle quantities (targets, M, theoretical rate),
+    computed once for all trials. Returns (rate, solve), where
+    solve(run_config) is the per-trial solver step."""
     if method in ("rk", "rcd"):
         if reference is None:
             raise UsageError("rk/rcd need a reference.vec in the problem directory")
         rate = oracle.theoretical_rate(
             oracle.gram(X), positive_only=regime == solvers.Regime.UNDERDETERMINED
         )
-        trace = solvers.run(
-            solvers.Method.RK if method == "rk" else solvers.Method.RCD,
-            solvers.Problem(X, y, regime),
-            config,
-            reference,
-            rate,
-        )
-        return trace, rate
+        kind = solvers.Method.RK if method == "rk" else solvers.Method.RCD
+        problem = solvers.Problem(X, y, regime)
+        return rate, lambda cfg: solvers.run(kind, problem, cfg, reference, rate)
     if args.lam is None or not args.lam > 0.0:
         raise UsageError(f"{method} requires --lambda > 0")
     lam = args.lam
     if method == "rk-ridge":
         beta_rr = oracle.ridge_solution(X, y, lam)
         alpha_star = oracle.ridge_alpha_star(X, y, lam)
-        M = oracle.outer_gram(X) + lam * np.eye(X.shape[0])
-        rate = oracle.theoretical_rate(M)
-        return ridge.rk_ridge_run(X, y, lam, config, beta_rr, alpha_star, rate), rate
+        rate = oracle.theoretical_rate(oracle.outer_gram(X) + lam * np.eye(X.shape[0]))
+        return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)
     if method == "rcd-ridge":
         beta_rr = oracle.ridge_solution(X, y, lam)
-        M = oracle.gram(X) + lam * np.eye(X.shape[1])
-        rate = oracle.theoretical_rate(M)
-        return ridge.rcd_ridge_run(X, y, lam, config, beta_rr, rate), rate
+        rate = oracle.theoretical_rate(oracle.gram(X) + lam * np.eye(X.shape[1]))
+        return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate)
     # rk-krr: rows of X are the data points
     spec = _kernel_spec(args)
-    alpha_star = oracle.krr_alpha_star(X, y, spec, lam)
-    M = oracle.gram_matrix(spec, X) + lam * np.eye(X.shape[0])
+    K = oracle.gram_matrix(spec, X)
+    alpha_star = oracle.krr_alpha_star(X, y, spec, lam, K=K)
+    M = K + lam * np.eye(X.shape[0])
     rate = oracle.theoretical_rate(M)
-    return kernel.krr_run(
-        X, y, spec, lam, config, alpha_star, rate, energy_matrix=M
-    ), rate
+    return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate, energy_matrix=M)
+
+
+def _run_trials(method, X, y, reference, regime, args):
+    """The oracle step once, then one solver step per trial, with seeds
+    args.seed, args.seed + 1, ...; returns (traces, theoretical_rate)."""
+    beta0 = io.read_vector(args.beta0) if args.beta0 else None
+    rate, solve = _oracle_step(method, X, y, reference, regime, args)
+    config = solvers.RunConfig(max_iters=args.iters, tol=args.tol, seed=args.seed,
+                               checkpoint_every=args.checkpoint_every, beta0=beta0)
+    traces = [
+        solve(dataclasses.replace(config, seed=args.seed + trial)) for trial in range(args.trials)
+    ]
+    return traces, rate
 
 
 def _mean_trace(traces) -> solvers.ConvergenceTrace:
@@ -213,20 +236,28 @@ def _mean_trace(traces) -> solvers.ConvergenceTrace:
 def cmd_solve(args) -> int:
     X, y, reference, meta = _load_problem(args.problem_dir)
     regime = _regime_from_meta(meta)
-    traces = [
-        _run_one(args.method, X, y, reference, regime, args, args.seed + trial)[0]
-        for trial in range(max(args.trials, 1))
-    ]
+    traces, _ = _run_trials(args.method, X, y, reference, regime, args)
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
         io.write_trace_csv(args.out + ".mean.csv", _mean_trace(traces))
-    log.info("solve %s: final err_sq=%.3e", args.method, traces[0].final().err_sq)
+    final = traces[0].final()
+    log.info("solve %s: final err_sq=%.3e", args.method, final.err_sq)
 
-    consistent = regime in (solvers.Regime.CONSISTENT_UNIQUE, solvers.Regime.UNDERDETERMINED)
-    if consistent and traces[0].final().residual_sq > args.tol * args.tol:
+    if not _converged(args.method, regime, final, args.tol):
         log.info("did not converge within %d iterations", args.iters)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
+
+
+def _converged(method, regime, final, tol) -> bool:
+    """Whether a run reached tol in its method's own measure: the
+    residual for rk and rcd, in the consistent regimes only; the energy
+    error for ridge and kernel ridge, whose solutions keep a nonzero
+    residual and exist in every regime."""
+    if method in ("rk", "rcd"):
+        consistent = regime in (solvers.Regime.CONSISTENT_UNIQUE, solvers.Regime.UNDERDETERMINED)
+        return not consistent or final.residual_sq <= tol * tol
+    return final.energy_err_sq <= tol * tol
 
 
 def _contraction_per_iter(trace, natural: str) -> float:
@@ -244,12 +275,7 @@ def cmd_compare(args) -> int:
     regime = _regime_from_meta(meta)
     rows = []
     for method in args.method:
-        results = [
-            _run_one(method, X, y, reference, regime, args, args.seed + trial)
-            for trial in range(max(args.trials, 1))
-        ]
-        traces = [trace for trace, _ in results]
-        rate = results[0][1]
+        traces, rate = _run_trials(method, X, y, reference, regime, args)
         mean = _mean_trace(traces) if len(traces) > 1 else traces[0]
         natural = "err_sq" if method == "rk" else "energy_err_sq"
         final = mean.final()
@@ -281,27 +307,27 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        if args.command == "generate":
-            return cmd_generate(args)
-        if args.command == "solve":
-            return cmd_solve(args)
-        return cmd_compare(args)
-    except UsageError as exc:
-        print(f"randiter: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, IOError) as exc:
-        print(f"randiter: I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (RanditerError, ValueError) as exc:
-        print(f"randiter: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    with _stderr_logging():
+        parser = _build_parser()
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        try:
+            if args.command == "generate":
+                return cmd_generate(args)
+            if args.command == "solve":
+                return cmd_solve(args)
+            return cmd_compare(args)
+        except UsageError as exc:
+            print(f"randiter: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except (OSError, IOError) as exc:
+            print(f"randiter: I/O error: {exc}", file=sys.stderr)
+            return EXIT_IO
+        except (RanditerError, ValueError) as exc:
+            print(f"randiter: {exc}", file=sys.stderr)
+            return EXIT_USAGE
 
 
 if __name__ == "__main__":

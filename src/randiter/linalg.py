@@ -7,17 +7,11 @@ only desk-scale exactness is targeted, not BLAS-tuned throughput.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import DimensionError, NotPositiveDefinite, NotSymmetric
 
 SYMMETRY_TOL = 1e-10
-
-# Off-diagonal threshold and sweep cap for the Jacobi eigensolver.
-JACOBI_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 def dense_matrix(values) -> np.ndarray:
@@ -95,50 +89,20 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(L.T, z)
 
 
-def sym_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix.
-
-    Cyclic Jacobi rotations; sweeps stop when the off-diagonal Frobenius
-    norm drops below JACOBI_TOL * ||A||_F, capped at JACOBI_MAX_SWEEPS.
-    """
+def _symmetrized(A: np.ndarray) -> np.ndarray:
     _check_symmetric(A)
-    n = A.shape[0]
     a = np.array(A, dtype=np.float64)
-    a = 0.5 * (a + a.T)
-    V = np.eye(n)
-    fro = math.sqrt(frobenius_sq(a)) if frobenius_sq(a) > 0 else 0.0
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = math.sqrt(max(frobenius_sq(a) - float(np.sum(np.diag(a) ** 2)), 0.0))
-        if off <= JACOBI_TOL * fro:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                diff = a[q, q] - a[p, p]
-                if abs(apq) < 1e-36 * abs(diff):
-                    t = apq / diff
-                else:
-                    theta = diff / (2.0 * apq)
-                    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                # A <- J^T A J with the (p, q) plane rotation J = [[c, s], [-s, c]]
-                rot = np.array([[c, s], [-s, c]])
-                a[[p, q], :] = rot.T @ a[[p, q], :]
-                a[:, [p, q]] = a[:, [p, q]] @ rot
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                V[:, [p, q]] = V[:, [p, q]] @ rot
-    w = np.diag(a).copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], V[:, order]
+    return 0.5 * (a + a.T)
+
+
+def sym_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (ascending) and eigenvectors of a symmetric matrix (LAPACK)."""
+    return np.linalg.eigh(_symmetrized(A))
 
 
 def sym_eigs(A: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix, sorted ascending."""
-    return sym_eigh(A)[0]
+    """Eigenvalues of a symmetric matrix, sorted ascending (LAPACK)."""
+    return np.linalg.eigvalsh(_symmetrized(A))
 
 
 def energy_norm_sq(M: np.ndarray, v: np.ndarray) -> float:

@@ -82,11 +82,14 @@ def gram_matrix(spec: kern.KernelSpec, data: np.ndarray) -> np.ndarray:
     return 0.5 * (K + K.T)
 
 
-def krr_alpha_star(data: np.ndarray, y: np.ndarray, spec: kern.KernelSpec, lam: float) -> np.ndarray:
-    """alpha* = (K + lambda I)^-1 y with K formed explicitly."""
+def krr_alpha_star(data: np.ndarray, y: np.ndarray, spec: kern.KernelSpec, lam: float,
+                   K: np.ndarray | None = None) -> np.ndarray:
+    """alpha* = (K + lambda I)^-1 y with K formed explicitly, unless the
+    caller passes gram_matrix(spec, data) as K."""
     if not lam > 0.0:
         raise ValueError("krr_alpha_star requires lambda > 0")
-    K = gram_matrix(spec, data)
+    if K is None:
+        K = gram_matrix(spec, data)
     return linalg.solve_spd(K + lam * np.eye(data.shape[0]), y)
 
 
@@ -112,12 +115,12 @@ def theoretical_rate(M: np.ndarray, positive_only: bool = False) -> float:
 
 
 def null_space_basis(X: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning null(X), from the eigenvectors of
-    Sigma with eigenvalue at the rank cutoff."""
-    sigma = gram(X)
-    eigs, vecs = linalg.sym_eigh(sigma)
-    cutoff = (RANK_TOL ** 2) * max(float(eigs[-1]), 1.0)
-    return vecs[:, eigs <= cutoff]
+    """Orthonormal columns spanning null(X): right singular vectors with
+    singular value at most RANK_TOL * max(sigma_max, 1). Not from X^T X,
+    whose zero eigenvalues round to ~eps * ||X^T X||, above RANK_TOL^2."""
+    _, s, vt = np.linalg.svd(X)
+    rank = int(np.sum(s > RANK_TOL * max(float(s[0]), 1.0)))
+    return vt[rank:].T
 
 
 def null_space_leakage(X: np.ndarray, v: np.ndarray, basis: np.ndarray | None = None) -> float:

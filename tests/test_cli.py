@@ -1,3 +1,4 @@
+import logging
 import os
 
 import numpy as np
@@ -125,6 +126,35 @@ class TestSolve:
                        "--out", str(tmp_path / "t.csv"))
         assert code == cli.EXIT_USAGE
 
+    def test_ridge_judged_by_energy_error_not_residual(self, tmp_path):
+        # the ridge solution keeps a nonzero residual, so a converged run
+        # must not exit 3
+        prob = str(tmp_path / "und")
+        assert run_cli("generate", "underdetermined", "40", "80", "--seed", "1",
+                       "--out", prob) == 0
+        out = str(tmp_path / "t.csv")
+        assert run_cli("solve", prob, "--method", "rk-ridge", "--lambda", "10",
+                       "--out", out) == cli.EXIT_OK
+        final = open(out).read().splitlines()[-1].split(",")
+        assert float(final[2]) <= 1e-24 < float(final[3])
+
+    def test_ridge_judged_in_inconsistent_regime(self, tmp_path):
+        prob = str(tmp_path / "inc")
+        assert run_cli("generate", "inconsistent", "30", "10", "--out", prob) == 0
+        code = run_cli("solve", prob, "--method", "rcd-ridge", "--lambda", "0.1",
+                       "--iters", "5", "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_NO_CONVERGENCE
+
+    @pytest.mark.parametrize("flag", ["--iters", "--checkpoint-every", "--trials"])
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_non_positive_run_flag_is_usage_error(self, consistent_dir, tmp_path, capsys,
+                                                  flag, value):
+        code = run_cli("solve", consistent_dir, "--method", "rk", flag, value,
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        assert f"{flag}: must be at least 1" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t.csv")
+
     def test_trials_emit_mean_trace(self, consistent_dir, tmp_path):
         out = str(tmp_path / "t.csv")
         assert run_cli("solve", consistent_dir, "--method", "rk", "--iters", "20000",
@@ -140,6 +170,21 @@ class TestSolve:
                        "--iters", "20000", "--out", out) == 0
         final_err = float(open(out).read().splitlines()[-1].split(",")[1])
         assert final_err <= 1e-12
+
+
+class TestLogging:
+    def test_main_leaves_process_logging_alone(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("RANDITER_LOG", raising=False)
+        logger = logging.getLogger("randiter")
+        before = (logging.root.manager.disable, logger.level, logger.handlers[:])
+        assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
+        assert (logging.root.manager.disable, logger.level, logger.handlers) == before
+
+    def test_info_goes_to_stderr(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RANDITER_LOG", "info")
+        assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
+        assert "randiter: wrote consistent instance" in capsys.readouterr().err
+        assert not logging.getLogger("randiter").handlers
 
 
 class TestCompare:

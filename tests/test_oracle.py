@@ -1,7 +1,13 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from randiter import linalg, oracle
+import randiter
+from randiter import cli, linalg, oracle
 from randiter.errors import DegenerateMatrix, NotPositiveDefinite
 from randiter.kernel import KernelSpec
 from randiter.solvers import Regime
@@ -118,12 +124,72 @@ class TestTheoreticalRate:
         with pytest.raises(DegenerateMatrix):
             oracle.theoretical_rate(np.zeros((2, 2)))
 
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.lists(st.floats(0.01, 10.0), min_size=1, max_size=8),
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_planted_spectrum(self, positive, zeros, seed):
+        # M = Q diag(d) Q^T with a random orthogonal Q and known d
+        d = np.array(positive + [0.0] * zeros)
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((d.size, d.size)))
+        M = (Q * d) @ Q.T
+        expected = 1.0 - min(positive) / float(np.sum(d))
+        got = oracle.theoretical_rate(M, positive_only=zeros > 0)
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_flag_is_noop_for_full_rank(self):
         rng = np.random.default_rng(6)
         M = rng.standard_normal((6, 6))
         sigma = M.T @ M + 0.1 * np.eye(6)
         assert oracle.theoretical_rate(sigma) == pytest.approx(
             oracle.theoretical_rate(sigma, positive_only=True))
+
+
+class TestNullSpaceBasis:
+    @pytest.mark.parametrize("n,p", [(1, 2), (3, 8), (10, 11), (20, 50), (40, 80)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_wide_matrix_has_full_orthonormal_null_basis(self, n, p, seed):
+        X = linalg.dense_matrix(np.random.default_rng(seed).standard_normal((n, p)))
+        B = oracle.null_space_basis(X)
+        assert B.shape == (p, p - n)
+        assert np.max(np.abs(B.T @ B - np.eye(p - n))) <= 1e-10
+        assert np.linalg.norm(X @ B) <= 1e-10
+
+    def test_full_column_rank_has_empty_basis(self):
+        X = linalg.dense_matrix(np.random.default_rng(9).standard_normal((12, 5)))
+        assert oracle.null_space_basis(X).shape == (5, 0)
+
+
+class TestOracleOncePerInstance:
+    def test_compare_computes_each_methods_rate_once(self, tmp_path, monkeypatch):
+        prob = str(tmp_path / "prob")
+        assert cli.main(["generate", "consistent", "30", "10", "--seed", "1",
+                         "--out", prob]) == 0
+        calls = []
+        rate = oracle.theoretical_rate
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return rate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "theoretical_rate", counting)
+        assert cli.main(["compare", prob, "--method", "rk", "--method", "rcd",
+                         "--method", "rk-ridge", "--lambda", "0.1", "--iters", "200",
+                         "--trials", "3", "--out", str(tmp_path / "cmp.csv")]) == 0
+        assert len(calls) == 3
+
+    def test_solver_modules_never_call_the_oracles_factorizations(self):
+        # The oracle checks the solvers, so they must share no eigen-solve,
+        # SVD or Cholesky code path with it.
+        oracle_only = {"eigh", "eigvalsh", "sym_eigh", "sym_eigs", "svd", "cholesky",
+                       "solve_spd"}
+        package = Path(randiter.__file__).parent
+        for name in ("solvers.py", "ridge.py", "kernel.py", "sampling.py"):
+            words = set(re.findall(r"[A-Za-z_]\w*", (package / name).read_text()))
+            assert not words & oracle_only, name
 
 
 class TestGenerators:
