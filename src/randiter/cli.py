@@ -150,6 +150,12 @@ def _load_problem(problem_dir):
     y = io.read_vector(paths["y"])
     reference = io.read_vector(paths["reference"]) if os.path.exists(paths["reference"]) else None
     meta = io.read_meta(paths["meta"]) if os.path.exists(paths["meta"]) else {}
+    if y.shape[0] != X.shape[0]:
+        raise IOError(f"{paths['y']}: {y.shape[0]} values for the {X.shape[0]} rows of X")
+    if reference is not None and reference.shape[0] != X.shape[1]:
+        raise IOError(
+            f"{paths['reference']}: {reference.shape[0]} values for the {X.shape[1]} columns of X"
+        )
     return X, y, reference, meta
 
 
@@ -202,10 +208,28 @@ def _oracle_step(method, X, y, reference, regime, args):
     return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate, energy_matrix=M)
 
 
-def _run_trials(method, X, y, reference, regime, args):
+# Dual methods: they iterate on alpha from 0 and keep beta = X^T alpha,
+# so a primal start vector has no meaning for them.
+_NO_BETA0 = ("rk-ridge", "rk-krr")
+
+
+def _read_beta0(args, methods, p):
+    """The --beta0 vector, checked against every method to be run and
+    against the problem's p, before any of them runs; None if unset."""
+    if args.beta0 is None:
+        return None
+    for method in methods:
+        if method in _NO_BETA0:
+            raise UsageError(f"{method} does not take --beta0: it starts from alpha = 0")
+    beta0 = io.read_vector(args.beta0)
+    if beta0.shape[0] != p:
+        raise UsageError(f"--beta0 has length {beta0.shape[0]}, expected {p}")
+    return beta0
+
+
+def _run_trials(method, X, y, reference, regime, args, beta0):
     """The oracle step once, then one solver step per trial, with seeds
     args.seed, args.seed + 1, ...; returns (traces, theoretical_rate)."""
-    beta0 = io.read_vector(args.beta0) if args.beta0 else None
     rate, solve = _oracle_step(method, X, y, reference, regime, args)
     config = solvers.RunConfig(max_iters=args.iters, tol=args.tol, seed=args.seed,
                                checkpoint_every=args.checkpoint_every, beta0=beta0)
@@ -236,7 +260,8 @@ def _mean_trace(traces) -> solvers.ConvergenceTrace:
 def cmd_solve(args) -> int:
     X, y, reference, meta = _load_problem(args.problem_dir)
     regime = _regime_from_meta(meta)
-    traces, _ = _run_trials(args.method, X, y, reference, regime, args)
+    beta0 = _read_beta0(args, [args.method], X.shape[1])
+    traces, _ = _run_trials(args.method, X, y, reference, regime, args, beta0)
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
         io.write_trace_csv(args.out + ".mean.csv", _mean_trace(traces))
@@ -270,22 +295,31 @@ def _contraction_per_iter(trace, natural: str) -> float:
     return ratio ** (1.0 / (recs[-1].iter - recs[0].iter))
 
 
+def _iters_to_tol(traces, natural: str, tol: float) -> int:
+    """The checkpoint by which every trial had reached tol in `natural`,
+    or -1 if some trial never did. Taken per trial, not from the mean
+    trace: trials that stop at tol end at different checkpoints, and the
+    mean covers only the checkpoints all of them recorded."""
+    firsts = [next((r.iter for r in t.records if getattr(r, natural) <= tol * tol), -1)
+              for t in traces]
+    return -1 if -1 in firsts else max(firsts)
+
+
 def cmd_compare(args) -> int:
     X, y, reference, meta = _load_problem(args.problem_dir)
     regime = _regime_from_meta(meta)
+    beta0 = _read_beta0(args, args.method, X.shape[1])
     rows = []
     for method in args.method:
-        traces, rate = _run_trials(method, X, y, reference, regime, args)
+        traces, rate = _run_trials(method, X, y, reference, regime, args, beta0)
         mean = _mean_trace(traces) if len(traces) > 1 else traces[0]
         natural = "err_sq" if method == "rk" else "energy_err_sq"
         final = mean.final()
-        tol_sq = args.tol * args.tol
-        to_tol = next((r.iter for r in mean.records if getattr(r, natural) <= tol_sq), -1)
         rows.append(
             (
                 method,
                 len(traces),
-                to_tol,
+                _iters_to_tol(traces, natural, args.tol),
                 final.err_sq,
                 final.energy_err_sq,
                 final.residual_sq,

@@ -34,18 +34,34 @@ def write_matrix(path: str, X: np.ndarray) -> None:
 
 
 def read_matrix(path: str) -> np.ndarray:
+    """A dense MatrixMarket array matrix. Malformed content (another
+    MatrixMarket format, a bad size line, a missing or non-numeric value)
+    raises IOError naming the file."""
     with open(path) as f:
-        header = f.readline().strip()
-        if not header.startswith("%%MatrixMarket"):
+        banner = f.readline().split()
+        if not banner or banner[0] != "%%MatrixMarket":
             raise IOError(f"{path}: not a MatrixMarket file")
+        if [tok.lower() for tok in banner[1:]] != MM_HEADER.split()[1:]:
+            raise IOError(
+                f"{path}: MatrixMarket {' '.join(banner[1:])!r} is not supported,"
+                f" only {MM_HEADER!r}"
+            )
         line = f.readline()
         while line.startswith("%"):
             line = f.readline()
-        n, p = (int(tok) for tok in line.split())
-        values = [float(f.readline()) for _ in range(n * p)]
-    if len(values) != n * p:
-        raise IOError(f"{path}: expected {n * p} values")
-    return dense_matrix(np.array(values).reshape((n, p), order="F"))
+        try:
+            n, p = (int(tok) for tok in line.split())
+        except ValueError:
+            raise IOError(f"{path}: bad size line {line.strip()!r}") from None
+        if n < 1 or p < 1:
+            raise IOError(f"{path}: bad size {n} x {p}")
+        try:
+            values = [float(text) for text in f if text.strip()]
+            if len(values) != n * p:
+                raise IOError(f"{path}: expected {n * p} values, found {len(values)}")
+            return dense_matrix(np.array(values).reshape((n, p), order="F"))
+        except ValueError as exc:
+            raise IOError(f"{path}: {exc}") from None
 
 
 def write_vector(path: str, v: np.ndarray) -> None:
@@ -56,9 +72,13 @@ def write_vector(path: str, v: np.ndarray) -> None:
 
 
 def read_vector(path: str) -> np.ndarray:
+    """One value per line; malformed content raises IOError naming the
+    file."""
     with open(path) as f:
-        values = [float(line) for line in f if line.strip()]
-    return dense_vector(values)
+        try:
+            return dense_vector([float(line) for line in f if line.strip()])
+        except (ValueError, DimensionError) as exc:
+            raise IOError(f"{path}: {exc}") from None
 
 
 def write_meta(path: str, meta: dict) -> None:

@@ -20,6 +20,9 @@ from .solvers import ConvergenceTrace, RunConfig, TraceRecord, _plateaued
 # Rebuild s = K alpha from scratch this often to bound incremental drift.
 S_REFRESH_EVERY = 1000
 
+# apply_gram forms at most this many entries of K at once (256 KB).
+GRAM_TILE_ELEMS = 1 << 15
+
 _FAMILIES = ("linear", "gaussian", "polynomial")
 
 
@@ -125,11 +128,34 @@ def krr_predict(alpha: np.ndarray, data: np.ndarray, spec: KernelSpec, x: np.nda
 
 
 def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v computed one kernel column at a time (O(n) extra memory)."""
-    out = np.zeros(data.shape[0])
-    for j in range(data.shape[0]):
-        if v[j] != 0.0:
-            out += v[j] * kernel_column(spec, data, data[j])
+    """K v computed in tiles K[J, :] of at most GRAM_TILE_ELEMS entries,
+    where J runs over blocks of v's nonzero indices: one BLAS product
+    data[J] @ data.T per tile, mapped to the kernel in place. K is never
+    formed; extra memory is O(GRAM_TILE_ELEMS + n)."""
+    n = data.shape[0]
+    out = np.zeros(n)
+    nonzero = np.flatnonzero(v)
+    if nonzero.size == 0:
+        return out
+    rows = max(1, GRAM_TILE_ELEMS // n)
+    if spec.family == "gaussian":
+        sq = np.einsum("ij,ij->i", data, data)
+    for start in range(0, nonzero.size, rows):
+        J = nonzero[start:start + rows]
+        tile = data[J] @ data.T
+        if spec.family == "gaussian":
+            # ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>, which
+            # can round below 0 for near-identical points
+            tile *= -2.0
+            tile += sq[J, None]
+            tile += sq
+            np.maximum(tile, 0.0, out=tile)
+            tile *= -spec.gamma
+            np.exp(tile, out=tile)
+        elif spec.family == "polynomial":
+            tile += spec.offset
+            tile **= spec.degree
+        out += v[J] @ tile
     return out
 
 
@@ -147,8 +173,10 @@ def krr_run(
 
     err_sq is ||alpha - alpha*||^2; energy_err_sq the same in the
     (K + lambda I) norm. The oracle may pass K + lambda I explicitly as
-    `energy_matrix` (desk scale); otherwise checkpoints apply K through
-    kernel columns, still without materializing it.
+    `energy_matrix` (desk scale); otherwise checkpoints apply K in
+    apply_gram's row tiles, still without materializing it. The run
+    stops at the first checkpoint with energy_err_sq <= tol^2, at a
+    plateau, or at max_iters.
     """
     if not lam > 0.0:
         raise ValueError("kernel ridge requires lambda > 0")
@@ -156,6 +184,7 @@ def krr_run(
     sampler = build_sampler(krr_weights(spec, data, lam))
     state = KrrState(np.zeros(n), np.zeros(n), 0, RngState(config.seed), lam)
     every = config.checkpoint_every or n
+    tol_sq = config.tol * config.tol
 
     trace = ConvergenceTrace()
     err_history: list[float] = []
@@ -188,6 +217,6 @@ def krr_run(
             state.s = apply_gram(spec, data, state.alpha)
         if t % every == 0 or t == config.max_iters:
             record()
-            if _plateaued(err_history):
+            if err_history[-1] <= tol_sq or _plateaued(err_history):
                 break
     return trace

@@ -112,13 +112,16 @@ def rk_ridge_run(
 
     err_sq is ||beta - beta_RR||^2; energy_err_sq is the dual error in
     the (X X^T + lambda I) norm, computed matrix-free as
-    ||X^T v||^2 + lambda ||v||^2 for v = alpha - alpha_star.
+    ||X^T v||^2 + lambda ||v||^2 for v = alpha - alpha_star. The run
+    stops at the first checkpoint with energy_err_sq <= tol^2, at a
+    plateau, or at max_iters.
     """
     _check_lambda(lam)
     n, p = X.shape
     sampler = build_sampler(rk_ridge_weights(X, lam))
     state = RidgeState(np.zeros(n), np.zeros(p), 0, RngState(config.seed), lam)
     every = config.checkpoint_every or n
+    tol_sq = config.tol * config.tol
 
     trace = ConvergenceTrace()
     err_history: list[float] = []
@@ -148,7 +151,7 @@ def rk_ridge_run(
         rk_ridge_step(state, X, y, sampler.draw(state.rng))
         if t % every == 0 or t == config.max_iters:
             record()
-            if _plateaued(err_history):
+            if err_history[-1] <= tol_sq or _plateaued(err_history):
                 break
     return trace
 
@@ -163,13 +166,15 @@ def rcd_ridge_run(
     plain_norm_weights: bool = False,
 ) -> ConvergenceTrace:
     """Run rcd_ridge; energy_err_sq is the (Sigma + lambda I)-norm error
-    ||X v||^2 + lambda ||v||^2 for v = beta - beta_RR."""
+    ||X v||^2 + lambda ||v||^2 for v = beta - beta_RR. Stops as
+    rk_ridge_run does."""
     _check_lambda(lam)
     n, p = X.shape
     sampler = build_sampler(rcd_ridge_weights(X, lam, plain_norm_weights))
     beta0 = np.zeros(p) if config.beta0 is None else config.beta0.astype(np.float64).copy()
     state = RcdRidgeState(beta0, y - X @ beta0, 0, RngState(config.seed), lam)
     every = config.checkpoint_every or p
+    tol_sq = config.tol * config.tol
 
     trace = ConvergenceTrace()
     err_history: list[float] = []
@@ -200,6 +205,6 @@ def rcd_ridge_run(
             state.residual = y - X @ state.beta
         if t % every == 0 or t == config.max_iters:
             record()
-            if _plateaued(err_history):
+            if err_history[-1] <= tol_sq or _plateaued(err_history):
                 break
     return trace

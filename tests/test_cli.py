@@ -1,8 +1,12 @@
 import logging
 import os
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from randiter import cli, io, linalg
 
@@ -216,3 +220,200 @@ class TestCompare:
         assert run_cli("compare", consistent_dir, "--method", "rk",
                        "--iters", "2000", "--seed", "1", "--out", out) == 0
         assert len(open(out).read().splitlines()) == 2
+
+
+class TestStopAtTol:
+    def test_ridge_stops_at_first_checkpoint_at_tol(self, tmp_path):
+        prob = str(tmp_path / "und")
+        assert run_cli("generate", "underdetermined", "40", "80", "--seed", "1",
+                       "--out", prob) == 0
+        args = ("solve", prob, "--method", "rk-ridge", "--lambda", "0.1", "--iters", "20000")
+        full, stopped = str(tmp_path / "full.csv"), str(tmp_path / "stopped.csv")
+        run_cli(*args, "--tol", "0", "--out", full)
+        assert run_cli(*args, "--out", stopped) == cli.EXIT_OK
+        full_lines = open(full).read().splitlines()
+        lines = open(stopped).read().splitlines()
+        assert full_lines[-1].startswith("20000,")
+        assert len(lines) < len(full_lines)
+        assert lines == full_lines[:len(lines)]
+        energies = [float(line.split(",")[2]) for line in lines[1:]]
+        assert energies[-1] <= 1e-24 < min(energies[:-1])
+
+    def test_compare_iters_to_tol_waits_for_every_trial(self, tmp_path):
+        prob = str(tmp_path / "und")
+        assert run_cli("generate", "underdetermined", "40", "80", "--seed", "1",
+                       "--out", prob) == 0
+        args = ("--method", "rk-ridge", "--lambda", "0.1", "--iters", "20000")
+        out = str(tmp_path / "cmp.csv")
+        assert run_cli("compare", prob, *args, "--seed", "3", "--trials", "2",
+                       "--out", out) == 0
+        to_tol = int(open(out).read().splitlines()[1].split(",")[2])
+        lasts = []
+        for seed in ("3", "4"):  # the seeds of the two trials
+            trace = str(tmp_path / f"t{seed}.csv")
+            assert run_cli("solve", prob, *args, "--seed", seed, "--out", trace) == 0
+            lasts.append(int(open(trace).read().splitlines()[-1].split(",")[0]))
+        assert to_tol == max(lasts)
+
+
+class TestInputContract:
+    @pytest.mark.parametrize("method", ["rk-ridge", "rk-krr"])
+    def test_dual_methods_reject_beta0(self, consistent_dir, tmp_path, capsys, method):
+        beta0 = str(tmp_path / "b.vec")
+        io.write_vector(beta0, np.ones(20))
+        code = run_cli("solve", consistent_dir, "--method", method, "--lambda", "0.1",
+                       "--kernel", "gaussian", "--beta0", beta0,
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert method in err and "--beta0" in err
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("method", ["rk", "rcd", "rcd-ridge"])
+    def test_beta0_length_checked_against_p(self, consistent_dir, tmp_path, capsys, method):
+        beta0 = str(tmp_path / "b.vec")
+        io.write_vector(beta0, np.ones(21))
+        code = run_cli("solve", consistent_dir, "--method", method, "--lambda", "0.1",
+                       "--beta0", beta0, "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        assert "--beta0 has length 21, expected 20" in capsys.readouterr().err
+
+    def test_compare_rejects_beta0_before_running(self, consistent_dir, tmp_path):
+        beta0 = str(tmp_path / "b.vec")
+        io.write_vector(beta0, np.ones(20))
+        out = str(tmp_path / "cmp.csv")
+        code = run_cli("compare", consistent_dir, "--method", "rk", "--method", "rk-ridge",
+                       "--lambda", "0.1", "--beta0", beta0, "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert not os.path.exists(out)
+
+    def test_beta0_is_the_start(self, consistent_dir, tmp_path):
+        beta0 = str(tmp_path / "b.vec")
+        io.write_vector(beta0, np.ones(20))
+        out = str(tmp_path / "t.csv")
+        assert run_cli("solve", consistent_dir, "--method", "rcd", "--beta0", beta0,
+                       "--iters", "20000", "--out", out) == cli.EXIT_OK
+        ref = io.read_vector(os.path.join(consistent_dir, "reference.vec"))
+        first = open(out).read().splitlines()[1].split(",")
+        assert float(first[1]) == pytest.approx(float((1.0 - ref) @ (1.0 - ref)))
+
+    def _solve(self, problem_dir, tmp_path):
+        return run_cli("solve", problem_dir, "--method", "rk", "--out", str(tmp_path / "t.csv"))
+
+    def test_truncated_matrix_is_io_error(self, consistent_dir, tmp_path, capsys):
+        path = os.path.join(consistent_dir, "X.mtx")
+        lines = open(path).read().splitlines(keepends=True)
+        with open(path, "w") as f:
+            f.writelines(lines[:-7])
+        assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "X.mtx" in err and "expected 1000 values, found 993" in err
+
+    def test_coordinate_header_is_io_error(self, consistent_dir, tmp_path, capsys):
+        path = os.path.join(consistent_dir, "X.mtx")
+        with open(path, "w") as f:
+            f.write("%%MatrixMarket matrix coordinate real general\n50 20 1\n1 1 2.5\n")
+        assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "X.mtx" in err and "coordinate" in err
+
+    @pytest.mark.parametrize("bad", ["abc", "1.0 2.0", "nan"])
+    def test_bad_vector_value_is_io_error(self, consistent_dir, tmp_path, capsys, bad):
+        path = os.path.join(consistent_dir, "y.vec")
+        lines = open(path).read().splitlines()
+        lines[3] = bad
+        with open(path, "w") as f:
+            f.write("\n".join(lines) + "\n")
+        assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
+        assert "y.vec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["y.vec", "reference.vec"])
+    def test_vector_length_mismatch_is_io_error(self, consistent_dir, tmp_path, capsys, name):
+        path = os.path.join(consistent_dir, name)
+        lines = open(path).read().splitlines()
+        with open(path, "w") as f:
+            f.write("\n".join(lines[:-1]) + "\n")
+        assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size_line", ["50", "50 x", "0 20", ""])
+    def test_bad_size_line_is_io_error(self, tmp_path, size_line):
+        path = tmp_path / "X.mtx"
+        path.write_text(io.MM_HEADER + "\n" + size_line + "\n1.0\n")
+        with pytest.raises(IOError, match="X.mtx"):
+            io.read_matrix(str(path))
+
+
+def _rewrite(path, edit):
+    with open(path) as f:
+        lines = f.read().splitlines()
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in edit(lines)))
+
+
+def _set_line(k, text):
+    return lambda lines: lines[:k] + [text] + lines[k + 1:]
+
+
+# file name -> edit of its lines; None leaves the problem intact
+CORRUPTIONS = {
+    "intact": None,
+    "truncated X": ("X.mtx", lambda lines: lines[:-3]),
+    "coordinate X": ("X.mtx", _set_line(0, "%%MatrixMarket matrix coordinate real general")),
+    "non-numeric X": ("X.mtx", _set_line(5, "1.0e")),
+    "bad size line": ("X.mtx", _set_line(1, "8")),
+    "NaN in X": ("X.mtx", _set_line(4, "nan")),
+    "short y": ("y.vec", lambda lines: lines[:-1]),
+    "long reference": ("reference.vec", lambda lines: lines + ["0"]),
+    "non-numeric y": ("y.vec", _set_line(2, "one")),
+    "empty y": ("y.vec", lambda lines: []),
+    "unknown regime": ("meta.txt", lambda lines: ["regime=other"]),
+}
+
+
+@pytest.fixture(scope="module")
+def tiny_problem(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("tiny") / "prob")
+    assert run_cli("generate", "consistent", "8", "4", "--seed", "2", "--out", out) == 0
+    return out
+
+
+# capsys is function-scoped; each example reads it empty before it runs
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    method=st.sampled_from(cli.METHODS),
+    iters=st.sampled_from([0, 1, 5, 40, 300, 1500]),
+    every=st.sampled_from([None, None, 1, 7, 40, 0]),
+    trials=st.sampled_from([1, 1, 2, 3, 0]),
+    lam=st.sampled_from([None, "-1", "0", "1e-3", "0.5", "10"]),
+    kernel=st.sampled_from([None, "linear", "gaussian", "poly"]),
+    beta0_len=st.sampled_from([None, None, None, 0, 3, 4]),  # p = 4
+    corruption=st.just("intact") | st.sampled_from(sorted(CORRUPTIONS)),
+)
+def test_solve_exits_with_a_documented_code(tiny_problem, capsys, method, iters, every,
+                                            trials, lam, kernel, beta0_len, corruption):
+    with tempfile.TemporaryDirectory() as tmp:
+        prob = os.path.join(tmp, "prob")
+        shutil.copytree(tiny_problem, prob)
+        if CORRUPTIONS[corruption] is not None:
+            name, edit = CORRUPTIONS[corruption]
+            _rewrite(os.path.join(prob, name), edit)
+        argv = ["solve", prob, "--method", method, "--iters", str(iters),
+                "--trials", str(trials), "--out", os.path.join(tmp, "t.csv")]
+        if every is not None:
+            argv += ["--checkpoint-every", str(every)]
+        if lam is not None:
+            argv += ["--lambda", lam]
+        if kernel is not None:
+            argv += ["--kernel", kernel]
+        if beta0_len is not None:
+            beta0 = os.path.join(tmp, "b.vec")
+            with open(beta0, "w") as f:
+                f.write("0.5\n" * beta0_len)
+            argv += ["--beta0", beta0]
+        capsys.readouterr()
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+    assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE, cli.EXIT_IO)
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from randiter import linalg, oracle
 from randiter.errors import DimensionError
 from randiter.kernel import (
+    GRAM_TILE_ELEMS,
     KernelSpec,
     KrrState,
     apply_gram,
@@ -187,3 +189,54 @@ class TestKrrRun:
         data = gaussian_points(9, 2, seed=17)
         w = krr_weights(KernelSpec("gaussian", gamma=0.8), data, 0.5)
         assert np.allclose(w, w[0])
+
+
+SPECS = (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.5),
+         KernelSpec("polynomial", degree=3, offset=1.0))
+
+
+class TestApplyGram:
+    @pytest.mark.parametrize("n", [1, 40, 2049])  # 2049: the last tile is short
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
+    def test_matches_explicit_gram(self, spec, n):
+        data = gaussian_points(n, 3, seed=n)
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.3] = 0.0
+        expected = oracle.gram_matrix(spec, data) @ v
+        got = apply_gram(spec, data, v)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_zero_vector_gives_exact_zeros(self):
+        for spec in SPECS:
+            out = apply_gram(spec, gaussian_points(50, 3, seed=18), np.zeros(50))
+            assert out.shape == (50,) and np.all(out == 0.0)
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
+    def test_allocation_audit(self, spec):
+        # an n x n float64 K at n = 2000 is 32 MB; the lower bound, one
+        # full tile, shows that tracemalloc sees numpy's buffers
+        tile_bytes = 8 * (GRAM_TILE_ELEMS // 2000) * 2000
+        data = gaussian_points(2000, 3, seed=19)
+        v = np.random.default_rng(20).standard_normal(2000)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        apply_gram(spec, data, v)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert tile_bytes <= peak < 1 << 20
+
+
+class TestKrrStopsAtTol:
+    @pytest.mark.parametrize("matrix_free", [False, True])
+    def test_stops_at_first_checkpoint_at_tol(self, assert_stops_at_tol, matrix_free):
+        data = gaussian_points(12, 2, seed=21)
+        spec = KernelSpec("gaussian", gamma=0.4)
+        y = np.random.default_rng(22).standard_normal(12)
+        lam = 0.3
+        alpha_star = oracle.krr_alpha_star(data, y, spec, lam)
+        M = oracle.gram_matrix(spec, data) + lam * np.eye(12)
+        rate = oracle.theoretical_rate(M)
+        assert_stops_at_tol(lambda tol: krr_run(
+            data, y, spec, lam, RunConfig(max_iters=3000, tol=tol, seed=3, checkpoint_every=10),
+            alpha_star, rate, energy_matrix=None if matrix_free else M))

@@ -187,3 +187,25 @@ class TestRidgeRuns:
         w_default = rcd_ridge_weights(X, 0.5)
         w_plain = rcd_ridge_weights(X, 0.5, plain_norms=True)
         assert np.allclose(w_default - w_plain, 0.5)
+
+
+class TestRidgeStopsAtTol:
+    def setup_method(self):
+        self.X, self.y = scaled_instance(20, 6, seed=14)
+        self.lam = 0.2
+        self.beta_rr = oracle.ridge_solution(self.X, self.y, self.lam)
+
+    def test_rk_ridge(self, assert_stops_at_tol):
+        X, y, lam = self.X, self.y, self.lam
+        alpha_star = oracle.ridge_alpha_star(X, y, lam)
+        rate = oracle.theoretical_rate(oracle.outer_gram(X) + lam * np.eye(20))
+        assert_stops_at_tol(lambda tol: rk_ridge_run(
+            X, y, lam, RunConfig(max_iters=8000, tol=tol, seed=15, checkpoint_every=20),
+            self.beta_rr, alpha_star, rate))
+
+    def test_rcd_ridge(self, assert_stops_at_tol):
+        X, y, lam = self.X, self.y, self.lam
+        rate = oracle.theoretical_rate(oracle.gram(X) + lam * np.eye(6))
+        assert_stops_at_tol(lambda tol: rcd_ridge_run(
+            X, y, lam, RunConfig(max_iters=8000, tol=tol, seed=16, checkpoint_every=6),
+            self.beta_rr, rate))
