@@ -298,8 +298,7 @@ def _contraction_per_iter(trace, natural: str) -> float:
 def _iters_to_tol(traces, natural: str, tol: float) -> int:
     """The checkpoint by which every trial had reached tol in `natural`,
     or -1 if some trial never did. Taken per trial, not from the mean
-    trace: trials that stop at tol end at different checkpoints, and the
-    mean covers only the checkpoints all of them recorded."""
+    trace, which covers only the checkpoints every trial recorded."""
     firsts = [next((r.iter for r in t.records if getattr(r, natural) <= tol * tol), -1)
               for t in traces]
     return -1 if -1 in firsts else max(firsts)
@@ -314,15 +313,16 @@ def cmd_compare(args) -> int:
         traces, rate = _run_trials(method, X, y, reference, regime, args, beta0)
         mean = _mean_trace(traces) if len(traces) > 1 else traces[0]
         natural = "err_sq" if method == "rk" else "energy_err_sq"
-        final = mean.final()
+        # means over each trial's own last checkpoint; the mean trace
+        # ends at the earliest of them
+        final = [float(np.mean([getattr(t.final(), col) for t in traces]))
+                 for col in ("err_sq", "energy_err_sq", "residual_sq")]
         rows.append(
             (
                 method,
                 len(traces),
                 _iters_to_tol(traces, natural, args.tol),
-                final.err_sq,
-                final.energy_err_sq,
-                final.residual_sq,
+                *final,
                 rate,
                 _contraction_per_iter(mean, natural),
             )

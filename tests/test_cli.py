@@ -239,7 +239,7 @@ class TestStopAtTol:
         energies = [float(line.split(",")[2]) for line in lines[1:]]
         assert energies[-1] <= 1e-24 < min(energies[:-1])
 
-    def test_compare_iters_to_tol_waits_for_every_trial(self, tmp_path):
+    def test_compare_summarises_each_trial_at_its_own_stop(self, tmp_path):
         prob = str(tmp_path / "und")
         assert run_cli("generate", "underdetermined", "40", "80", "--seed", "1",
                        "--out", prob) == 0
@@ -247,13 +247,16 @@ class TestStopAtTol:
         out = str(tmp_path / "cmp.csv")
         assert run_cli("compare", prob, *args, "--seed", "3", "--trials", "2",
                        "--out", out) == 0
-        to_tol = int(open(out).read().splitlines()[1].split(",")[2])
-        lasts = []
+        row = open(out).read().splitlines()[1].split(",")
+        finals = []
         for seed in ("3", "4"):  # the seeds of the two trials
             trace = str(tmp_path / f"t{seed}.csv")
             assert run_cli("solve", prob, *args, "--seed", seed, "--out", trace) == 0
-            lasts.append(int(open(trace).read().splitlines()[-1].split(",")[0]))
-        assert to_tol == max(lasts)
+            finals.append(open(trace).read().splitlines()[-1].split(","))
+        assert finals[0][0] != finals[1][0]
+        assert int(row[2]) == max(int(final[0]) for final in finals)
+        for col in (1, 2, 3):  # err_sq, energy_err_sq, residual_sq
+            assert float(row[col + 2]) == float(np.mean([float(f[col]) for f in finals]))
 
 
 class TestInputContract:
