@@ -54,7 +54,7 @@ from .ridge import (
     rk_ridge_step,
     shrink,
 )
-from .sampling import RngState, WeightedSampler, build_sampler, draw
+from .sampling import RngState, WeightedSampler, build_sampler
 from .solvers import (
     ConvergenceTrace,
     Method,

@@ -201,7 +201,13 @@ def _oracle_step(method, X, y, reference, regime, args):
         return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate)
     # rk-krr: rows of X are the data points
     spec = _kernel_spec(args)
-    K = oracle.gram_matrix(spec, X)
+    with np.errstate(over="ignore", invalid="ignore"):
+        K = oracle.gram_matrix(spec, X)
+    if not np.all(np.isfinite(K)):
+        params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
+                  "gaussian": f" --gamma {spec.gamma}"}.get(spec.family, "")
+        raise UsageError(f"--kernel {args.kernel}{params} overflows on this data: "
+                         "its Gram matrix has non-finite entries")
     alpha_star = oracle.krr_alpha_star(X, y, spec, lam, K=K)
     M = K + lam * np.eye(X.shape[0])
     rate = oracle.theoretical_rate(M)

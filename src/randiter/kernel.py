@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DimensionError
 from .sampling import RngState, build_sampler
-from .solvers import ConvergenceTrace, RunConfig, TraceRecord, _plateaued
+from .solvers import ConvergenceTrace, RunConfig, drive
 
 # Rebuild s = K alpha from scratch this often to bound incremental drift.
 S_REFRESH_EVERY = 1000
@@ -49,12 +49,13 @@ class KernelSpec:
 
 @dataclass
 class KrrState:
-    """Dual iterate alpha plus maintained s = K alpha."""
+    """Dual iterate alpha plus maintained s = K alpha. krr_run leaves
+    rng None: the driver owns the run's stream."""
 
     alpha: np.ndarray
     s: np.ndarray
     iter: int
-    rng: RngState
+    rng: RngState | None
     lam: float
 
 
@@ -182,41 +183,24 @@ def krr_run(
         raise ValueError("kernel ridge requires lambda > 0")
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
-    state = KrrState(np.zeros(n), np.zeros(n), 0, RngState(config.seed), lam)
-    every = config.checkpoint_every or n
-    tol_sq = config.tol * config.tol
+    state = KrrState(np.zeros(n), np.zeros(n), 0, None, lam)
 
-    trace = ConvergenceTrace()
-    err_history: list[float] = []
-    initial = 0.0
+    def advance(rows):
+        for row in rows.tolist():
+            krr_step(state, data, y, spec, row)
 
-    def record():
-        nonlocal initial
+    def refresh():
+        state.s = apply_gram(spec, data, state.alpha)
+
+    def checkpoint():
         v = state.alpha - alpha_star
         if energy_matrix is not None:
             energy = max(float(v @ (energy_matrix @ v)), 0.0)
         else:
             energy = float(v @ apply_gram(spec, data, v)) + lam * float(v @ v)
         dual_res = y - state.s - lam * state.alpha
-        if state.iter == 0:
-            initial = energy
-        rec = TraceRecord(
-            state.iter,
-            float(v @ v),
-            energy,
-            float(dual_res @ dual_res),
-            (rate ** state.iter) * initial,
-        )
-        trace.append(rec)
-        err_history.append(energy)
+        return float(v @ v), energy, float(dual_res @ dual_res)
 
-    record()
-    for t in range(1, config.max_iters + 1):
-        krr_step(state, data, y, spec, sampler.draw(state.rng))
-        if state.iter % S_REFRESH_EVERY == 0:
-            state.s = apply_gram(spec, data, state.alpha)
-        if t % every == 0 or t == config.max_iters:
-            record()
-            if err_history[-1] <= tol_sq or _plateaued(err_history):
-                break
-    return trace
+    return drive(sampler, config, n, advance, checkpoint, rate, "energy_err_sq",
+                 tol_on="energy_err_sq", plateau=True, refresh=refresh,
+                 refresh_every=S_REFRESH_EVERY)

@@ -19,13 +19,7 @@ import numpy as np
 
 from . import linalg
 from .sampling import RngState, build_sampler
-from .solvers import (
-    RESIDUAL_REFRESH_EVERY,
-    ConvergenceTrace,
-    RunConfig,
-    TraceRecord,
-    _plateaued,
-)
+from .solvers import ConvergenceTrace, RunConfig, columns_and_norms, drive
 
 
 @dataclass
@@ -88,15 +82,40 @@ def rk_ridge_weights(X: np.ndarray, lam: float) -> np.ndarray:
     return linalg.row_norms_sq(X) + lam
 
 
-def rcd_ridge_weights(X: np.ndarray, lam: float, plain_norms: bool = False) -> np.ndarray:
-    """Column sampling weights; ||X_j||^2 + lambda by default."""
-    w = linalg.col_norms_sq(X)
-    return w if plain_norms else w + lam
+def rcd_ridge_weights(X: np.ndarray, lam: float) -> np.ndarray:
+    """Column sampling weights ||X_j||^2 + lambda."""
+    return linalg.col_norms_sq(X) + lam
 
 
 def _check_lambda(lam: float) -> None:
     if not lam > 0.0:
         raise ValueError("ridge solvers require lambda > 0; use the basic solvers instead")
+
+
+def _rk_ridge_steps(rows: np.ndarray, X: np.ndarray, y: np.ndarray, lam: float,
+                    alpha: np.ndarray, beta: np.ndarray) -> None:
+    """rk_ridge_step for each row in turn, inline (see solvers._rk_steps
+    on ndarray.dot and the scratch buffer)."""
+    scaled = np.empty_like(beta)
+    for row in rows.tolist():
+        xr = X[row]
+        delta = (y[row] - beta.dot(xr) - lam * alpha[row]) / (xr.dot(xr) + lam)
+        alpha[row] += delta
+        beta += np.multiply(xr, delta, out=scaled)
+
+
+def _rcd_ridge_steps(cols: np.ndarray, columns: list, norms: list, lam: float,
+                     beta: np.ndarray, residual: np.ndarray) -> None:
+    """rcd_ridge_step for each column in turn, inline, with the columns
+    of X and their squared norms xc @ xc given."""
+    scaled = np.empty_like(residual)
+    for col in cols.tolist():
+        xc = columns[col]
+        nrm = norms[col]
+        new = (nrm * beta[col] + xc.dot(residual)) / (nrm + lam)
+        diff = new - beta[col]
+        beta[col] = new
+        residual -= np.multiply(xc, diff, out=scaled)
 
 
 def rk_ridge_run(
@@ -119,41 +138,20 @@ def rk_ridge_run(
     _check_lambda(lam)
     n, p = X.shape
     sampler = build_sampler(rk_ridge_weights(X, lam))
-    state = RidgeState(np.zeros(n), np.zeros(p), 0, RngState(config.seed), lam)
-    every = config.checkpoint_every or n
-    tol_sq = config.tol * config.tol
+    alpha, beta = np.zeros(n), np.zeros(p)
 
-    trace = ConvergenceTrace()
-    err_history: list[float] = []
-    initial = 0.0
+    def advance(rows):
+        _rk_ridge_steps(rows, X, y, lam, alpha, beta)
 
-    def record():
-        nonlocal initial
-        dbeta = state.beta - reference_beta
-        v = state.alpha - alpha_star
+    def checkpoint():
+        dbeta = beta - reference_beta
+        v = alpha - alpha_star
         xtv = X.T @ v
-        energy = float(xtv @ xtv) + lam * float(v @ v)
-        res = y - X @ state.beta
-        if state.iter == 0:
-            initial = energy
-        rec = TraceRecord(
-            state.iter,
-            float(dbeta @ dbeta),
-            energy,
-            float(res @ res),
-            (rate ** state.iter) * initial,
-        )
-        trace.append(rec)
-        err_history.append(energy)
+        res = y - X @ beta
+        return float(dbeta @ dbeta), float(xtv @ xtv) + lam * float(v @ v), float(res @ res)
 
-    record()
-    for t in range(1, config.max_iters + 1):
-        rk_ridge_step(state, X, y, sampler.draw(state.rng))
-        if t % every == 0 or t == config.max_iters:
-            record()
-            if err_history[-1] <= tol_sq or _plateaued(err_history):
-                break
-    return trace
+    return drive(sampler, config, n, advance, checkpoint, rate, "energy_err_sq",
+                 tol_on="energy_err_sq", plateau=True)
 
 
 def rcd_ridge_run(
@@ -163,48 +161,28 @@ def rcd_ridge_run(
     config: RunConfig,
     reference_beta: np.ndarray,
     rate: float,
-    plain_norm_weights: bool = False,
 ) -> ConvergenceTrace:
     """Run rcd_ridge; energy_err_sq is the (Sigma + lambda I)-norm error
     ||X v||^2 + lambda ||v||^2 for v = beta - beta_RR. Stops as
     rk_ridge_run does."""
     _check_lambda(lam)
     n, p = X.shape
-    sampler = build_sampler(rcd_ridge_weights(X, lam, plain_norm_weights))
-    beta0 = np.zeros(p) if config.beta0 is None else config.beta0.astype(np.float64).copy()
-    state = RcdRidgeState(beta0, y - X @ beta0, 0, RngState(config.seed), lam)
-    every = config.checkpoint_every or p
-    tol_sq = config.tol * config.tol
+    sampler = build_sampler(rcd_ridge_weights(X, lam))
+    beta = np.zeros(p) if config.beta0 is None else config.beta0.astype(np.float64).copy()
+    residual = y - X @ beta
+    columns, norms = columns_and_norms(X)
 
-    trace = ConvergenceTrace()
-    err_history: list[float] = []
-    initial = 0.0
+    def advance(cols):
+        _rcd_ridge_steps(cols, columns, norms, lam, beta, residual)
 
-    def record():
-        nonlocal initial
-        v = state.beta - reference_beta
+    def refresh():
+        residual[:] = y - X @ beta
+
+    def checkpoint():
+        v = beta - reference_beta
         xv = X @ v
-        energy = float(xv @ xv) + lam * float(v @ v)
-        res = y - X @ state.beta
-        if state.iter == 0:
-            initial = energy
-        rec = TraceRecord(
-            state.iter,
-            float(v @ v),
-            energy,
-            float(res @ res),
-            (rate ** state.iter) * initial,
-        )
-        trace.append(rec)
-        err_history.append(energy)
+        res = y - X @ beta
+        return float(v @ v), float(xv @ xv) + lam * float(v @ v), float(res @ res)
 
-    record()
-    for t in range(1, config.max_iters + 1):
-        rcd_ridge_step(state, X, y, sampler.draw(state.rng))
-        if state.iter % RESIDUAL_REFRESH_EVERY == 0:
-            state.residual = y - X @ state.beta
-        if t % every == 0 or t == config.max_iters:
-            record()
-            if err_history[-1] <= tol_sq or _plateaued(err_history):
-                break
-    return trace
+    return drive(sampler, config, p, advance, checkpoint, rate, "energy_err_sq",
+                 tol_on="energy_err_sq", plateau=True, refresh=refresh)

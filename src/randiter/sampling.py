@@ -2,7 +2,10 @@
 
 The generator is numpy's PCG64, seeded with a 64-bit integer. A given
 (seed, weights) pair fully determines the draw sequence, which the
-experiment harness relies on for byte-identical reruns.
+experiment harness relies on for byte-identical reruns. A block of k
+uniforms from `Generator.random(k)` is the same k doubles that k scalar
+`random()` calls give, so drawing a block at a time leaves the sequence
+unchanged.
 """
 
 from __future__ import annotations
@@ -22,6 +25,10 @@ class RngState:
     def uniform(self) -> float:
         """Next float64 in [0, 1)."""
         return float(self._gen.random())
+
+    def uniforms(self, k: int) -> np.ndarray:
+        """Next k float64s in [0, 1), the same as k calls of uniform()."""
+        return self._gen.random(k)
 
     def standard_normal(self, size=None):
         return self._gen.standard_normal(size)
@@ -44,6 +51,9 @@ class WeightedSampler:
         self.total = float(self.cumulative[-1])
         if self.total <= 0.0:
             raise DegenerateWeights("all sampling weights are zero")
+        # the last bin with positive weight
+        self._last = int(np.searchsorted(self.cumulative, np.nextafter(self.total, 0.0),
+                                         side="right"))
 
     def __len__(self) -> int:
         return self.cumulative.shape[0]
@@ -52,22 +62,24 @@ class WeightedSampler:
         w = np.diff(self.cumulative, prepend=0.0)
         return w / self.total
 
+    def _indices(self, u: float | np.ndarray) -> np.ndarray:
+        """Map uniforms in [0, 1) to indices."""
+        # side="right" skips zero-weight indices: their cumulative entry
+        # equals the previous one, so no u * total lands strictly inside.
+        idx = np.searchsorted(self.cumulative, u * self.total, side="right")
+        # u * total can round up to exactly total (when total is
+        # subnormal); that goes to the last positive bin
+        return np.where(idx == len(self), self._last, idx)
+
     def draw(self, rng: RngState) -> int:
         """One index with the sampler's distribution; advances rng."""
-        u = rng.uniform() * self.total
-        # side="right" skips zero-weight indices: their cumulative entry
-        # equals the previous one, so no u lands strictly inside.
-        idx = int(np.searchsorted(self.cumulative, u, side="right"))
-        if idx == len(self):
-            # u rounded up to exactly total; remap onto the last positive bin
-            idx = int(np.searchsorted(self.cumulative, np.nextafter(self.total, 0.0), side="right"))
-        return idx
+        return int(self._indices(rng.uniform()))
+
+    def draw_block(self, rng: RngState, k: int) -> np.ndarray:
+        """k indices, the same as k calls of draw(); advances rng by k."""
+        return self._indices(rng.uniforms(k))
 
 
 def build_sampler(weights) -> WeightedSampler:
     """Validate weights and build the cumulative-table sampler."""
     return WeightedSampler(weights)
-
-
-def draw(sampler: WeightedSampler, rng: RngState) -> int:
-    return sampler.draw(rng)

@@ -1,22 +1,24 @@
 """Randomized Kaczmarz and Randomized Coordinate Descent.
 
 Both methods are matrix-free: RK touches one row per step (O(p) work),
-RCD one column per step (O(n) work). The driver samples indices with
-probability proportional to squared row/column norms and records a
-convergence trace at checkpoints.
+RCD one column per step (O(n) work). The driver that every method's
+run shares (`drive`) samples indices a block at a time, with
+probability proportional to squared row/column norms, hands each block
+to the method's inner loop, and records a convergence trace at
+checkpoints.
 """
 
 from __future__ import annotations
 
 import enum
-import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .errors import DegenerateWeights, DimensionError, ZeroNormColumn, ZeroNormRow
-from .sampling import RngState, build_sampler
+from .sampling import RngState, WeightedSampler, build_sampler
 
 # RCD maintains its residual incrementally; a periodic rebuild caps
 # floating-point drift so per-step optimality stays testable.
@@ -27,6 +29,10 @@ RESIDUAL_REFRESH_EVERY = 1000
 # consecutive checkpoints.
 PLATEAU_REL_CHANGE = 1e-6
 PLATEAU_WINDOW = 5
+
+# The driver draws at most this many indices at once, so its memory
+# stays flat however long the run.
+DRAW_BLOCK = 1024
 
 
 class Regime(enum.Enum):
@@ -145,6 +151,113 @@ def _plateaued(err_history: list[float]) -> bool:
     return True
 
 
+def drive(
+    sampler: WeightedSampler,
+    config: RunConfig,
+    default_every: int,
+    advance: Callable[[np.ndarray], None],
+    checkpoint: Callable[[], tuple[float, float, float]],
+    rate: float,
+    natural: str,
+    tol_on: str | None,
+    plateau: bool,
+    refresh: Callable[[], None] | None = None,
+    refresh_every: int = RESIDUAL_REFRESH_EVERY,
+) -> ConvergenceTrace:
+    """The checkpoint and stop loop that every method's run shares.
+
+    Steps t = 1..max_iters draw their indices from `sampler` with the
+    seed config.seed, DRAW_BLOCK at a time at most, and `advance(indices)`
+    takes those steps in order. After step t, `refresh()` runs when t is
+    a multiple of refresh_every; then, when t is a multiple of the
+    checkpoint cadence (config.checkpoint_every, else default_every) or
+    t = max_iters, a checkpoint is recorded. `checkpoint()` returns
+    (err_sq, energy_err_sq, residual_sq) of the current iterate, and the
+    record's bound is rate^t times the initial value of the `natural`
+    column. The run stops at the first checkpoint where the `tol_on`
+    column is <= tol^2 (if tol_on is given) or, with `plateau`, where the
+    natural column has plateaued.
+    """
+    every = config.checkpoint_every or default_every
+    if every < 1:
+        raise ValueError("checkpoint_every must be positive")
+    tol_sq = config.tol * config.tol
+    rng = RngState(config.seed)
+    trace = ConvergenceTrace()
+    history: list[float] = []
+    initial = 0.0
+
+    def record(t: int) -> TraceRecord:
+        nonlocal initial
+        rec = TraceRecord(t, *checkpoint(), 0.0)
+        value = getattr(rec, natural)
+        if t == 0:
+            initial = value
+        rec.bound = (rate ** t) * initial
+        trace.append(rec)
+        history.append(value)
+        return rec
+
+    record(0)
+    t = 0
+    while t < config.max_iters:
+        end = min(config.max_iters, t - t % every + every)
+        while t < end:
+            k = min(end - t, DRAW_BLOCK)
+            if refresh is not None:
+                k = min(k, refresh_every - t % refresh_every)
+            advance(sampler.draw_block(rng, k))
+            t += k
+            if refresh is not None and t % refresh_every == 0:
+                refresh()
+        rec = record(t)
+        if tol_on is not None and getattr(rec, tol_on) <= tol_sq:
+            break
+        if plateau and _plateaued(history):
+            break
+    return trace
+
+
+# The inline loops below call ndarray.dot, which reaches the same BLAS
+# ddot as the steps' `@` with less call overhead, and scale a row or
+# column into a scratch buffer instead of a new array: the same
+# operations on the same operands, so the same bits as the *_step
+# functions.
+
+
+def _rk_steps(rows: np.ndarray, X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> None:
+    """rk_step for each row in turn, inline."""
+    scaled = np.empty_like(beta)
+    for row in rows.tolist():
+        xr = X[row]
+        nrm = xr.dot(xr)
+        if nrm <= 0.0:
+            raise ZeroNormRow(f"row {row} has zero norm")
+        beta += np.multiply(xr, (y[row] - xr.dot(beta)) / nrm, out=scaled)
+
+
+def _rcd_steps(cols: np.ndarray, columns: list, norms: list, beta: np.ndarray,
+               residual: np.ndarray) -> None:
+    """rcd_step for each column in turn, inline, with the columns of X
+    and their squared norms xc @ xc given."""
+    scaled = np.empty_like(residual)
+    for col in cols.tolist():
+        xc = columns[col]
+        nrm = norms[col]
+        if nrm <= 0.0:
+            raise ZeroNormColumn(f"column {col} has zero norm")
+        delta = xc.dot(residual) / nrm
+        beta[col] += delta
+        residual -= np.multiply(xc, delta, out=scaled)
+
+
+def columns_and_norms(X: np.ndarray) -> tuple[list, list]:
+    """The columns of X as views, and each one's xc @ xc, the dot that
+    the column steps use."""
+    columns = list(X.T)
+    return columns, [float(xc @ xc) for xc in columns]
+
+
 def run(
     method: Method,
     problem: Problem,
@@ -160,7 +273,8 @@ def run(
     the squared Euclidean error, energy_err_sq the squared error of
     fitted values ||X (beta - reference)||^2, and `bound` the rate^t
     envelope on the method's natural error (Euclidean for RK, energy
-    for RCD).
+    for RCD). A consistent run stops at the first checkpoint with
+    residual_sq <= tol^2, an inconsistent one at a plateau.
     """
     X, y = problem.X, problem.y
     n, p = X.shape
@@ -176,48 +290,30 @@ def run(
     sampler = build_sampler(weights)
 
     beta = np.zeros(p) if config.beta0 is None else config.beta0.astype(np.float64).copy()
-    rng = RngState(config.seed)
-    residual = (y - X @ beta) if method == Method.RCD else None
-    state = SolverState(beta=beta, residual=residual, iter=0, rng=rng)
-
-    every = config.checkpoint_every
-    if every is None:
-        every = n if method == Method.RK else p
-    tol_sq = config.tol * config.tol
     consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
-    trace = ConvergenceTrace()
-    err_history: list[float] = []
-    initial_err = 0.0
-
-    def record() -> TraceRecord:
-        nonlocal initial_err
-        diff = state.beta - reference
-        err_sq = float(diff @ diff)
+    def checkpoint():
+        diff = beta - reference
         fitted = X @ diff
-        energy_err_sq = float(fitted @ fitted)
-        res = y - X @ state.beta
-        residual_sq = float(res @ res)
-        natural = err_sq if method == Method.RK else energy_err_sq
-        if state.iter == 0:
-            initial_err = natural
-        bound = (rate ** state.iter) * initial_err
-        rec = TraceRecord(state.iter, err_sq, energy_err_sq, residual_sq, bound)
-        trace.append(rec)
-        err_history.append(natural)
-        return rec
+        res = y - X @ beta
+        return float(diff @ diff), float(fitted @ fitted), float(res @ res)
 
-    rec = record()
-    step = rk_step if method == Method.RK else rcd_step
-    for t in range(1, config.max_iters + 1):
-        idx = sampler.draw(state.rng)
-        step(state, X, y, idx)
-        if method == Method.RCD and state.iter % RESIDUAL_REFRESH_EVERY == 0:
-            state.residual = y - X @ state.beta
-        if t % every == 0 or t == config.max_iters:
-            rec = record()
-            if consistent and rec.residual_sq <= tol_sq:
-                break
-            if problem.regime == Regime.INCONSISTENT and _plateaued(err_history):
-                break
-    return trace
+    if method == Method.RK:
+        every, natural, refresh = n, "err_sq", None
+
+        def advance(rows):
+            _rk_steps(rows, X, y, beta)
+    else:
+        every, natural = p, "energy_err_sq"
+        columns, norms = columns_and_norms(X)
+        residual = y - X @ beta
+
+        def advance(cols):
+            _rcd_steps(cols, columns, norms, beta, residual)
+
+        def refresh():
+            residual[:] = y - X @ beta
+
+    return drive(sampler, config, every, advance, checkpoint, rate, natural,
+                 tol_on="residual_sq" if consistent else None,
+                 plateau=problem.regime == Regime.INCONSISTENT, refresh=refresh)

@@ -2,6 +2,7 @@ import logging
 import os
 import shutil
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -338,6 +339,20 @@ class TestInputContract:
             f.write("\n".join(lines[:-1]) + "\n")
         assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
         assert name in capsys.readouterr().err
+
+    def test_overflowing_kernel_is_usage_error(self, tmp_path, capsys):
+        prob = str(tmp_path / "c")
+        assert run_cli("generate", "consistent", "30", "10", "--seed", "1", "--out", prob) == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = run_cli("solve", prob, "--method", "rk-krr", "--kernel", "poly",
+                           "--degree", "200", "--offset", "1000", "--lambda", "0.1",
+                           "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "--kernel poly --degree 200 --offset 1000.0 overflows" in err
+        assert "non-finite" in err
+        assert not os.path.exists(tmp_path / "t.csv")
 
     @pytest.mark.parametrize("size_line", ["50", "50 x", "0 20", ""])
     def test_bad_size_line_is_io_error(self, tmp_path, size_line):

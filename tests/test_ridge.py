@@ -182,12 +182,6 @@ class TestRidgeRuns:
         energy = trace.column("energy_err_sq")
         assert energy[-1] < 1e-6 * energy[0]
 
-    def test_rcd_ridge_plain_weight_option(self):
-        X, y = scaled_instance(10, 4, seed=13)
-        w_default = rcd_ridge_weights(X, 0.5)
-        w_plain = rcd_ridge_weights(X, 0.5, plain_norms=True)
-        assert np.allclose(w_default - w_plain, 0.5)
-
 
 class TestRidgeStopsAtTol:
     def setup_method(self):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from randiter import linalg
 from randiter.errors import DegenerateWeights, NegativeWeight
-from randiter.sampling import RngState, WeightedSampler, build_sampler, draw
+from randiter.sampling import RngState, WeightedSampler, build_sampler
 
 
 def empirical_frequencies(weights, n_draws, seed):
@@ -53,7 +53,7 @@ class TestDraw:
 
     def test_determinism_replay(self):
         s = build_sampler([1.0, 2.0, 3.0])
-        first = [draw(s, RngState(42)) for _ in range(1)]
+        first = s.draw_block(RngState(42), 1).tolist()
         seq_a = [s.draw(RngState(42)) for _ in range(1)]
         rng_a, rng_b = RngState(42), RngState(42)
         a = [s.draw(rng_a) for _ in range(5)]
@@ -85,3 +85,48 @@ class TestDraw:
         # zero-weight indices must have exactly zero frequency
         assert np.all(freqs[probs == 0.0] == 0.0)
         assert np.all(np.abs(freqs - probs) <= bands + 1e-12)
+
+
+class TopUniform:
+    """A uniform source that always gives the largest double below 1.
+    Times a normal total it rounds below the total; times a subnormal
+    one it can round up to it."""
+
+    U = float(np.nextafter(1.0, 0.0))
+
+    def uniform(self):
+        return self.U
+
+    def uniforms(self, k):
+        return np.full(k, self.U)
+
+
+class TestDrawBlock:
+    @pytest.mark.parametrize("k", [1, 7, 1024, 1025])
+    @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+    def test_equals_k_scalar_draws(self, seed, k):
+        s = build_sampler([0.5, 0.0, 2.0, 1e-3, 3.0, 0.0])
+        rng_block, rng_scalar = RngState(seed), RngState(seed)
+        for _ in range(2):  # and the stream continues alike
+            block = s.draw_block(rng_block, k)
+            assert block.shape == (k,)
+            assert block.tolist() == [s.draw(rng_scalar) for _ in range(k)]
+
+    def test_top_uniform_maps_to_last_positive_bin(self):
+        tiny = 2.0**-1074  # the smallest subnormal
+        s = build_sampler([2 * tiny, tiny, 0.0, 0.0])
+        assert TopUniform.U * s.total == s.total  # the rounding the remap is for
+        assert s.draw(TopUniform()) == 1
+        assert s.draw_block(TopUniform(), 5).tolist() == [1] * 5
+
+    @settings(deadline=None, max_examples=20)
+    @given(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 1.0, 7.0]), min_size=1, max_size=8),
+           st.integers(0, 2**32))
+    def test_zero_weight_never_returned(self, weights, seed):
+        w = np.array(weights)
+        if float(w.sum()) <= 0.0:
+            return
+        s = build_sampler(w)
+        drawn = np.concatenate([s.draw_block(RngState(seed), 3000),
+                                s.draw_block(TopUniform(), 3)])
+        assert np.all(w[drawn] > 0.0)
