@@ -20,7 +20,7 @@ from .errors import (
     ZeroNormColumn,
     ZeroNormRow,
 )
-from .kernel import KernelSpec, KrrState, kernel_eval, krr_predict, krr_run, krr_step
+from .kernel import KernelSpec, KrrState, krr_predict, krr_run, krr_step
 from .linalg import (
     col_norms_sq,
     dense_matrix,

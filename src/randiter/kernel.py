@@ -8,7 +8,6 @@ than the residual), so y never has to be touched during updates.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,8 +48,8 @@ class KernelSpec:
 
 @dataclass
 class KrrState:
-    """Dual iterate alpha plus maintained s = K alpha. krr_run leaves
-    rng None: the driver owns the run's stream."""
+    """Dual iterate alpha plus maintained s = K alpha, for krr_step;
+    krr_run keeps both in its own arrays."""
 
     alpha: np.ndarray
     s: np.ndarray
@@ -59,20 +58,12 @@ class KrrState:
     lam: float
 
 
-def kernel_eval(spec: KernelSpec, x: np.ndarray, x2: np.ndarray) -> float:
-    """k(x, x2) for one pair of points."""
-    if x.shape != x2.shape:
-        raise DimensionError(f"kernel_eval: {x.shape} vs {x2.shape}")
-    if spec.family == "linear":
-        return float(x @ x2)
-    if spec.family == "gaussian":
-        d = x - x2
-        return math.exp(-spec.gamma * float(d @ d))
-    return (float(x @ x2) + spec.offset) ** spec.degree
-
-
 def kernel_column(spec: KernelSpec, data: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """k(x_j, x) for every row x_j of data; one column of K, never K."""
+    """k(x_j, x) for every row x_j of data; one column of K, never K.
+
+    The gaussian family takes the differences x_j - x directly: the
+    oracle's K and krr_predict use this form, the solvers the one in
+    _Gram."""
     if data.shape[1] != x.shape[0]:
         raise DimensionError(f"kernel_column: {data.shape} vs {x.shape}")
     if spec.family == "linear":
@@ -101,6 +92,93 @@ def krr_weights(spec: KernelSpec, data: np.ndarray, lam: float) -> np.ndarray:
     return kernel_diag(spec, data) + lam
 
 
+class _Gram:
+    """Columns and products of K from data prepared once.
+
+    K[r, c] is the kernel map of rows[r] @ points[c]. For the linear and
+    polynomial families both are the data itself. A gaussian kernel
+    depends only on x - x', so there the data z is centered on its mean,
+    which keeps the inner products at the scale of the data's spread
+    however far it sits from the origin. With h = -gamma ||z||^2 cached,
+    rows are [2 gamma z, h, 1] and points [z, 1, h], so rows[r] @
+    points[c] is the exponent -gamma ||z_r - z_c||^2 in one product.
+    """
+
+    def __init__(self, spec: KernelSpec, data: np.ndarray):
+        self.spec = spec
+        if spec.family == "gaussian":
+            z = data - data.mean(axis=0)
+            h = np.einsum("ij,ij->i", z, z) * -spec.gamma
+            one = np.ones(data.shape[0])
+            # column-major, as transposes of row stacks
+            self.rows = np.vstack((z.T * (2.0 * spec.gamma), h, one)).T
+            self.points = np.vstack((z.T, one, h)).T
+        else:
+            self.rows = self.points = data
+
+    def _map(self, t: np.ndarray, diag) -> None:
+        """The kernel map, in place, of products rows @ points, where
+        t[diag] pairs each point with itself."""
+        if self.spec.family == "gaussian":
+            # the exponent is <= 0, but rounds above it for
+            # near-identical points
+            np.minimum(t, 0.0, out=t)
+            np.exp(t, out=t)
+            # k(x, x) = 1 exactly: the product leaves the rounding of
+            # 2 gamma ||z||^2 + 2 h there, which in high dimension moves
+            # the solution by more than tol
+            t[diag] = 1.0
+        elif self.spec.family == "polynomial":
+            t += self.spec.offset
+            t **= self.spec.degree
+
+    def column(self, i: int, out: np.ndarray) -> np.ndarray:
+        """K[:, i], written into out."""
+        np.dot(self.rows, self.points[i], out=out)
+        self._map(out, i)
+        return out
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """K v from the tiles of K on or above the block diagonal of
+        K[A, A], plus K[A, rest], where A is v's nonzero indices: each
+        tile adds its rows' products with v and, by symmetry, its
+        columns' products below the diagonal."""
+        n = v.shape[0]
+        a = np.count_nonzero(v)
+        if a == 0:
+            return np.zeros(n)
+        rows, points, w = self.rows, self.points, v
+        order = None
+        if a < n:
+            # A first, so the tiles run over contiguous slices; gathering
+            # columns of the C-order transposes is the fast way to
+            # gather rows of column-major arrays
+            order = np.argsort(v == 0.0, kind="stable")
+            rows = np.take(rows.T, order, axis=1).T
+            points = np.take(points.T, order, axis=1).T
+            w = v[order]
+        res = np.zeros(n)
+        buf = np.empty(max(GRAM_TILE_ELEMS, n))
+        start = 0
+        while start < a:
+            # a tile takes the columns from its first row on, so it
+            # narrows as it goes and can take more rows
+            width = n - start
+            stop = min(a, start + max(1, GRAM_TILE_ELEMS // width))
+            tile = buf[:(stop - start) * width].reshape(stop - start, width)
+            np.matmul(rows[start:stop], points[start:].T, out=tile)
+            diag = np.arange(stop - start)
+            self._map(tile, (diag, diag))
+            res[start:stop] += tile[:, :a - start] @ w[start:a]
+            res[stop:] += w[start:stop] @ tile[:, stop - start:]
+            start = stop
+        if order is None:
+            return res
+        out = np.empty(n)
+        out[order] = res
+        return out
+
+
 def krr_step(
     state: KrrState,
     data: np.ndarray,
@@ -108,8 +186,10 @@ def krr_step(
     spec: KernelSpec,
     row: int,
 ) -> KrrState:
-    """One dual row action using a single on-the-fly kernel column."""
-    col = kernel_column(spec, data, data[row])
+    """One dual row action using a single on-the-fly kernel column: the
+    single-step reference for krr_run's inner loop, with the same
+    column."""
+    col = _Gram(spec, data).column(row, np.empty(data.shape[0]))
     delta = (y[row] - state.s[row] - state.lam * state.alpha[row]) / (
         float(col[row]) + state.lam
     )
@@ -129,35 +209,23 @@ def krr_predict(alpha: np.ndarray, data: np.ndarray, spec: KernelSpec, x: np.nda
 
 
 def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v computed in tiles K[J, :] of at most GRAM_TILE_ELEMS entries,
-    where J runs over blocks of v's nonzero indices: one BLAS product
-    data[J] @ data.T per tile, mapped to the kernel in place. K is never
-    formed; extra memory is O(GRAM_TILE_ELEMS + n)."""
-    n = data.shape[0]
-    out = np.zeros(n)
-    nonzero = np.flatnonzero(v)
-    if nonzero.size == 0:
-        return out
-    rows = max(1, GRAM_TILE_ELEMS // n)
-    if spec.family == "gaussian":
-        sq = np.einsum("ij,ij->i", data, data)
-    for start in range(0, nonzero.size, rows):
-        J = nonzero[start:start + rows]
-        tile = data[J] @ data.T
-        if spec.family == "gaussian":
-            # ||x_i - x_j||^2 = ||x_i||^2 + ||x_j||^2 - 2 <x_i, x_j>, which
-            # can round below 0 for near-identical points
-            tile *= -2.0
-            tile += sq[J, None]
-            tile += sq
-            np.maximum(tile, 0.0, out=tile)
-            tile *= -spec.gamma
-            np.exp(tile, out=tile)
-        elif spec.family == "polynomial":
-            tile += spec.offset
-            tile **= spec.degree
-        out += v[J] @ tile
-    return out
+    """K v without forming K: tiles of at most GRAM_TILE_ELEMS entries
+    (more only when one row of K is longer), one BLAS product each,
+    that cover about half of K[A, A] for v's nonzero indices A, by
+    symmetry. Extra memory is O(GRAM_TILE_ELEMS + n p)."""
+    return _Gram(spec, data).apply(v)
+
+
+def _krr_steps(rows: np.ndarray, gram: _Gram, y: list, lam: float, alpha: np.ndarray,
+               s: np.ndarray, col: np.ndarray) -> None:
+    """krr_step for each row in turn, inline, with the column written
+    into col and then scaled in place."""
+    column = gram.column
+    for row in rows.tolist():
+        column(row, col)
+        delta = (y[row] - s[row] - lam * alpha[row]) / (col[row] + lam)
+        alpha[row] += delta
+        s += np.multiply(col, delta, out=col)
 
 
 def krr_run(
@@ -174,31 +242,32 @@ def krr_run(
 
     err_sq is ||alpha - alpha*||^2; energy_err_sq the same in the
     (K + lambda I) norm. The oracle may pass K + lambda I explicitly as
-    `energy_matrix` (desk scale); otherwise checkpoints apply K in
-    apply_gram's row tiles, still without materializing it. The run
-    stops at the first checkpoint with energy_err_sq <= tol^2, at a
-    plateau, or at max_iters.
+    `energy_matrix` (desk scale); otherwise checkpoints apply K with
+    apply_gram, still without materializing it. The run stops at the
+    first checkpoint with energy_err_sq <= tol^2, at a plateau, or at
+    max_iters.
     """
     if not lam > 0.0:
         raise ValueError("kernel ridge requires lambda > 0")
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
-    state = KrrState(np.zeros(n), np.zeros(n), 0, None, lam)
+    gram = _Gram(spec, data)
+    ys = y.tolist()
+    alpha, s, col = np.zeros(n), np.zeros(n), np.empty(n)
 
     def advance(rows):
-        for row in rows.tolist():
-            krr_step(state, data, y, spec, row)
+        _krr_steps(rows, gram, ys, lam, alpha, s, col)
 
     def refresh():
-        state.s = apply_gram(spec, data, state.alpha)
+        s[:] = apply_gram(spec, data, alpha)
 
     def checkpoint():
-        v = state.alpha - alpha_star
+        v = alpha - alpha_star
         if energy_matrix is not None:
             energy = max(float(v @ (energy_matrix @ v)), 0.0)
         else:
             energy = float(v @ apply_gram(spec, data, v)) + lam * float(v @ v)
-        dual_res = y - state.s - lam * state.alpha
+        dual_res = y - s - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
     return drive(sampler, config, n, advance, checkpoint, rate, "energy_err_sq",

@@ -10,10 +10,10 @@ from randiter.kernel import (
     GRAM_TILE_ELEMS,
     KernelSpec,
     KrrState,
+    _Gram,
     apply_gram,
     kernel_column,
     kernel_diag,
-    kernel_eval,
     krr_predict,
     krr_run,
     krr_step,
@@ -28,17 +28,26 @@ def gaussian_points(n, d, seed):
     return linalg.dense_matrix(rng.standard_normal((n, d)))
 
 
+def pair_value(spec, x, x2):
+    """k(x, x2) written out for one pair of points."""
+    if spec.family == "linear":
+        return float(x @ x2)
+    if spec.family == "gaussian":
+        return math.exp(-spec.gamma * sum((a - b) ** 2 for a, b in zip(x, x2)))
+    return (float(x @ x2) + spec.offset) ** spec.degree
+
+
 class TestKernelEval:
     def test_gaussian_zero_distance(self):
         spec = KernelSpec("gaussian", gamma=2.0)
-        x = np.array([1.0, -2.0])
-        assert kernel_eval(spec, x, x) == 1.0
+        data = linalg.dense_matrix([[0.5, 3.0], [1.0, -2.0]])
+        assert kernel_column(spec, data, data[1])[1] == 1.0
 
     def test_gaussian_half(self):
         spec = KernelSpec("gaussian", gamma=1.0)
-        x = np.array([0.0])
+        data = linalg.dense_matrix([[0.0]])
         x2 = np.array([math.sqrt(math.log(2.0))])
-        assert kernel_eval(spec, x, x2) == pytest.approx(0.5)
+        assert kernel_column(spec, data, x2)[0] == pytest.approx(0.5)
 
     def test_linear_matches_outer_product(self):
         data = gaussian_points(8, 3, seed=1)
@@ -51,12 +60,13 @@ class TestKernelEval:
         spec = KernelSpec("polynomial", degree=3, offset=1.0)
         x = np.array([1.0, 2.0])
         x2 = np.array([0.5, -1.0])
-        assert kernel_eval(spec, x, x2) == pytest.approx((x @ x2 + 1.0) ** 3)
-        assert kernel_eval(spec, x, x2) == kernel_eval(spec, x2, x)
+        value = kernel_column(spec, linalg.dense_matrix([x]), x2)[0]
+        assert value == pytest.approx((x @ x2 + 1.0) ** 3)
+        assert value == kernel_column(spec, linalg.dense_matrix([x2]), x)[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            kernel_eval(KernelSpec("linear"), np.zeros(2), np.zeros(3))
+            kernel_column(KernelSpec("linear"), np.zeros((4, 2)), np.zeros(3))
 
     def test_invalid_specs(self):
         with pytest.raises(ValueError):
@@ -67,14 +77,18 @@ class TestKernelEval:
             KernelSpec("polynomial", degree=0)
 
     def test_column_and_diag_consistent_with_eval(self):
+        # kernel_column (the oracle's form) and the solvers' column, the
+        # one krr_step uses, against the pairwise values
         data = gaussian_points(6, 2, seed=2)
         for spec in (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.7),
                      KernelSpec("polynomial", degree=2, offset=0.5)):
+            expected = [pair_value(spec, data[j], data[3]) for j in range(6)]
             col = kernel_column(spec, data, data[3])
-            expected = [kernel_eval(spec, data[j], data[3]) for j in range(6)]
+            assert np.max(np.abs(col - expected)) < 1e-12
+            col = _Gram(spec, data).column(3, np.empty(6))
             assert np.max(np.abs(col - expected)) < 1e-12
             diag = kernel_diag(spec, data)
-            expected_d = [kernel_eval(spec, data[j], data[j]) for j in range(6)]
+            expected_d = [pair_value(spec, data[j], data[j]) for j in range(6)]
             assert np.max(np.abs(diag - expected_d)) < 1e-12
 
 
@@ -114,6 +128,16 @@ class TestKrrStep:
         for _ in range(100000):
             krr_step(st, data, y, spec, sampler.draw(st.rng))
         assert np.linalg.norm(st.alpha - alpha_star) <= 1e-6
+
+    def test_gaussian_diagonal_is_exactly_one(self):
+        # in 50 dimensions 2 gamma ||z||^2 is about 50, and the exponent
+        # the product gives at zero distance is off by its rounding
+        data = gaussian_points(20, 50, seed=25)
+        spec = KernelSpec("gaussian", gamma=0.5)
+        gram = _Gram(spec, data)
+        for i in range(20):
+            assert gram.column(i, np.empty(20))[i] == 1.0
+            assert apply_gram(spec, data, np.eye(20)[i])[i] == 1.0
 
     def test_s_consistency(self):
         data = gaussian_points(15, 2, seed=8)
@@ -195,14 +219,33 @@ SPECS = (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.5),
          KernelSpec("polynomial", degree=3, offset=1.0))
 
 
+# name: (n, nonzero count of v or None for about 70%, data offset). At
+# n = 2049 a tile starts at 15 rows; 100 nonzeros end on a tile of 5
+# rows where 16 fit, and the far offset is where K's entries built from
+# uncentered inner products lose digits.
+GRAM_CASES = {
+    "1": (1, None, 0.0),
+    "40": (40, None, 0.0),
+    "2049": (2049, None, 0.0),
+    "2049-dense": (2049, 2049, 0.0),
+    "2049-single": (2049, 1, 0.0),
+    "2049-short": (2049, 100, 0.0),
+    "40-offset1e4": (40, None, 1e4),
+}
+
+
 class TestApplyGram:
-    @pytest.mark.parametrize("n", [1, 40, 2049])  # 2049: the last tile is short
+    @pytest.mark.parametrize("case", list(GRAM_CASES))
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
-    def test_matches_explicit_gram(self, spec, n):
-        data = gaussian_points(n, 3, seed=n)
+    def test_matches_explicit_gram(self, spec, case):
+        n, nonzeros, offset = GRAM_CASES[case]
+        data = gaussian_points(n, 3, seed=n) + offset
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n)
-        v[rng.random(n) < 0.3] = 0.0
+        if nonzeros is None:
+            v[rng.random(n) < 0.3] = 0.0
+        else:
+            v[rng.permutation(n)[nonzeros:]] = 0.0
         expected = oracle.gram_matrix(spec, data) @ v
         got = apply_gram(spec, data, v)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -240,3 +283,16 @@ class TestKrrStopsAtTol:
         assert_stops_at_tol(lambda tol: krr_run(
             data, y, spec, lam, RunConfig(max_iters=3000, tol=tol, seed=3, checkpoint_every=10),
             alpha_star, rate, energy_matrix=None if matrix_free else M))
+
+    def test_stops_at_tol_far_from_origin(self, assert_stops_at_tol):
+        # a gaussian kernel sees only x - x'; offset by 1e4, K v and the
+        # steps keep the digits that reaching tol needs
+        data = gaussian_points(40, 3, seed=23) + 1e4
+        spec = KernelSpec("gaussian", gamma=0.5)
+        y = np.random.default_rng(24).standard_normal(40)
+        lam = 0.1
+        alpha_star = oracle.krr_alpha_star(data, y, spec, lam)
+        rate = oracle.theoretical_rate(oracle.gram_matrix(spec, data) + lam * np.eye(40))
+        assert_stops_at_tol(lambda tol: krr_run(
+            data, y, spec, lam, RunConfig(max_iters=20000, tol=tol, seed=4, checkpoint_every=40),
+            alpha_star, rate))
