@@ -11,6 +11,7 @@ checkpoints.
 from __future__ import annotations
 
 import enum
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -25,8 +26,10 @@ from .sampling import RngState, WeightedSampler, build_sampler
 RESIDUAL_REFRESH_EVERY = 1000
 
 # Plateau detector for regimes with an error floor: stop when the
-# relative err_sq change stays below this across PLATEAU_WINDOW
-# consecutive checkpoints.
+# relative err_sq change between consecutive checkpoints stays below
+# this across PLATEAU_WINDOW checkpoints, or across PLATEAU_WINDOW
+# epochs (n or p steps) if checkpoints come more often than once an
+# epoch: a few steps that revisit already solved rows change nothing.
 PLATEAU_REL_CHANGE = 1e-6
 PLATEAU_WINDOW = 5
 
@@ -140,10 +143,10 @@ def rcd_step(state: SolverState, X: np.ndarray, y: np.ndarray, col: int) -> Solv
     return state
 
 
-def _plateaued(err_history: list[float]) -> bool:
-    if len(err_history) < PLATEAU_WINDOW + 1:
+def _plateaued(err_history: list[float], window: int) -> bool:
+    if len(err_history) < window + 1:
         return False
-    recent = err_history[-(PLATEAU_WINDOW + 1):]
+    recent = err_history[-(window + 1):]
     for prev, cur in zip(recent, recent[1:]):
         denom = max(prev, 1e-300)
         if abs(cur - prev) / denom >= PLATEAU_REL_CHANGE:
@@ -174,13 +177,16 @@ def drive(
     t = max_iters, a checkpoint is recorded. `checkpoint()` returns
     (err_sq, energy_err_sq, residual_sq) of the current iterate, and the
     record's bound is rate^t times the initial value of the `natural`
-    column. The run stops at the first checkpoint where the `tol_on`
-    column is <= tol^2 (if tol_on is given) or, with `plateau`, where the
-    natural column has plateaued.
+    column. The run stops at the first checkpoint where the natural
+    column is not finite, where the `tol_on` column is <= tol^2 (if
+    tol_on is given) or, with `plateau`, where the natural column has
+    plateaued over the last PLATEAU_WINDOW checkpoints, or the last
+    PLATEAU_WINDOW epochs of default_every steps if those hold more.
     """
     every = config.checkpoint_every or default_every
     if every < 1:
         raise ValueError("checkpoint_every must be positive")
+    window = PLATEAU_WINDOW * math.ceil(default_every / every)
     tol_sq = config.tol * config.tol
     rng = RngState(config.seed)
     trace = ConvergenceTrace()
@@ -200,7 +206,7 @@ def drive(
 
     record(0)
     t = 0
-    while t < config.max_iters:
+    while t < config.max_iters and math.isfinite(history[-1]):
         end = min(config.max_iters, t - t % every + every)
         while t < end:
             k = min(end - t, DRAW_BLOCK)
@@ -213,7 +219,7 @@ def drive(
         rec = record(t)
         if tol_on is not None and getattr(rec, tol_on) <= tol_sq:
             break
-        if plateau and _plateaued(history):
+        if plateau and _plateaued(history, window):
             break
     return trace
 

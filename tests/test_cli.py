@@ -16,6 +16,28 @@ def run_cli(*argv):
     return cli.main(list(argv))
 
 
+def _rewrite(path, edit):
+    with open(path) as f:
+        lines = f.read().splitlines()
+    with open(path, "w") as f:
+        f.write("".join(line + "\n" for line in edit(lines)))
+
+
+def _set_line(k, text):
+    return lambda lines: lines[:k] + [text] + lines[k + 1:]
+
+
+def reference_values_text(values):
+    """The value lines the writers must produce, one format() per value."""
+    return "".join(format(float(x), ".17g") + "\n" for x in values)
+
+
+# The sign of zero, the smallest subnormal, the largest float and a
+# value whose 17 digits are all significant.
+EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+               -1.7976931348623157e308, 1.0 / 3.0, -1.0 / 3.0]
+
+
 @pytest.fixture
 def consistent_dir(tmp_path):
     out = tmp_path / "prob"
@@ -27,18 +49,43 @@ def consistent_dir(tmp_path):
 class TestFileFormats:
     def test_matrix_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(0)
-        X = linalg.dense_matrix(rng.standard_normal((7, 3)))
+        chunk = io.WRITE_CHUNK
+        edges = np.array(EDGE_VALUES * 2).reshape((4, 4))
+        straddling = rng.standard_normal((chunk // 3 + 7, 4))  # columns cross chunk edges
+        straddling[chunk // 3 - 2:chunk // 3 + 2, :] = edges
+        cases = [
+            rng.standard_normal((7, 3)),
+            edges,
+            straddling,
+            np.ascontiguousarray(straddling),
+            rng.standard_normal((chunk + 1, 1)),
+        ]
         path = str(tmp_path / "X.mtx")
-        io.write_matrix(path, X)
-        back = io.read_matrix(path)
-        assert back.shape == X.shape
-        assert np.all(back == X)
+        for X in cases:
+            X = linalg.dense_matrix(X)
+            n, p = X.shape
+            io.write_matrix(path, X)
+            column_major = [X[i, j] for j in range(p) for i in range(n)]
+            expected = f"{io.MM_HEADER}\n{n} {p}\n" + reference_values_text(column_major)
+            assert open(path, "rb").read() == expected.encode()
+            back = io.read_matrix(path)
+            assert back.shape == X.shape
+            assert back.tobytes() == X.tobytes()
 
     def test_vector_round_trip_full_precision(self, tmp_path):
-        v = np.random.default_rng(1).standard_normal(11)
+        rng = np.random.default_rng(1)
+        chunk = io.WRITE_CHUNK
+        cases = [
+            rng.standard_normal(11),
+            np.array(EDGE_VALUES),
+            rng.standard_normal(chunk + 1),
+            np.concatenate([rng.standard_normal(chunk - 4), EDGE_VALUES]),
+        ]
         path = str(tmp_path / "v.vec")
-        io.write_vector(path, v)
-        assert np.all(io.read_vector(path) == v)
+        for v in cases:
+            io.write_vector(path, v)
+            assert open(path, "rb").read() == reference_values_text(v).encode()
+            assert io.read_vector(path).tobytes() == v.tobytes()
 
     def test_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "meta.txt")
@@ -177,6 +224,26 @@ class TestSolve:
         assert final_err <= 1e-12
 
 
+class TestPlateau:
+    # K is nearly I in both cases, so a step solves its row and steps
+    # that revisit solved rows change nothing. Checkpoints more often
+    # than once an epoch must not read a few such steps as a plateau:
+    # the window spans as many steps as 5 epochs. (A window of one epoch
+    # still stops the second case at iteration 497, with one row undrawn.)
+    @pytest.mark.parametrize("instance,every,iters,seed", [
+        (("underdetermined", "40", "80"), "1", "2500", "3"),
+        (("consistent", "50", "20"), "7", "20000", "4"),
+    ], ids=["every-1", "every-7"])
+    def test_window_spans_epochs_at_any_cadence(self, tmp_path, instance, every, iters, seed):
+        prob = str(tmp_path / "prob")
+        assert run_cli("generate", *instance, "--seed", "1", "--out", prob) == 0
+        out = str(tmp_path / "t.csv")
+        assert run_cli("solve", prob, "--method", "rk-krr", "--kernel", "gaussian",
+                       "--gamma", "0.5", "--lambda", "0.1", "--checkpoint-every", every,
+                       "--iters", iters, "--seed", seed, "--out", out) == cli.EXIT_OK
+        assert float(open(out).read().splitlines()[-1].split(",")[2]) <= 1e-24
+
+
 class TestLogging:
     def test_main_leaves_process_logging_alone(self, tmp_path, monkeypatch):
         monkeypatch.delenv("RANDITER_LOG", raising=False)
@@ -260,6 +327,21 @@ class TestStopAtTol:
             assert float(row[col + 2]) == float(np.mean([float(f[col]) for f in finals]))
 
 
+# id -> edit of the value lines of a vector or matrix file. Each value
+# file holds exactly one float per line: no '#' comments, no '_' digit
+# separators, no line with two values even when the count comes out right.
+BAD_VALUES = {
+    "abc": _set_line(3, "abc"),
+    "1.0 2.0": _set_line(3, "1.0 2.0"),
+    "nan": _set_line(3, "nan"),
+    "# c": lambda lines: lines[:3] + ["# c"] + lines[3:],  # the count stays right
+    "1_0": _set_line(3, "1_0"),
+    "two per line": lambda lines: [f"{a} {b}" for a, b in zip(lines[::2], lines[1::2])],
+    "empty": lambda lines: [],
+    "blank": lambda lines: ["", "  ", "\t"],
+}
+
+
 class TestInputContract:
     @pytest.mark.parametrize("method", ["rk-ridge", "rk-krr"])
     def test_dual_methods_reject_beta0(self, consistent_dir, tmp_path, capsys, method):
@@ -321,15 +403,20 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "X.mtx" in err and "coordinate" in err
 
-    @pytest.mark.parametrize("bad", ["abc", "1.0 2.0", "nan"])
+    @pytest.mark.parametrize("bad", list(BAD_VALUES))
     def test_bad_vector_value_is_io_error(self, consistent_dir, tmp_path, capsys, bad):
-        path = os.path.join(consistent_dir, "y.vec")
-        lines = open(path).read().splitlines()
-        lines[3] = bad
-        with open(path, "w") as f:
-            f.write("\n".join(lines) + "\n")
+        _rewrite(os.path.join(consistent_dir, "y.vec"), BAD_VALUES[bad])
         assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
-        assert "y.vec" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "y.vec" in err and "Warning" not in err
+
+    @pytest.mark.parametrize("bad", list(BAD_VALUES))
+    def test_bad_matrix_value_is_io_error(self, consistent_dir, tmp_path, capsys, bad):
+        edit = BAD_VALUES[bad]
+        _rewrite(os.path.join(consistent_dir, "X.mtx"), lambda lines: lines[:2] + edit(lines[2:]))
+        assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert "X.mtx" in err and "Warning" not in err
 
     @pytest.mark.parametrize("name", ["y.vec", "reference.vec"])
     def test_vector_length_mismatch_is_io_error(self, consistent_dir, tmp_path, capsys, name):
@@ -360,17 +447,6 @@ class TestInputContract:
         path.write_text(io.MM_HEADER + "\n" + size_line + "\n1.0\n")
         with pytest.raises(IOError, match="X.mtx"):
             io.read_matrix(str(path))
-
-
-def _rewrite(path, edit):
-    with open(path) as f:
-        lines = f.read().splitlines()
-    with open(path, "w") as f:
-        f.write("".join(line + "\n" for line in edit(lines)))
-
-
-def _set_line(k, text):
-    return lambda lines: lines[:k] + [text] + lines[k + 1:]
 
 
 # file name -> edit of its lines; None leaves the problem intact

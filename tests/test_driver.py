@@ -5,6 +5,8 @@ one scalar `WeightedSampler.draw` and one `*_step` call per iteration,
 refreshes every 1000 steps, and checks the stop rule at each checkpoint.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from randiter.ridge import (
 )
 from randiter.sampling import RngState, build_sampler
 from randiter.solvers import (
+    PLATEAU_WINDOW,
     RESIDUAL_REFRESH_EVERY,
     ConvergenceTrace,
     Method,
@@ -47,11 +50,15 @@ from randiter.solvers import (
 RATE = 0.97
 
 
-def step_loop(weights, config, every, step, measures, natural, stop,
+def step_loop(weights, config, epoch, step, measures, natural, stop,
               refresh=None, refresh_every=None):
     """One scalar draw and one step per iteration; a checkpoint when t
-    is a multiple of `every` or t = max_iters; stop(rec, history) after
-    each one."""
+    is a multiple of the cadence (config.checkpoint_every, else `epoch`)
+    or t = max_iters; stop(rec, history, window) after each one, where
+    a plateau window spans PLATEAU_WINDOW checkpoints and at least one
+    epoch of steps."""
+    every = config.checkpoint_every or epoch
+    window = PLATEAU_WINDOW * math.ceil(epoch / every)
     sampler = build_sampler(weights)
     rng = RngState(config.seed)
     trace, history = ConvergenceTrace(), []
@@ -69,7 +76,7 @@ def step_loop(weights, config, every, step, measures, natural, stop,
         if refresh is not None and t % refresh_every == 0:
             refresh()
         if t % every == 0 or t == config.max_iters:
-            if stop(record(t), history):
+            if stop(record(t), history, window):
                 break
     return trace
 
@@ -82,7 +89,8 @@ def fits(X, y, beta, reference):
 
 
 def energy_stop(tol):
-    return lambda rec, history: rec.energy_err_sq <= tol * tol or _plateaued(history)
+    return lambda rec, history, window: (rec.energy_err_sq <= tol * tol
+                                         or _plateaued(history, window))
 
 
 def ls_reference(method, problem, config, reference):
@@ -91,24 +99,24 @@ def ls_reference(method, problem, config, reference):
     beta = np.zeros(p)
     consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
-    def stop(rec, history):
+    def stop(rec, history, window):
         if consistent and rec.residual_sq <= config.tol ** 2:
             return True
-        return problem.regime == Regime.INCONSISTENT and _plateaued(history)
+        return problem.regime == Regime.INCONSISTENT and _plateaued(history, window)
 
     def measures():
         return fits(X, y, state.beta, reference)
 
     if method == Method.RK:
         state = SolverState(beta, None, 0, None)
-        return step_loop(linalg.row_norms_sq(X), config, config.checkpoint_every or n,
+        return step_loop(linalg.row_norms_sq(X), config, n,
                          lambda i: rk_step(state, X, y, i), measures, "err_sq", stop)
     state = SolverState(beta, y - X @ beta, 0, None)
 
     def refresh():
         state.residual = y - X @ state.beta
 
-    return step_loop(linalg.col_norms_sq(X), config, config.checkpoint_every or p,
+    return step_loop(linalg.col_norms_sq(X), config, p,
                      lambda j: rcd_step(state, X, y, j), measures, "energy_err_sq", stop,
                      refresh, RESIDUAL_REFRESH_EVERY)
 
@@ -161,7 +169,7 @@ RIDGE_CASES = {
     "rk-ridge": [
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 0.5, 1000, 7, 0.0, "max_iters"),
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 0.5, 20000, None, 1e-6, "tol"),
-        (Regime.INCONSISTENT, 20, 2, 1, 0.5, 3000, 1, 0.0, "plateau"),
+        (Regime.INCONSISTENT, 20, 2, 1, 0.5, 10000, 1, 0.0, "plateau"),
     ],
     "rcd-ridge": [
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 0.5, 1000, 7, 0.0, "max_iters"),
@@ -186,7 +194,7 @@ def ridge_pair(method, X, y, lam, config):
             err_sq, _, res_sq = fits(X, y, state.beta, beta_rr)
             return err_sq, float(xtv @ xtv) + lam * float(v @ v), res_sq
 
-        ref = step_loop(rk_ridge_weights(X, lam), config, config.checkpoint_every or n,
+        ref = step_loop(rk_ridge_weights(X, lam), config, n,
                         lambda i: rk_ridge_step(state, X, y, i), measures, "energy_err_sq", stop)
         return rk_ridge_run(X, y, lam, config, beta_rr, alpha_star, RATE), ref
     state = RcdRidgeState(np.zeros(p), y.copy(), 0, None, lam)
@@ -200,7 +208,7 @@ def ridge_pair(method, X, y, lam, config):
     def refresh():
         state.residual = y - X @ state.beta
 
-    ref = step_loop(rcd_ridge_weights(X, lam), config, config.checkpoint_every or p,
+    ref = step_loop(rcd_ridge_weights(X, lam), config, p,
                     lambda j: rcd_ridge_step(state, X, y, j), measures, "energy_err_sq", stop,
                     refresh, RESIDUAL_REFRESH_EVERY)
     return rcd_ridge_run(X, y, lam, config, beta_rr, RATE), ref
@@ -253,7 +261,7 @@ def test_krr_run_matches_step_loop(case, matrix_free):
     def refresh():
         state.s = apply_gram(spec, data, state.alpha)
 
-    ref = step_loop(krr_weights(spec, data, lam), config, every or n,
+    ref = step_loop(krr_weights(spec, data, lam), config, n,
                     lambda i: krr_step(state, data, y, spec, i), measures, "energy_err_sq",
                     energy_stop(tol), refresh, S_REFRESH_EVERY)
     trace = krr_run(data, y, spec, lam, config, alpha_star, RATE, energy_matrix=energy_matrix)
@@ -288,3 +296,15 @@ class TestZeroColumn:
         trace, ref = ridge_pair("rcd-ridge", self.X, self.y, 0.5, config)
         assert trace.records == ref.records
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
+
+
+def test_krr_run_stops_at_first_non_finite_checkpoint():
+    inst = oracle.gen_consistent(30, 10, 1)
+    data, y = inst.problem.X, inst.problem.y
+    spec, lam = KernelSpec("polynomial", degree=200, offset=1000.0), 0.1
+    config = RunConfig(max_iters=3000, seed=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        trace = krr_run(data, y, spec, lam, config, np.zeros(30), RATE)
+    energies = trace.column("energy_err_sq")
+    assert trace.final().iter == 30
+    assert not np.isfinite(energies[-1]) and np.all(np.isfinite(energies[:-1]))
