@@ -25,10 +25,7 @@ from .linalg import (
     col_norms_sq,
     dense_matrix,
     dense_vector,
-    energy_norm_sq,
     frobenius_sq,
-    matvec,
-    matvec_t,
     row_norms_sq,
     solve_spd,
     sym_eigh,

@@ -177,40 +177,48 @@ def _kernel_spec(args) -> kernel.KernelSpec:
 def _oracle_step(method, X, y, reference, regime, args):
     """One method's oracle quantities (targets, M, theoretical rate),
     computed once for all trials. Returns (rate, solve), where
-    solve(run_config) is the per-trial solver step."""
+    solve(run_config) is the per-trial solver step. M is formed first
+    and must be finite, so data that overflows it is a usage error
+    before any closed form runs on it."""
+    n, p = X.shape
     if method in ("rk", "rcd"):
         if reference is None:
             raise UsageError("rk/rcd need a reference.vec in the problem directory")
-        rate = oracle.theoretical_rate(
-            oracle.gram(X), positive_only=regime == solvers.Regime.UNDERDETERMINED
-        )
+    elif args.lam is None or not 0.0 < args.lam < np.inf:
+        raise UsageError(f"{method} requires a finite --lambda > 0")
+    lam = args.lam
+    source = method
+    with np.errstate(over="ignore", invalid="ignore"):
+        if method in ("rk", "rcd"):
+            M, name = oracle.gram(X), "X^T X"
+        elif method == "rk-ridge":
+            M, name = oracle.outer_gram(X) + lam * np.eye(n), "X X^T + lambda I"
+        elif method == "rcd-ridge":
+            M, name = oracle.gram(X) + lam * np.eye(p), "X^T X + lambda I"
+        else:  # rk-krr: rows of X are the data points
+            spec = _kernel_spec(args)
+            K = oracle.gram_matrix(spec, X)
+            M, name = K + lam * np.eye(n), "K + lambda I"
+            params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
+                      "gaussian": f" --gamma {spec.gamma}"}.get(spec.family, "")
+            source = f"--kernel {args.kernel}{params}"
+    if not np.all(np.isfinite(M)):
+        raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
+
+    if method in ("rk", "rcd"):
+        rate = oracle.theoretical_rate(M, positive_only=regime == solvers.Regime.UNDERDETERMINED)
         kind = solvers.Method.RK if method == "rk" else solvers.Method.RCD
         problem = solvers.Problem(X, y, regime)
         return rate, lambda cfg: solvers.run(kind, problem, cfg, reference, rate)
-    if args.lam is None or not args.lam > 0.0:
-        raise UsageError(f"{method} requires --lambda > 0")
-    lam = args.lam
+    rate = oracle.theoretical_rate(M)
     if method == "rk-ridge":
         beta_rr = oracle.ridge_solution(X, y, lam)
         alpha_star = oracle.ridge_alpha_star(X, y, lam)
-        rate = oracle.theoretical_rate(oracle.outer_gram(X) + lam * np.eye(X.shape[0]))
         return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)
     if method == "rcd-ridge":
         beta_rr = oracle.ridge_solution(X, y, lam)
-        rate = oracle.theoretical_rate(oracle.gram(X) + lam * np.eye(X.shape[1]))
         return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate)
-    # rk-krr: rows of X are the data points
-    spec = _kernel_spec(args)
-    with np.errstate(over="ignore", invalid="ignore"):
-        K = oracle.gram_matrix(spec, X)
-    if not np.all(np.isfinite(K)):
-        params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
-                  "gaussian": f" --gamma {spec.gamma}"}.get(spec.family, "")
-        raise UsageError(f"--kernel {args.kernel}{params} overflows on this data: "
-                         "its Gram matrix has non-finite entries")
     alpha_star = oracle.krr_alpha_star(X, y, spec, lam, K=K)
-    M = K + lam * np.eye(X.shape[0])
-    rate = oracle.theoretical_rate(M)
     return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate, energy_matrix=M)
 
 

@@ -4,10 +4,18 @@ metadata, and trace CSVs.
 All floats are serialized with 17 significant digits so a write/read
 round trip reproduces the exact 64-bit values, and output is LF-only so
 golden-file comparisons are byte-stable.
+
+Beside every matrix or vector file it writes, randiter writes a sidecar
+(the file's path plus SIDECAR_SUFFIX): the SHA-256 of the text file's
+bytes, then its values as a flat float64 .npy in file order. A reader
+takes the values from the sidecar when the digest matches the text file
+as it is now, and parses the text in every other case, so the sidecar
+is derived data and is always safe to delete.
 """
 
 from __future__ import annotations
 
+import hashlib
 import os
 import warnings
 
@@ -25,23 +33,63 @@ FLOAT_FORMAT = "%.17g"
 # not raise the peak RSS of a process that writes small files.
 WRITE_CHUNK = 1024
 
+SIDECAR_SUFFIX = ".values"
+DIGEST_SIZE = 32  # SHA-256
+# Bytes hashed per read: memory does not grow with the file, and a small
+# file's read allocates only its own size.
+HASH_BLOCK = 1 << 20
+
 
 def fmt(x: float) -> str:
     return FLOAT_FORMAT % float(x)
 
 
-def _write_values(f, values: np.ndarray) -> None:
-    """One value per line, formatted a chunk at a time."""
+def _write_values(path: str, head: str, values) -> None:
+    """head, then one value per line, formatted a chunk at a time; then
+    path's sidecar, with the digest of the file as written."""
     values = np.asarray(values, dtype=np.float64).ravel()
     line = FLOAT_FORMAT + "\n"
-    for start in range(0, values.size, WRITE_CHUNK):
-        chunk = values[start:start + WRITE_CHUNK].tolist()
-        f.write((line * len(chunk)) % tuple(chunk))
+    with open(path, "w", newline="\n") as f:
+        f.write(head)
+        for start in range(0, values.size, WRITE_CHUNK):
+            chunk = values[start:start + WRITE_CHUNK].tolist()
+            f.write((line * len(chunk)) % tuple(chunk))
+    with open(path + SIDECAR_SUFFIX, "wb") as f:
+        f.write(_file_digest(path))
+        np.save(f, values, allow_pickle=False)
 
 
-def _read_values(f) -> np.ndarray:
-    """The rest of f as one float per line, blank lines skipped. Raises
+def _file_digest(path: str) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as f:
+        while block := f.read(HASH_BLOCK):
+            digest.update(block)
+    return digest.digest()
+
+
+def _sidecar_values(path: str) -> np.ndarray | None:
+    """The values in path's sidecar, if there is one, its digest matches
+    path's current bytes and it holds a 1-D float64 array; else None."""
+    try:
+        with open(path + SIDECAR_SUFFIX, "rb") as f:
+            stored = f.read(DIGEST_SIZE)
+            if stored != _file_digest(path):
+                return None
+            values = np.lib.format.read_array(f, allow_pickle=False)
+    except (OSError, ValueError, MemoryError):  # none, or a short or corrupt one
+        return None
+    if values.dtype != np.float64 or values.ndim != 1:
+        return None
+    return values
+
+
+def _read_values(f, path: str) -> np.ndarray:
+    """The rest of f (opened on path) as one float per line, blank lines
+    skipped: from path's sidecar when it matches, else parsed. Raises
     ValueError on any other content, including '#' comments."""
+    values = _sidecar_values(path)
+    if values is not None:
+        return values
     with warnings.catch_warnings():
         # an empty input is reported by its caller, not as a warning
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
@@ -54,10 +102,7 @@ def _read_values(f) -> np.ndarray:
 def write_matrix(path: str, X: np.ndarray) -> None:
     """MatrixMarket dense array format, column-major values."""
     n, p = X.shape
-    with open(path, "w", newline="\n") as f:
-        f.write(MM_HEADER + "\n")
-        f.write(f"{n} {p}\n")
-        _write_values(f, X.ravel(order="F"))
+    _write_values(path, f"{MM_HEADER}\n{n} {p}\n", X.ravel(order="F"))
 
 
 def read_matrix(path: str) -> np.ndarray:
@@ -65,36 +110,35 @@ def read_matrix(path: str) -> np.ndarray:
     MatrixMarket format, a bad size line, a missing or non-numeric value,
     a line with more than one value) raises IOError naming the file."""
     with open(path) as f:
-        banner = f.readline().split()
-        if not banner or banner[0] != "%%MatrixMarket":
-            raise IOError(f"{path}: not a MatrixMarket file")
-        if [tok.lower() for tok in banner[1:]] != MM_HEADER.split()[1:]:
-            raise IOError(
-                f"{path}: MatrixMarket {' '.join(banner[1:])!r} is not supported,"
-                f" only {MM_HEADER!r}"
-            )
-        line = f.readline()
-        while line.startswith("%"):
+        try:
+            banner = f.readline().split()
+            if not banner or banner[0] != "%%MatrixMarket":
+                raise IOError(f"{path}: not a MatrixMarket file")
+            if [tok.lower() for tok in banner[1:]] != MM_HEADER.split()[1:]:
+                raise IOError(
+                    f"{path}: MatrixMarket {' '.join(banner[1:])!r} is not supported,"
+                    f" only {MM_HEADER!r}"
+                )
             line = f.readline()
-        try:
-            n, p = (int(tok) for tok in line.split())
-        except ValueError:
-            raise IOError(f"{path}: bad size line {line.strip()!r}") from None
-        if n < 1 or p < 1:
-            raise IOError(f"{path}: bad size {n} x {p}")
-        try:
-            values = _read_values(f)
+            while line.startswith("%"):
+                line = f.readline()
+            try:
+                n, p = (int(tok) for tok in line.split())
+            except ValueError:
+                raise IOError(f"{path}: bad size line {line.strip()!r}") from None
+            if n < 1 or p < 1:
+                raise IOError(f"{path}: bad size {n} x {p}")
+            values = _read_values(f, path)
             if values.size != n * p:
                 raise IOError(f"{path}: expected {n * p} values, found {values.size}")
             return dense_matrix(values.reshape((n, p), order="F"))
-        except ValueError as exc:
+        except ValueError as exc:  # also bytes that do not decode
             raise IOError(f"{path}: {exc}") from None
 
 
 def write_vector(path: str, v: np.ndarray) -> None:
     """One value per line."""
-    with open(path, "w", newline="\n") as f:
-        _write_values(f, v)
+    _write_values(path, "", v)
 
 
 def read_vector(path: str) -> np.ndarray:
@@ -102,7 +146,7 @@ def read_vector(path: str) -> np.ndarray:
     file."""
     with open(path) as f:
         try:
-            return dense_vector(_read_values(f))
+            return dense_vector(_read_values(f, path))
         except (ValueError, DimensionError) as exc:
             raise IOError(f"{path}: {exc}") from None
 

@@ -54,20 +54,6 @@ def frobenius_sq(X: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", X, X))
 
 
-def matvec(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense product X v."""
-    if X.shape[1] != v.shape[0]:
-        raise DimensionError(f"matvec: {X.shape} x {v.shape}")
-    return X @ v
-
-
-def matvec_t(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Dense product X^T v."""
-    if X.shape[0] != v.shape[0]:
-        raise DimensionError(f"matvec_t: {X.shape}^T x {v.shape}")
-    return X.T @ v
-
-
 def _check_symmetric(A: np.ndarray) -> None:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionError(f"expected a square matrix, got {A.shape}")
@@ -103,11 +89,3 @@ def sym_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def sym_eigs(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, sorted ascending (LAPACK)."""
     return np.linalg.eigvalsh(_symmetrized(A))
-
-
-def energy_norm_sq(M: np.ndarray, v: np.ndarray) -> float:
-    """v^T M v for symmetric M, clamped at zero against rounding."""
-    if M.shape[0] != M.shape[1] or M.shape[0] != v.shape[0]:
-        raise DimensionError(f"energy_norm_sq: {M.shape} x {v.shape}")
-    val = float(v @ (M @ v))
-    return max(val, 0.0)

@@ -30,9 +30,6 @@ class RngState:
         """Next k float64s in [0, 1), the same as k calls of uniform()."""
         return self._gen.random(k)
 
-    def standard_normal(self, size=None):
-        return self._gen.standard_normal(size)
-
 
 class WeightedSampler:
     """Draws indices with probability weight[i] / sum(weights).
@@ -57,10 +54,6 @@ class WeightedSampler:
 
     def __len__(self) -> int:
         return self.cumulative.shape[0]
-
-    def probabilities(self) -> np.ndarray:
-        w = np.diff(self.cumulative, prepend=0.0)
-        return w / self.total
 
     def _indices(self, u: float | np.ndarray) -> np.ndarray:
         """Map uniforms in [0, 1) to indices."""

@@ -1,3 +1,4 @@
+import hashlib
 import logging
 import os
 import shutil
@@ -25,6 +26,20 @@ def _rewrite(path, edit):
 
 def _set_line(k, text):
     return lambda lines: lines[:k] + [text] + lines[k + 1:]
+
+
+def sidecar(path):
+    return str(path) + io.SIDECAR_SUFFIX
+
+
+def write_sidecar(path, values, digest=None):
+    """A sidecar for path holding values, with the SHA-256 of path's
+    bytes unless another digest is given."""
+    if digest is None:
+        digest = hashlib.sha256(open(path, "rb").read()).digest()
+    with open(sidecar(path), "wb") as f:
+        f.write(digest)
+        np.save(f, values, allow_pickle=False)
 
 
 def reference_values_text(values):
@@ -68,9 +83,11 @@ class TestFileFormats:
             column_major = [X[i, j] for j in range(p) for i in range(n)]
             expected = f"{io.MM_HEADER}\n{n} {p}\n" + reference_values_text(column_major)
             assert open(path, "rb").read() == expected.encode()
-            back = io.read_matrix(path)
-            assert back.shape == X.shape
-            assert back.tobytes() == X.tobytes()
+            cached = io.read_matrix(path)
+            os.remove(sidecar(path))
+            for back in (cached, io.read_matrix(path)):
+                assert back.shape == X.shape
+                assert back.tobytes() == X.tobytes()
 
     def test_vector_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -85,7 +102,10 @@ class TestFileFormats:
         for v in cases:
             io.write_vector(path, v)
             assert open(path, "rb").read() == reference_values_text(v).encode()
-            assert io.read_vector(path).tobytes() == v.tobytes()
+            cached = io.read_vector(path)
+            os.remove(sidecar(path))
+            for back in (cached, io.read_vector(path)):
+                assert back.tobytes() == v.tobytes()
 
     def test_meta_round_trip(self, tmp_path):
         path = str(tmp_path / "meta.txt")
@@ -101,6 +121,85 @@ class TestFileFormats:
             io.read_matrix(str(path))
 
 
+class TestSidecar:
+    """A matrix or vector file's values come from its sidecar only when
+    the sidecar holds the file's digest and a 1-D float64 array; in
+    every other case the text is parsed."""
+
+    @pytest.fixture
+    def written(self, tmp_path):
+        X = linalg.dense_matrix(np.random.default_rng(3).standard_normal((9, 4)))
+        path = str(tmp_path / "X.mtx")
+        io.write_matrix(path, X)
+        return path, X
+
+    def test_holds_digest_then_values_in_file_order(self, written):
+        path, X = written
+        with open(sidecar(path), "rb") as f:
+            assert f.read(32) == hashlib.sha256(open(path, "rb").read()).digest()
+            values = np.load(f, allow_pickle=False)
+        assert values.dtype == np.float64
+        assert values.tobytes() == X.ravel(order="F").tobytes()
+
+    def test_matching_sidecar_is_read_instead_of_the_text(self, written):
+        path, X = written
+        write_sidecar(path, X.ravel(order="F") + 1.0)
+        assert io.read_matrix(path).tobytes() == (X + 1.0).tobytes()
+
+    @pytest.mark.parametrize("keep", [20, 32 + 20, -8], ids=["digest", "header", "values"])
+    def test_truncated_sidecar_is_parsed(self, written, keep):
+        path, X = written
+        data = open(sidecar(path), "rb").read()
+        with open(sidecar(path), "wb") as f:
+            f.write(data[:keep])
+        assert io.read_matrix(path).tobytes() == X.tobytes()
+
+    @pytest.mark.parametrize("stored", [
+        lambda X: X.ravel(order="F").astype(np.float32),
+        lambda X: X.T,  # 2-D, and read in column-major order it is not X
+        lambda X: np.float64(X[0, 0]),
+    ], ids=["float32", "2-D", "0-D"])
+    def test_sidecar_of_another_dtype_or_ndim_is_parsed(self, written, stored):
+        path, X = written
+        write_sidecar(path, stored(X))
+        assert io.read_matrix(path).tobytes() == X.tobytes()
+
+    def test_flipped_digest_byte_is_parsed(self, written):
+        path, X = written
+        digest = bytearray(hashlib.sha256(open(path, "rb").read()).digest())
+        digest[7] ^= 1
+        write_sidecar(path, X.ravel(order="F") + 1.0, bytes(digest))
+        assert io.read_matrix(path).tobytes() == X.tobytes()
+
+    def test_edited_text_beside_its_old_sidecar_reads_the_edit(self, written):
+        path, X = written
+        _rewrite(path, _set_line(2 + 5, "2.5"))  # X[5, 0]
+        expected = X.copy()
+        expected[5, 0] = 2.5
+        assert io.read_matrix(path).tobytes() == expected.tobytes()
+
+    def test_sidecar_write_failure_is_io_error(self, tmp_path, capsys):
+        out = tmp_path / "prob"
+        os.makedirs(out / ("y.vec" + io.SIDECAR_SUFFIX))
+        assert run_cli("generate", "consistent", "12", "3", "--out", str(out)) == cli.EXIT_IO
+        assert "y.vec" + io.SIDECAR_SUFFIX in capsys.readouterr().err
+
+    def test_stale_sidecar_gives_the_parsed_exit_code_for_every_bad_value(self, tiny_problem,
+                                                                          tmp_path, capsys):
+        for name in ("X.mtx", "y.vec"):
+            for bad, edit in BAD_VALUES.items():
+                prob = str(tmp_path / f"{name}-{bad}")
+                shutil.copytree(tiny_problem, prob)
+                path = os.path.join(prob, name)
+                head = 2 if name == "X.mtx" else 0
+                _rewrite(path, lambda lines: lines[:head] + edit(lines[head:]))
+                argv = ("solve", prob, "--method", "rk", "--out", str(tmp_path / "t.csv"))
+                stale = run_cli(*argv)
+                os.remove(sidecar(path))
+                assert (stale, run_cli(*argv)) == (cli.EXIT_IO, cli.EXIT_IO), (name, bad)
+                assert "Warning" not in capsys.readouterr().err
+
+
 class TestGenerate:
     def test_writes_all_files(self, consistent_dir):
         for name in ("X.mtx", "y.vec", "reference.vec", "meta.txt"):
@@ -111,7 +210,8 @@ class TestGenerate:
         for out in (a, b):
             assert run_cli("generate", "consistent", "30", "10", "--seed", "3",
                            "--out", str(out)) == 0
-        for name in ("X.mtx", "y.vec", "reference.vec", "meta.txt"):
+        names = ["X.mtx", "y.vec", "reference.vec", "meta.txt"]
+        for name in names + [name + io.SIDECAR_SUFFIX for name in names[:3]]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
     def test_inconsistent_metadata_records_noise(self, tmp_path):
@@ -418,6 +518,16 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "X.mtx" in err and "Warning" not in err
 
+    @pytest.mark.parametrize("name", ["X.mtx", "y.vec"])
+    def test_undecodable_byte_is_io_error(self, consistent_dir, tmp_path, capsys, name):
+        path = os.path.join(consistent_dir, name)
+        data = bytearray(open(path, "rb").read())
+        data[60] = 0xFF  # in X.mtx, a byte the header read decodes
+        with open(path, "wb") as f:
+            f.write(data)
+        assert self._solve(consistent_dir, tmp_path) == cli.EXIT_IO
+        assert f"{name}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     @pytest.mark.parametrize("name", ["y.vec", "reference.vec"])
     def test_vector_length_mismatch_is_io_error(self, consistent_dir, tmp_path, capsys, name):
         path = os.path.join(consistent_dir, name)
@@ -439,6 +549,28 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "--kernel poly --degree 200 --offset 1000.0 overflows" in err
         assert "non-finite" in err
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    def test_overflowing_data_is_usage_error_for_every_method(self, tmp_path, capsys):
+        # X^T X, X X^T and K overflow at entries around 1e160; each method's
+        # M is checked before any closed form runs on it
+        rng = np.random.default_rng(5)
+        prob = tmp_path / "big"
+        os.makedirs(prob)
+        io.write_matrix(str(prob / "X.mtx"), rng.standard_normal((30, 10)) * 1e160)
+        io.write_vector(str(prob / "y.vec"), rng.standard_normal(30) * 1e160)
+        io.write_vector(str(prob / "reference.vec"), rng.standard_normal(10))
+        io.write_meta(str(prob / "meta.txt"), {"regime": "consistent"})
+        for method in cli.METHODS:
+            capsys.readouterr()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+                code = run_cli("solve", str(prob), "--method", method, "--lambda", "0.1",
+                               "--kernel", "linear", "--out", str(tmp_path / "t.csv"))
+            err = capsys.readouterr().err
+            assert code == cli.EXIT_USAGE, method
+            assert "overflows on this data" in err and "non-finite" in err, err
+            assert "Warning" not in err
         assert not os.path.exists(tmp_path / "t.csv")
 
     @pytest.mark.parametrize("size_line", ["50", "50 x", "0 20", ""])
@@ -511,3 +643,38 @@ def test_solve_exits_with_a_documented_code(tiny_problem, capsys, method, iters,
         err = capsys.readouterr().err
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE, cli.EXIT_IO)
     assert "Traceback" not in err
+
+
+# Bytes a random edit writes: any byte, or one that often keeps the file
+# numeric, so that both parse errors and changed values come up.
+EDIT_BYTES = st.integers(0, 255) | st.sampled_from(list(b"0123456789.-+e\n "))
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["X.mtx", "y.vec"]),
+       where=st.floats(0.0, 1.0, exclude_max=True), byte=EDIT_BYTES)
+def test_stale_sidecar_never_changes_a_solve(tiny_problem, capsys, name, where, byte):
+    """After one byte of X.mtx or y.vec changes, solve behaves the same
+    with the file's old sidecar present as with it deleted."""
+    with tempfile.TemporaryDirectory() as tmp:
+        prob = os.path.join(tmp, "prob")
+        shutil.copytree(tiny_problem, prob)
+        path = os.path.join(prob, name)
+        data = bytearray(open(path, "rb").read())
+        data[int(where * len(data))] = byte
+        with open(path, "wb") as f:
+            f.write(data)
+        out = os.path.join(tmp, "t.csv")
+        argv = ["solve", prob, "--method", "rk", "--iters", "300", "--out", out]
+        runs = []
+        for _ in range(2):
+            capsys.readouterr()
+            code = cli.main(argv)
+            written = open(out, "rb").read() if os.path.exists(out) else None
+            runs.append((code, written, capsys.readouterr().err))
+            if os.path.exists(out):
+                os.remove(out)
+            if os.path.exists(sidecar(path)):
+                os.remove(sidecar(path))
+    assert runs[0] == runs[1]

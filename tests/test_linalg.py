@@ -17,15 +17,6 @@ def brute_force_row_norms(X):
     return out
 
 
-def naive_matvec(X, v):
-    n, p = X.shape
-    out = np.zeros(n)
-    for i in range(n):
-        for j in range(p):
-            out[i] += X[i, j] * v[j]
-    return out
-
-
 class TestConstruction:
     def test_matrix_is_column_major_float64(self):
         X = linalg.dense_matrix([[1, 2], [3, 4]])
@@ -96,31 +87,6 @@ class TestNorms:
         assert abs(f - float(np.sum(linalg.col_norms_sq(X)))) <= rel
 
 
-class TestMatvec:
-    def test_identity(self):
-        X = linalg.dense_matrix(np.eye(2))
-        assert np.allclose(linalg.matvec(X, np.array([3.0, 5.0])), [3.0, 5.0])
-
-    def test_forced(self):
-        X = linalg.dense_matrix([[1.0, 2.0], [3.0, 4.0]])
-        assert np.allclose(linalg.matvec(X, np.ones(2)), [3.0, 7.0])
-
-    def test_matches_naive_loop(self):
-        rng = np.random.default_rng(14)
-        X = linalg.dense_matrix(rng.standard_normal((7, 4)))
-        v = rng.standard_normal(4)
-        assert np.max(np.abs(linalg.matvec(X, v) - naive_matvec(X, v))) < 1e-12
-        w = rng.standard_normal(7)
-        assert np.max(np.abs(linalg.matvec_t(X, w) - naive_matvec(X.T, w))) < 1e-12
-
-    def test_dimension_mismatch(self):
-        X = linalg.dense_matrix(np.eye(3))
-        with pytest.raises(DimensionError):
-            linalg.matvec(X, np.zeros(2))
-        with pytest.raises(DimensionError):
-            linalg.matvec_t(X, np.zeros(2))
-
-
 class TestSolveSpd:
     def test_identity(self):
         x = linalg.solve_spd(np.eye(2), np.array([4.0, 5.0]))
@@ -187,22 +153,3 @@ class TestSymEigs:
         w, V = linalg.sym_eigh(A)
         assert np.max(np.abs(A @ V - V @ np.diag(w))) < 1e-8
 
-
-class TestEnergyNorm:
-    def test_identity(self):
-        assert linalg.energy_norm_sq(np.eye(2), np.array([3.0, 4.0])) == 25.0
-
-    def test_psd_diag(self):
-        assert linalg.energy_norm_sq(np.diag([2.0, 0.0]), np.ones(2)) == 2.0
-
-    def test_matches_composed_ops(self):
-        rng = np.random.default_rng(19)
-        M = rng.standard_normal((6, 6))
-        A = M.T @ M
-        v = rng.standard_normal(6)
-        expected = float(v @ linalg.matvec(A, v))
-        assert abs(linalg.energy_norm_sq(A, v) - expected) < 1e-12 * (1.0 + abs(expected))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            linalg.energy_norm_sq(np.eye(3), np.zeros(2))

@@ -8,6 +8,11 @@ from randiter.errors import DegenerateWeights, NegativeWeight
 from randiter.sampling import RngState, WeightedSampler, build_sampler
 
 
+def probabilities(sampler):
+    """The distribution the sampler's cumulative table encodes."""
+    return np.diff(sampler.cumulative, prepend=0.0) / sampler.total
+
+
 def empirical_frequencies(weights, n_draws, seed):
     sampler = build_sampler(weights)
     rng = RngState(seed)
@@ -19,10 +24,10 @@ def empirical_frequencies(weights, n_draws, seed):
 
 class TestBuild:
     def test_uniform_probs(self):
-        assert np.allclose(build_sampler([1.0, 1.0]).probabilities(), [0.5, 0.5])
+        assert np.allclose(probabilities(build_sampler([1.0, 1.0])), [0.5, 0.5])
 
     def test_weighted_probs(self):
-        assert np.allclose(build_sampler([1.0, 3.0]).probabilities(), [0.25, 0.75])
+        assert np.allclose(probabilities(build_sampler([1.0, 3.0])), [0.25, 0.75])
 
     def test_rejects_negative(self):
         with pytest.raises(NegativeWeight):
