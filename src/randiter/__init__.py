@@ -49,7 +49,6 @@ from .ridge import (
     rcd_ridge_step,
     rk_ridge_run,
     rk_ridge_step,
-    shrink,
 )
 from .sampling import RngState, WeightedSampler, build_sampler
 from .solvers import (

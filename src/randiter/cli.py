@@ -5,10 +5,11 @@ Commands:
     randiter solve PROBLEM_DIR --method rk ...
     randiter compare PROBLEM_DIR --method rk --method rcd ...
 
-Exit codes: 0 success, 2 usage error, 3 the run did not reach --tol in
-its method's own measure (see _converged), 4 I/O error. Diagnostics go
-to stderr (controlled by RANDITER_LOG={off,info,debug}); data output
-never does.
+Exit codes: 0 success, 2 usage error (data that overflows the oracle
+or the run, or an oracle that does not fit in memory, included), 3 the
+run did not reach --tol in its method's own measure (see _converged),
+4 I/O error. Diagnostics go to stderr (controlled by
+RANDITER_LOG={off,info,debug}); data output never does.
 """
 
 from __future__ import annotations
@@ -177,9 +178,9 @@ def _kernel_spec(args) -> kernel.KernelSpec:
 def _oracle_step(method, X, y, reference, regime, args):
     """One method's oracle quantities (targets, M, theoretical rate),
     computed once for all trials. Returns (rate, solve), where
-    solve(run_config) is the per-trial solver step. M is formed first
-    and must be finite, so data that overflows it is a usage error
-    before any closed form runs on it."""
+    solve(run_config) is the per-trial solver step. M and y^T y are
+    formed first and must be finite, so data that overflows them is a
+    usage error before any closed form or run starts on it."""
     n, p = X.shape
     if method in ("rk", "rcd"):
         if reference is None:
@@ -202,8 +203,11 @@ def _oracle_step(method, X, y, reference, regime, args):
             params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
                       "gaussian": f" --gamma {spec.gamma}"}.get(spec.family, "")
             source = f"--kernel {args.kernel}{params}"
+        yy = y @ y
     if not np.all(np.isfinite(M)):
         raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
+    if not np.isfinite(yy):
+        raise UsageError("y overflows on this data: y^T y is non-finite")
 
     if method in ("rk", "rcd"):
         rate = oracle.theoretical_rate(M, positive_only=regime == solvers.Regime.UNDERDETERMINED)
@@ -375,6 +379,10 @@ def main(argv=None) -> int:
             return EXIT_IO
         except (RanditerError, ValueError) as exc:
             print(f"randiter: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        except MemoryError:
+            print("randiter: out of memory: the closed-form oracle does not fit in memory "
+                  "for this problem", file=sys.stderr)
             return EXIT_USAGE
 
 

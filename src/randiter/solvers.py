@@ -1,11 +1,14 @@
-"""Randomized Kaczmarz and Randomized Coordinate Descent.
+"""Randomized Kaczmarz (RK) and randomized coordinate descent (RCD).
 
-Both methods are matrix-free: RK touches one row per step (O(p) work),
-RCD one column per step (O(n) work). The driver that every method's
-run shares (`drive`) samples indices a block at a time, with
-probability proportional to squared row/column norms, hands each block
-to the method's inner loop, and records a convergence trace at
-checkpoints.
+A row method is coordinate descent on the dual system
+(X X^T + lam I) alpha = y, a column method on the primal system
+(X^T X + lam I) beta = X^T y. `row_descent` and `column_descent` are
+these two loops for lam >= 0: RK and RCD at lam = 0, rk-ridge and
+rcd-ridge (ridge.py) at lam > 0. A row step costs O(p), a column step
+O(n). The driver that every method's run shares (`drive`) samples
+indices a block at a time, with probability proportional to squared
+row/column norms (plus lam), hands each block to the method's loop,
+and records a convergence trace at checkpoints.
 """
 
 from __future__ import annotations
@@ -224,44 +227,78 @@ def drive(
     return trace
 
 
-# The inline loops below call ndarray.dot, which reaches the same BLAS
+# The two loops below call ndarray.dot, which reaches the same BLAS
 # ddot as the steps' `@` with less call overhead, and scale a row or
 # column into a scratch buffer instead of a new array: the same
 # operations on the same operands, so the same bits as the *_step
-# functions.
+# functions. At lam = 0 the lam terms are exact zeros, so rk and rcd
+# get the bits of rk_step and rcd_step.
 
 
-def _rk_steps(rows: np.ndarray, X: np.ndarray, y: np.ndarray, beta: np.ndarray) -> None:
-    """rk_step for each row in turn, inline."""
+def row_descent(X, y, lam, beta0, sampler, config, measures, rate, natural, **stop):
+    """Coordinate descent on the dual system (X X^T + lam I) alpha = y
+    for lam >= 0: rk at lam = 0, rk-ridge at lam > 0.
+
+    Starts from alpha = 0 and beta = beta0 (zero if None) and keeps
+    beta = beta0 + X^T alpha. The step on row i is
+    delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
+    alpha_i += delta and beta += delta x_i. Runs `drive` with
+    checkpoint measures(beta, alpha) and the stop rule `stop`.
+    """
+    n, p = X.shape
+    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
+    alpha = np.zeros(n)
     scaled = np.empty_like(beta)
-    for row in rows.tolist():
-        xr = X[row]
-        nrm = xr.dot(xr)
-        if nrm <= 0.0:
-            raise ZeroNormRow(f"row {row} has zero norm")
-        beta += np.multiply(xr, (y[row] - xr.dot(beta)) / nrm, out=scaled)
+
+    def advance(rows):
+        nonlocal beta
+        for row in rows.tolist():
+            xr = X[row]
+            nrm = xr.dot(xr) + lam
+            if nrm <= 0.0:
+                raise ZeroNormRow(f"row {row} has zero norm")
+            delta = (y[row] - xr.dot(beta) - lam * alpha[row]) / nrm
+            alpha[row] += delta
+            beta += np.multiply(xr, delta, out=scaled)
+
+    return drive(sampler, config, n, advance, lambda: measures(beta, alpha), rate, natural,
+                 **stop)
 
 
-def _rcd_steps(cols: np.ndarray, columns: list, norms: list, beta: np.ndarray,
-               residual: np.ndarray) -> None:
-    """rcd_step for each column in turn, inline, with the columns of X
-    and their squared norms xc @ xc given."""
-    scaled = np.empty_like(residual)
-    for col in cols.tolist():
-        xc = columns[col]
-        nrm = norms[col]
-        if nrm <= 0.0:
-            raise ZeroNormColumn(f"column {col} has zero norm")
-        delta = xc.dot(residual) / nrm
-        beta[col] += delta
-        residual -= np.multiply(xc, delta, out=scaled)
+def column_descent(X, y, lam, beta0, sampler, config, measures, rate, natural, **stop):
+    """Coordinate descent on the primal system (X^T X + lam I) beta = X^T y
+    for lam >= 0: rcd at lam = 0, rcd-ridge at lam > 0.
 
-
-def columns_and_norms(X: np.ndarray) -> tuple[list, list]:
-    """The columns of X as views, and each one's xc @ xc, the dot that
-    the column steps use."""
+    Starts from beta = beta0 (zero if None) and keeps r = y - X beta,
+    rebuilt every RESIDUAL_REFRESH_EVERY steps to cap drift. The step on
+    column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 + lam), then
+    beta_c += delta and r -= delta x_c. Runs `drive` with checkpoint
+    measures(beta) and the stop rule `stop`.
+    """
+    beta = np.zeros(X.shape[1]) if beta0 is None else np.array(beta0, dtype=np.float64)
+    residual = y - X @ beta
     columns = list(X.T)
-    return columns, [float(xc @ xc) for xc in columns]
+    norms = [float(xc @ xc) + lam for xc in columns]
+    scaled = np.empty_like(residual)
+
+    def advance(cols):
+        nonlocal residual
+        coords = beta.tolist()  # a list: faster to index per step
+        for col in cols.tolist():
+            nrm = norms[col]
+            if nrm <= 0.0:
+                raise ZeroNormColumn(f"column {col} has zero norm")
+            xc = columns[col]
+            delta = (xc.dot(residual) - lam * coords[col]) / nrm
+            coords[col] += delta
+            residual -= np.multiply(xc, delta, out=scaled)
+        beta[:] = coords
+
+    def refresh():
+        residual[:] = y - X @ beta
+
+    return drive(sampler, config, X.shape[1], advance, lambda: measures(beta), rate, natural,
+                 refresh=refresh, **stop)
 
 
 def run(
@@ -283,43 +320,25 @@ def run(
     residual_sq <= tol^2, an inconsistent one at a plateau.
     """
     X, y = problem.X, problem.y
-    n, p = X.shape
     if config.max_iters <= 0:
         raise ValueError("max_iters must be positive")
 
     if method == Method.RK:
-        weights = linalg.row_norms_sq(X)
+        weights, descent, natural = linalg.row_norms_sq(X), row_descent, "err_sq"
     else:
-        weights = linalg.col_norms_sq(X)
+        weights, descent, natural = linalg.col_norms_sq(X), column_descent, "energy_err_sq"
     if float(np.sum(weights)) <= 0.0:
         raise DegenerateWeights("matrix is entirely zero")
     sampler = build_sampler(weights)
 
-    beta = np.zeros(p) if config.beta0 is None else config.beta0.astype(np.float64).copy()
     consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
-    def checkpoint():
+    def measures(beta, *_):
         diff = beta - reference
         fitted = X @ diff
         res = y - X @ beta
         return float(diff @ diff), float(fitted @ fitted), float(res @ res)
 
-    if method == Method.RK:
-        every, natural, refresh = n, "err_sq", None
-
-        def advance(rows):
-            _rk_steps(rows, X, y, beta)
-    else:
-        every, natural = p, "energy_err_sq"
-        columns, norms = columns_and_norms(X)
-        residual = y - X @ beta
-
-        def advance(cols):
-            _rcd_steps(cols, columns, norms, beta, residual)
-
-        def refresh():
-            residual[:] = y - X @ beta
-
-    return drive(sampler, config, every, advance, checkpoint, rate, natural,
-                 tol_on="residual_sq" if consistent else None,
-                 plateau=problem.regime == Regime.INCONSISTENT, refresh=refresh)
+    return descent(X, y, 0.0, config.beta0, sampler, config, measures, rate, natural,
+                   tol_on="residual_sq" if consistent else None,
+                   plateau=problem.regime == Regime.INCONSISTENT)

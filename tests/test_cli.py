@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randiter import cli, io, linalg
+from randiter import cli, io, linalg, oracle
 
 
 def run_cli(*argv):
@@ -552,25 +552,44 @@ class TestInputContract:
         assert not os.path.exists(tmp_path / "t.csv")
 
     def test_overflowing_data_is_usage_error_for_every_method(self, tmp_path, capsys):
-        # X^T X, X X^T and K overflow at entries around 1e160; each method's
-        # M is checked before any closed form runs on it
+        # X^T X, X X^T and K overflow at entries around 1e160, and y^T y at
+        # y entries around 1e160 whatever X is (a gaussian K stays finite);
+        # each method's M and y^T y are checked before any closed form or
+        # run starts on them. Data sets: X and y around 1e160, then y only.
         rng = np.random.default_rng(5)
-        prob = tmp_path / "big"
-        os.makedirs(prob)
-        io.write_matrix(str(prob / "X.mtx"), rng.standard_normal((30, 10)) * 1e160)
-        io.write_vector(str(prob / "y.vec"), rng.standard_normal(30) * 1e160)
-        io.write_vector(str(prob / "reference.vec"), rng.standard_normal(10))
-        io.write_meta(str(prob / "meta.txt"), {"regime": "consistent"})
-        for method in cli.METHODS:
-            capsys.readouterr()
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-                code = run_cli("solve", str(prob), "--method", method, "--lambda", "0.1",
-                               "--kernel", "linear", "--out", str(tmp_path / "t.csv"))
-            err = capsys.readouterr().err
-            assert code == cli.EXIT_USAGE, method
-            assert "overflows on this data" in err and "non-finite" in err, err
-            assert "Warning" not in err
+        for x_scale in (1e160, 1.0):
+            prob = tmp_path / f"big-{x_scale:g}"
+            os.makedirs(prob)
+            io.write_matrix(str(prob / "X.mtx"), rng.standard_normal((30, 10)) * x_scale)
+            io.write_vector(str(prob / "y.vec"), rng.standard_normal(30) * 1e160)
+            io.write_vector(str(prob / "reference.vec"), rng.standard_normal(10))
+            io.write_meta(str(prob / "meta.txt"), {"regime": "consistent"})
+            for kernel_name in ("linear", "gaussian"):
+                for method in cli.METHODS:
+                    capsys.readouterr()
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+                        code = run_cli("solve", str(prob), "--method", method, "--lambda", "0.1",
+                                       "--kernel", kernel_name, "--out", str(tmp_path / "t.csv"))
+                    err = capsys.readouterr().err
+                    assert code == cli.EXIT_USAGE, (x_scale, kernel_name, method)
+                    assert "overflows on this data" in err and "non-finite" in err, err
+                    assert "Warning" not in err
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("method", ["rk-ridge", "rcd-ridge"])
+    def test_oracle_out_of_memory_is_usage_error(self, consistent_dir, tmp_path, capsys,
+                                                 monkeypatch, method):
+        # Both ridge oracles form the n x n X X^T, which on tall data does
+        # not fit in memory; numpy raises MemoryError for it.
+        def outer_gram(X):
+            raise MemoryError("Unable to allocate an n x n array")
+
+        monkeypatch.setattr(oracle, "outer_gram", outer_gram)
+        code = run_cli("solve", consistent_dir, "--method", method, "--lambda", "0.1",
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        assert "oracle does not fit in memory" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t.csv")
 
     @pytest.mark.parametrize("size_line", ["50", "50 x", "0 20", ""])

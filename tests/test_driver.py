@@ -298,6 +298,39 @@ class TestZeroColumn:
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
 
 
+class TestZeroRow:
+    """A zero row has sampling weight 0 in rk (never drawn) and weight
+    lambda in rk-ridge (drawn, and its alpha_i goes to y_i / lambda);
+    neither run may reject it up front."""
+
+    def setup_method(self):
+        inst = oracle.gen_inconsistent(30, 10, 0.1, 5)
+        self.X = inst.problem.X.copy()
+        self.X[4] = 0.0
+        self.y = inst.problem.y
+
+    def test_rk(self):
+        X, y = self.X, self.y
+        problem = Problem(X, y, Regime.INCONSISTENT)
+        reference = np.linalg.lstsq(X, y, rcond=None)[0]
+        config = RunConfig(max_iters=1500, seed=16, checkpoint_every=13)
+        rows = build_sampler(linalg.row_norms_sq(X)).draw_block(RngState(config.seed), 1500)
+        assert 4 not in rows
+        trace = run(Method.RK, problem, config, reference, RATE)
+        assert trace.records == ls_reference(Method.RK, problem, config, reference).records
+
+    def test_rk_ridge(self):
+        lam = 0.5
+        config = RunConfig(max_iters=3000, tol=0.0, seed=17, checkpoint_every=13)
+        rows = build_sampler(rk_ridge_weights(self.X, lam)).draw_block(RngState(config.seed), 3000)
+        assert 4 in rows
+        trace, ref = ridge_pair("rk-ridge", self.X, self.y, lam, config)
+        assert trace.records == ref.records
+        # energy_err_sq >= lam (alpha_4 - alpha*_4)^2, and alpha*_4 = y_4 / lam
+        assert oracle.ridge_alpha_star(self.X, self.y, lam)[4] == pytest.approx(self.y[4] / lam)
+        assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
+
+
 def test_krr_run_stops_at_first_non_finite_checkpoint():
     inst = oracle.gen_consistent(30, 10, 1)
     data, y = inst.problem.X, inst.problem.y

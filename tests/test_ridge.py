@@ -1,7 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from randiter import linalg, oracle
 from randiter.ridge import (
@@ -13,7 +11,6 @@ from randiter.ridge import (
     rk_ridge_run,
     rk_ridge_step,
     rk_ridge_weights,
-    shrink,
 )
 from randiter.sampling import RngState, build_sampler
 from randiter.solvers import RunConfig
@@ -28,23 +25,6 @@ def scaled_instance(n, p, seed):
     X = linalg.dense_matrix(rng.standard_normal((n, p)) / np.sqrt(n))
     y = linalg.dense_vector(rng.standard_normal(n))
     return X, y
-
-
-class TestShrink:
-    def test_identity_at_zero(self):
-        assert shrink(0.0, 3.7) == 3.7
-
-    def test_halving(self):
-        assert shrink(1.0, 2.0) == 1.0
-
-    @settings(deadline=None, max_examples=50)
-    @given(st.floats(0.0, 1e6), st.floats(-1e6, 1e6))
-    def test_never_grows(self, a, z):
-        assert abs(shrink(a, z)) <= abs(z)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            shrink(-0.5, 1.0)
 
 
 class TestRkRidgeStep:
@@ -147,7 +127,8 @@ class TestRcdRidgeStep:
             nrm = float(X[:, c] @ X[:, c])
             st = RcdRidgeState(beta.copy(), r.copy(), 0, RngState(0), lam)
             rcd_ridge_step(st, X, y, c)
-            alt = shrink(lam / nrm, beta[c] + float(X[:, c] @ r) / nrm)
+            z = beta[c] + float(X[:, c] @ r) / nrm
+            alt = z / (1.0 + lam / nrm)
             assert abs(st.beta[c] - alt) <= 1e-14 * (1.0 + abs(alt))
 
     def test_converges_to_ridge_solution(self):
