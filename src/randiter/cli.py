@@ -7,8 +7,8 @@ Commands:
 
 Exit codes: 0 success, 2 usage error (data that overflows the oracle
 or the run, or an oracle that does not fit in memory, included), 3 the
-run did not reach --tol in its method's own measure (see _converged),
-4 I/O error. Diagnostics go to stderr (controlled by
+run did not reach --tol in its method's own measure (see
+solvers.drive), 4 I/O error. Diagnostics go to stderr (controlled by
 RANDITER_LOG={off,info,debug}); data output never does.
 """
 
@@ -113,12 +113,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
-    if args.regime == "underdetermined":
-        if args.p <= args.n:
-            raise UsageError("underdetermined regime requires p > n")
-    elif args.n <= args.p:
-        raise UsageError(f"{args.regime} regime requires n > p")
-
     if args.regime == "consistent":
         inst = oracle.gen_consistent(args.n, args.p, args.seed)
     elif args.regime == "inconsistent":
@@ -283,24 +277,12 @@ def cmd_solve(args) -> int:
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
         io.write_trace_csv(args.out + ".mean.csv", _mean_trace(traces))
-    final = traces[0].final()
-    log.info("solve %s: final err_sq=%.3e", args.method, final.err_sq)
+    log.info("solve %s: final err_sq=%.3e", args.method, traces[0].final().err_sq)
 
-    if not _converged(args.method, regime, final, args.tol):
+    if not traces[0].converged:
         log.info("did not converge within %d iterations", args.iters)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
-
-
-def _converged(method, regime, final, tol) -> bool:
-    """Whether a run reached tol in its method's own measure: the
-    residual for rk and rcd, in the consistent regimes only; the energy
-    error for ridge and kernel ridge, whose solutions keep a nonzero
-    residual and exist in every regime."""
-    if method in ("rk", "rcd"):
-        consistent = regime in (solvers.Regime.CONSISTENT_UNIQUE, solvers.Regime.UNDERDETERMINED)
-        return not consistent or final.residual_sq <= tol * tol
-    return final.energy_err_sq <= tol * tol
 
 
 def _contraction_per_iter(trace, natural: str) -> float:
@@ -330,7 +312,7 @@ def cmd_compare(args) -> int:
     for method in args.method:
         traces, rate = _run_trials(method, X, y, reference, regime, args, beta0)
         mean = _mean_trace(traces) if len(traces) > 1 else traces[0]
-        natural = "err_sq" if method == "rk" else "energy_err_sq"
+        natural = traces[0].natural
         # means over each trial's own last checkpoint; the mean trace
         # ends at the earliest of them
         final = [float(np.mean([getattr(t.final(), col) for t in traces]))

@@ -16,9 +16,6 @@ from .errors import DimensionError
 from .sampling import RngState, build_sampler
 from .solvers import ConvergenceTrace, RunConfig, drive
 
-# Rebuild s = K alpha from scratch this often to bound incremental drift.
-S_REFRESH_EVERY = 1000
-
 # apply_gram forms at most this many entries of K at once (256 KB).
 GRAM_TILE_ELEMS = 1 << 15
 
@@ -139,44 +136,29 @@ class _Gram:
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """K v from the tiles of K on or above the block diagonal of
-        K[A, A], plus K[A, rest], where A is v's nonzero indices: each
+        """K v from the tiles of K on or above its block diagonal: each
         tile adds its rows' products with v and, by symmetry, its
         columns' products below the diagonal."""
         n = v.shape[0]
-        a = np.count_nonzero(v)
-        if a == 0:
-            return np.zeros(n)
-        rows, points, w = self.rows, self.points, v
-        order = None
-        if a < n:
-            # A first, so the tiles run over contiguous slices; gathering
-            # columns of the C-order transposes is the fast way to
-            # gather rows of column-major arrays
-            order = np.argsort(v == 0.0, kind="stable")
-            rows = np.take(rows.T, order, axis=1).T
-            points = np.take(points.T, order, axis=1).T
-            w = v[order]
         res = np.zeros(n)
+        if not v.any():
+            # K 0 = 0 exactly, even where K's entries overflow
+            return res
         buf = np.empty(max(GRAM_TILE_ELEMS, n))
         start = 0
-        while start < a:
+        while start < n:
             # a tile takes the columns from its first row on, so it
             # narrows as it goes and can take more rows
             width = n - start
-            stop = min(a, start + max(1, GRAM_TILE_ELEMS // width))
+            stop = min(n, start + max(1, GRAM_TILE_ELEMS // width))
             tile = buf[:(stop - start) * width].reshape(stop - start, width)
-            np.matmul(rows[start:stop], points[start:].T, out=tile)
+            np.matmul(self.rows[start:stop], self.points[start:].T, out=tile)
             diag = np.arange(stop - start)
             self._map(tile, (diag, diag))
-            res[start:stop] += tile[:, :a - start] @ w[start:a]
-            res[stop:] += w[start:stop] @ tile[:, stop - start:]
+            res[start:stop] += tile @ v[start:]
+            res[stop:] += v[start:stop] @ tile[:, stop - start:]
             start = stop
-        if order is None:
-            return res
-        out = np.empty(n)
-        out[order] = res
-        return out
+        return res
 
 
 def krr_step(
@@ -211,21 +193,9 @@ def krr_predict(alpha: np.ndarray, data: np.ndarray, spec: KernelSpec, x: np.nda
 def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray) -> np.ndarray:
     """K v without forming K: tiles of at most GRAM_TILE_ELEMS entries
     (more only when one row of K is longer), one BLAS product each,
-    that cover about half of K[A, A] for v's nonzero indices A, by
-    symmetry. Extra memory is O(GRAM_TILE_ELEMS + n p)."""
+    that cover about half of K, by symmetry. Extra memory is
+    O(GRAM_TILE_ELEMS + n p)."""
     return _Gram(spec, data).apply(v)
-
-
-def _krr_steps(rows: np.ndarray, gram: _Gram, y: list, lam: float, alpha: np.ndarray,
-               s: np.ndarray, col: np.ndarray) -> None:
-    """krr_step for each row in turn, inline, with the column written
-    into col and then scaled in place."""
-    column = gram.column
-    for row in rows.tolist():
-        column(row, col)
-        delta = (y[row] - s[row] - lam * alpha[row]) / (col[row] + lam)
-        alpha[row] += delta
-        s += np.multiply(col, delta, out=col)
 
 
 def krr_run(
@@ -251,12 +221,19 @@ def krr_run(
         raise ValueError("kernel ridge requires lambda > 0")
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
-    gram = _Gram(spec, data)
+    column = _Gram(spec, data).column
     ys = y.tolist()
     alpha, s, col = np.zeros(n), np.zeros(n), np.empty(n)
 
     def advance(rows):
-        _krr_steps(rows, gram, ys, lam, alpha, s, col)
+        nonlocal s
+        # krr_step for each row in turn, with the column written into
+        # col and then scaled in place
+        for row in rows.tolist():
+            column(row, col)
+            delta = (ys[row] - s[row] - lam * alpha[row]) / (col[row] + lam)
+            alpha[row] += delta
+            s += np.multiply(col, delta, out=col)
 
     def refresh():
         s[:] = apply_gram(spec, data, alpha)
@@ -271,5 +248,4 @@ def krr_run(
         return float(v @ v), energy, float(dual_res @ dual_res)
 
     return drive(sampler, config, n, advance, checkpoint, rate, "energy_err_sq",
-                 tol_on="energy_err_sq", plateau=True, refresh=refresh,
-                 refresh_every=S_REFRESH_EVERY)
+                 tol_on="energy_err_sq", plateau=True, refresh=refresh)

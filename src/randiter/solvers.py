@@ -24,8 +24,9 @@ from . import linalg
 from .errors import DegenerateWeights, DimensionError, ZeroNormColumn, ZeroNormRow
 from .sampling import RngState, WeightedSampler, build_sampler
 
-# RCD maintains its residual incrementally; a periodic rebuild caps
-# floating-point drift so per-step optimality stays testable.
+# The column loop maintains r = y - X beta and rk-krr s = K alpha
+# incrementally; rebuilding them this often caps floating-point drift
+# so per-step optimality stays testable.
 RESIDUAL_REFRESH_EVERY = 1000
 
 # Plateau detector for regimes with an error floor: stop when the
@@ -94,7 +95,13 @@ class TraceRecord:
 
 @dataclass
 class ConvergenceTrace:
+    """A run's checkpoint records. `drive` also sets the run's natural
+    column and whether its final record reached tol in its stop
+    measure."""
+
     records: list[TraceRecord] = field(default_factory=list)
+    natural: str = "err_sq"
+    converged: bool = False
 
     def append(self, rec: TraceRecord) -> None:
         if self.records and rec.iter <= self.records[-1].iter:
@@ -168,14 +175,13 @@ def drive(
     tol_on: str | None,
     plateau: bool,
     refresh: Callable[[], None] | None = None,
-    refresh_every: int = RESIDUAL_REFRESH_EVERY,
 ) -> ConvergenceTrace:
     """The checkpoint and stop loop that every method's run shares.
 
     Steps t = 1..max_iters draw their indices from `sampler` with the
     seed config.seed, DRAW_BLOCK at a time at most, and `advance(indices)`
     takes those steps in order. After step t, `refresh()` runs when t is
-    a multiple of refresh_every; then, when t is a multiple of the
+    a multiple of RESIDUAL_REFRESH_EVERY; then, when t is a multiple of the
     checkpoint cadence (config.checkpoint_every, else default_every) or
     t = max_iters, a checkpoint is recorded. `checkpoint()` returns
     (err_sq, energy_err_sq, residual_sq) of the current iterate, and the
@@ -185,6 +191,8 @@ def drive(
     tol_on is given) or, with `plateau`, where the natural column has
     plateaued over the last PLATEAU_WINDOW checkpoints, or the last
     PLATEAU_WINDOW epochs of default_every steps if those hold more.
+    The trace records `natural` and whether the run converged: it did
+    if tol_on is None, else if its final tol_on column is <= tol^2.
     """
     every = config.checkpoint_every or default_every
     if every < 1:
@@ -192,7 +200,7 @@ def drive(
     window = PLATEAU_WINDOW * math.ceil(default_every / every)
     tol_sq = config.tol * config.tol
     rng = RngState(config.seed)
-    trace = ConvergenceTrace()
+    trace = ConvergenceTrace(natural=natural)
     history: list[float] = []
     initial = 0.0
 
@@ -214,16 +222,17 @@ def drive(
         while t < end:
             k = min(end - t, DRAW_BLOCK)
             if refresh is not None:
-                k = min(k, refresh_every - t % refresh_every)
+                k = min(k, RESIDUAL_REFRESH_EVERY - t % RESIDUAL_REFRESH_EVERY)
             advance(sampler.draw_block(rng, k))
             t += k
-            if refresh is not None and t % refresh_every == 0:
+            if refresh is not None and t % RESIDUAL_REFRESH_EVERY == 0:
                 refresh()
         rec = record(t)
         if tol_on is not None and getattr(rec, tol_on) <= tol_sq:
             break
         if plateau and _plateaued(history, window):
             break
+    trace.converged = tol_on is None or getattr(trace.final(), tol_on) <= tol_sq
     return trace
 
 

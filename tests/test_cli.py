@@ -2,6 +2,8 @@ import hashlib
 import logging
 import os
 import shutil
+import subprocess
+import sys
 import tempfile
 import warnings
 
@@ -357,6 +359,24 @@ class TestLogging:
         assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
         assert "randiter: wrote consistent instance" in capsys.readouterr().err
         assert not logging.getLogger("randiter").handlers
+
+
+def test_module_entry_point_matches_main(tmp_path):
+    # the CLI started as the randiter script and the benchmark start it:
+    # a fresh interpreter that imports randiter.cli by itself
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    def calls(root):
+        return (["generate", "consistent", "12", "4", "--seed", "1", "--out", str(root / "p")],
+                ["solve", str(root / "p"), "--method", "rk", "--out", str(root / "t.csv")])
+
+    for argv in calls(tmp_path / "sub"):
+        done = subprocess.run([sys.executable, "-m", "randiter.cli", *argv],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert done.returncode == 0, done.stderr
+    for argv in calls(tmp_path / "main"):
+        assert run_cli(*argv) == 0
+    assert (tmp_path / "sub" / "t.csv").read_bytes() == (tmp_path / "main" / "t.csv").read_bytes()
 
 
 class TestCompare:

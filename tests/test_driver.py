@@ -12,7 +12,6 @@ import pytest
 
 from randiter import linalg, oracle
 from randiter.kernel import (
-    S_REFRESH_EVERY,
     KernelSpec,
     KrrState,
     apply_gram,
@@ -263,12 +262,12 @@ def test_krr_run_matches_step_loop(case, matrix_free):
 
     ref = step_loop(krr_weights(spec, data, lam), config, n,
                     lambda i: krr_step(state, data, y, spec, i), measures, "energy_err_sq",
-                    energy_stop(tol), refresh, S_REFRESH_EVERY)
+                    energy_stop(tol), refresh, RESIDUAL_REFRESH_EVERY)
     trace = krr_run(data, y, spec, lam, config, alpha_star, RATE, energy_matrix=energy_matrix)
     assert trace.records == ref.records
     check_end(trace, max_iters, every or 1, ends)
     if ends != "tol":
-        assert trace.final().iter >= S_REFRESH_EVERY
+        assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
 
 
 class TestZeroColumn:

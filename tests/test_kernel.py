@@ -220,9 +220,10 @@ SPECS = (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.5),
 
 
 # name: (n, nonzero count of v or None for about 70%, data offset). At
-# n = 2049 a tile starts at 15 rows; 100 nonzeros end on a tile of 5
-# rows where 16 fit, and the far offset is where K's entries built from
-# uncentered inner products lose digits.
+# n = 2049 the tiles grow from 15 rows to a last one of 26 rows where
+# 1260 would fit; a v with one or 100 nonzeros still runs every tile.
+# The far offset is where K's entries built from uncentered inner
+# products lose digits.
 GRAM_CASES = {
     "1": (1, None, 0.0),
     "40": (40, None, 0.0),
@@ -251,7 +252,9 @@ class TestApplyGram:
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
     def test_zero_vector_gives_exact_zeros(self):
-        for spec in SPECS:
+        # at degree 200 and offset 1000 every entry of K overflows, and
+        # K 0 is still exact zeros
+        for spec in (*SPECS, KernelSpec("polynomial", degree=200, offset=1000.0)):
             out = apply_gram(spec, gaussian_points(50, 3, seed=18), np.zeros(50))
             assert out.shape == (50,) and np.all(out == 0.0)
 
