@@ -83,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("n", type=int)
     gen.add_argument("p", type=int)
     gen.add_argument("--seed", type=int, default=0)
-    gen.add_argument("--noise", type=float, default=oracle.NOISE_SCALE_DEFAULT)
+    gen.add_argument("--noise", type=float, default=None)
     gen.add_argument("--out", required=True)
 
     def add_run_flags(p):
@@ -92,9 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--kernel", choices=["linear", "gaussian", "poly"], default=None)
-        p.add_argument("--gamma", type=float, default=1.0)
-        p.add_argument("--degree", type=int, default=2)
-        p.add_argument("--offset", type=float, default=0.0)
+        p.add_argument("--gamma", type=float, default=None)
+        p.add_argument("--degree", type=int, default=None)
+        p.add_argument("--offset", type=float, default=None)
         p.add_argument("--checkpoint-every", type=_positive_int, default=None)
         p.add_argument("--trials", type=_positive_int, default=1)
         p.add_argument("--beta0", default=None, help="vector file; default zero")
@@ -113,10 +113,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_generate(args) -> int:
+    if args.noise is not None and args.regime != "inconsistent":
+        raise UsageError("--noise is unused here: it is read only by generate inconsistent")
+    noise = oracle.NOISE_SCALE_DEFAULT if args.noise is None else args.noise
     if args.regime == "consistent":
         inst = oracle.gen_consistent(args.n, args.p, args.seed)
     elif args.regime == "inconsistent":
-        inst = oracle.gen_inconsistent(args.n, args.p, args.noise, args.seed)
+        inst = oracle.gen_inconsistent(args.n, args.p, noise, args.seed)
     else:
         inst = oracle.gen_underdetermined(args.n, args.p, args.seed)
 
@@ -132,7 +135,7 @@ def cmd_generate(args) -> int:
         "seed": args.seed,
     }
     if inst.z is not None:
-        meta["noise_scale"] = args.noise
+        meta["noise_scale"] = noise
         meta["norm_z"] = float(np.linalg.norm(inst.z))
     io.write_meta(paths["meta"], meta)
     log.info("wrote %s instance to %s", args.regime, args.out)
@@ -155,18 +158,45 @@ def _load_problem(problem_dir):
 
 
 def _regime_from_meta(meta) -> solvers.Regime:
-    name = meta.get("regime", "unknown")
-    for regime in solvers.Regime:
-        if regime.value == name:
-            return regime
-    return solvers.Regime.UNKNOWN
+    try:
+        return solvers.Regime(meta.get("regime"))
+    except ValueError:
+        return solvers.Regime.UNKNOWN
+
+
+# The run flags that only some methods read: flag -> (args attribute,
+# the methods that read it, the --kernel it needs, if any).
+_FLAG_READERS = {
+    "--lambda": ("lam", ("rk-ridge", "rcd-ridge", "rk-krr"), None),
+    "--kernel": ("kernel", ("rk-krr",), None),
+    "--gamma": ("gamma", ("rk-krr",), "gaussian"),
+    "--degree": ("degree", ("rk-krr",), "poly"),
+    "--offset": ("offset", ("rk-krr",), "poly"),
+}
+
+
+def _check_flags(args, methods, reference):
+    """Before any method runs: what each method needs is there, and some
+    method reads each flag given."""
+    for method in methods:
+        if method in ("rk", "rcd"):
+            if reference is None:
+                raise UsageError("rk/rcd need a reference.vec in the problem directory")
+        elif args.lam is None or not 0.0 < args.lam < np.inf:
+            raise UsageError(f"{method} requires a finite --lambda > 0")
+        if method == "rk-krr" and args.kernel is None:
+            raise UsageError("rk-krr requires --kernel")
+    for flag, (dest, readers, kernel_name) in _FLAG_READERS.items():
+        if getattr(args, dest) is not None and (
+                not set(readers) & set(methods) or kernel_name not in (None, args.kernel)):
+            where = ", ".join(readers) + (f" with --kernel {kernel_name}" if kernel_name else "")
+            raise UsageError(f"{flag} is unused here: it is read only by {where}")
 
 
 def _kernel_spec(args) -> kernel.KernelSpec:
-    if args.kernel is None:
-        raise UsageError("rk-krr requires --kernel")
     family = {"linear": "linear", "gaussian": "gaussian", "poly": "polynomial"}[args.kernel]
-    return kernel.KernelSpec(family, gamma=args.gamma, degree=args.degree, offset=args.offset)
+    params = {name: getattr(args, name) for name in ("gamma", "degree", "offset")}
+    return kernel.KernelSpec(family, **{k: v for k, v in params.items() if v is not None})
 
 
 def _oracle_step(method, X, y, reference, regime, args):
@@ -176,11 +206,6 @@ def _oracle_step(method, X, y, reference, regime, args):
     formed first and must be finite, so data that overflows them is a
     usage error before any closed form or run starts on it."""
     n, p = X.shape
-    if method in ("rk", "rcd"):
-        if reference is None:
-            raise UsageError("rk/rcd need a reference.vec in the problem directory")
-    elif args.lam is None or not 0.0 < args.lam < np.inf:
-        raise UsageError(f"{method} requires a finite --lambda > 0")
     lam = args.lam
     source = method
     with np.errstate(over="ignore", invalid="ignore"):
@@ -254,25 +279,19 @@ def _run_trials(method, X, y, reference, regime, args, beta0):
 def _mean_trace(traces) -> solvers.ConvergenceTrace:
     """Entrywise mean over the checkpoint prefix common to all trials."""
     length = min(len(t.records) for t in traces)
-    mean = solvers.ConvergenceTrace()
-    for k in range(length):
-        recs = [t.records[k] for t in traces]
-        mean.append(
-            solvers.TraceRecord(
-                recs[0].iter,
-                float(np.mean([r.err_sq for r in recs])),
-                float(np.mean([r.energy_err_sq for r in recs])),
-                float(np.mean([r.residual_sq for r in recs])),
-                float(np.mean([r.bound for r in recs])),
-            )
-        )
-    return mean
+    # trials on the last, contiguous axis: a mean along it sums in the
+    # order np.mean of one list of values does
+    values = np.stack([[dataclasses.astuple(r)[1:] for r in t.records[:length]]
+                       for t in traces], axis=-1)
+    return solvers.ConvergenceTrace([solvers.TraceRecord(r.iter, *m) for r, m in
+                                     zip(traces[0].records, values.mean(axis=-1).tolist())])
 
 
 def cmd_solve(args) -> int:
     X, y, reference, meta = _load_problem(args.problem_dir)
     regime = _regime_from_meta(meta)
     beta0 = _read_beta0(args, [args.method], X.shape[1])
+    _check_flags(args, [args.method], reference)
     traces, _ = _run_trials(args.method, X, y, reference, regime, args, beta0)
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
@@ -308,6 +327,7 @@ def cmd_compare(args) -> int:
     X, y, reference, meta = _load_problem(args.problem_dir)
     regime = _regime_from_meta(meta)
     beta0 = _read_beta0(args, args.method, X.shape[1])
+    _check_flags(args, args.method, reference)
     rows = []
     for method in args.method:
         traces, rate = _run_trials(method, X, y, reference, regime, args, beta0)

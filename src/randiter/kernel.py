@@ -71,22 +71,18 @@ def kernel_column(spec: KernelSpec, data: np.ndarray, x: np.ndarray) -> np.ndarr
     return (data @ x + spec.offset) ** spec.degree
 
 
-def kernel_diag(spec: KernelSpec, data: np.ndarray) -> np.ndarray:
-    """k(x_i, x_i) for every data point."""
-    if spec.family == "linear":
-        return np.einsum("ij,ij->i", data, data)
-    if spec.family == "gaussian":
-        return np.ones(data.shape[0])
-    return (np.einsum("ij,ij->i", data, data) + spec.offset) ** spec.degree
-
-
 def krr_weights(spec: KernelSpec, data: np.ndarray, lam: float) -> np.ndarray:
     """Row sampling weights k(x_i, x_i) + lambda.
 
     For the gaussian family the diagonal is constant, so this is the
     exact uniform distribution over rows.
     """
-    return kernel_diag(spec, data) + lam
+    if spec.family == "gaussian":
+        return np.ones(data.shape[0]) + lam
+    diag = np.einsum("ij,ij->i", data, data)
+    if spec.family == "polynomial":
+        diag = (diag + spec.offset) ** spec.degree
+    return diag + lam
 
 
 class _Gram:
@@ -219,6 +215,8 @@ def krr_run(
     """
     if not lam > 0.0:
         raise ValueError("kernel ridge requires lambda > 0")
+    if config.beta0 is not None:
+        raise ValueError("krr_run starts from alpha = 0 and takes no beta0")
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
     column = _Gram(spec, data).column
@@ -247,5 +245,5 @@ def krr_run(
         dual_res = y - s - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
-    return drive(sampler, config, n, advance, checkpoint, rate, "energy_err_sq",
+    return drive(sampler, config, advance, checkpoint, rate, "energy_err_sq",
                  tol_on="energy_err_sq", plateau=True, refresh=refresh)

@@ -31,7 +31,6 @@ class RegimeInstance:
     problem: Problem
     reference: np.ndarray
     z: np.ndarray | None = None  # inconsistency component, X^T z = 0
-    null_basis: np.ndarray | None = None  # columns span null(X)
 
 
 def gram(X: np.ndarray) -> np.ndarray:
@@ -58,9 +57,8 @@ def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """beta_RR via both closed forms, cross-checked before returning."""
     if not lam > 0.0:
         raise ValueError("ridge_solution requires lambda > 0")
-    n, p = X.shape
-    primal = linalg.solve_spd(gram(X) + lam * np.eye(p), X.T @ y)
-    dual = X.T @ linalg.solve_spd(outer_gram(X) + lam * np.eye(n), y)
+    primal = linalg.solve_spd(gram(X) + lam * np.eye(X.shape[1]), X.T @ y)
+    dual = X.T @ ridge_alpha_star(X, y, lam)
     scale = 1.0 + float(np.max(np.abs(primal)))
     if float(np.max(np.abs(primal - dual))) > RIDGE_FORM_TOL * scale:
         raise OracleInconsistency("primal and dual ridge closed forms disagree")
@@ -138,14 +136,10 @@ def _min_singular_value(X: np.ndarray) -> float:
     return math.sqrt(max(smallest, 0.0))
 
 
-def _gaussian(rng: np.random.Generator, *shape) -> np.ndarray:
-    return rng.standard_normal(shape)
-
-
 def _full_rank_matrix(n: int, p: int, seed: int) -> np.ndarray:
     for attempt in range(MAX_GENERATION_RETRIES):
         rng = np.random.Generator(np.random.PCG64(seed + attempt))
-        X = linalg.dense_matrix(_gaussian(rng, n, p))
+        X = linalg.dense_matrix(rng.standard_normal((n, p)))
         if _min_singular_value(X) > RANK_TOL:
             return X
     raise GenerationFailure(f"no full-rank {n}x{p} matrix after {MAX_GENERATION_RETRIES} tries")
@@ -157,7 +151,7 @@ def gen_consistent(n: int, p: int, seed: int) -> RegimeInstance:
         raise ValueError("consistent regime requires n > p")
     X = _full_rank_matrix(n, p, seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1_000_003))
-    beta_star = _gaussian(rng, p)
+    beta_star = rng.standard_normal(p)
     y = X @ beta_star
     return RegimeInstance(Problem(X, y, Regime.CONSISTENT_UNIQUE), beta_star)
 
@@ -170,9 +164,9 @@ def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeIns
         raise ValueError("noise_scale must be positive")
     X = _full_rank_matrix(n, p, seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1_000_003))
-    beta_ls = _gaussian(rng, p)
+    beta_ls = rng.standard_normal(p)
     for _ in range(MAX_GENERATION_RETRIES):
-        v = _gaussian(rng, n)
+        v = rng.standard_normal(n)
         z = v - X @ linalg.solve_spd(gram(X), X.T @ v)
         norm = float(np.linalg.norm(z))
         if norm > RANK_TOL:
@@ -188,10 +182,6 @@ def gen_underdetermined(n: int, p: int, seed: int) -> RegimeInstance:
         raise ValueError("underdetermined regime requires p > n")
     X = _full_rank_matrix(n, p, seed)
     rng = np.random.Generator(np.random.PCG64(seed + 1_000_003))
-    alpha = _gaussian(rng, n)
+    alpha = rng.standard_normal(n)
     y = X @ (X.T @ alpha)  # consistent by construction
-    reference = min_norm_solution(X, y)
-    basis = null_space_basis(X)
-    return RegimeInstance(
-        Problem(X, y, Regime.UNDERDETERMINED), reference, null_basis=basis
-    )
+    return RegimeInstance(Problem(X, y, Regime.UNDERDETERMINED), min_norm_solution(X, y))

@@ -100,6 +100,8 @@ def rk_ridge_run(
     plateau, or at max_iters.
     """
     _check_lambda(lam)
+    if config.beta0 is not None:
+        raise ValueError("rk_ridge starts from alpha = 0 and takes no beta0")
     sampler = build_sampler(rk_ridge_weights(X, lam))
 
     def measures(beta, alpha):
@@ -109,7 +111,7 @@ def rk_ridge_run(
         res = y - X @ beta
         return float(dbeta @ dbeta), float(xtv @ xtv) + lam * float(v @ v), float(res @ res)
 
-    return row_descent(X, y, lam, None, sampler, config, measures, rate, "energy_err_sq",
+    return row_descent(X, y, lam, sampler, config, measures, rate, "energy_err_sq",
                        tol_on="energy_err_sq", plateau=True)
 
 
@@ -133,5 +135,5 @@ def rcd_ridge_run(
         res = y - X @ beta
         return float(v @ v), float(xv @ xv) + lam * float(v @ v), float(res @ res)
 
-    return column_descent(X, y, lam, config.beta0, sampler, config, measures, rate,
+    return column_descent(X, y, lam, sampler, config, measures, rate,
                           "energy_err_sq", tol_on="energy_err_sq", plateau=True)

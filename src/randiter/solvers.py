@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DegenerateWeights, DimensionError, ZeroNormColumn, ZeroNormRow
+from .errors import DimensionError, ZeroNormColumn, ZeroNormRow
 from .sampling import RngState, WeightedSampler, build_sampler
 
 # The column loop maintains r = y - X beta and rk-krr s = K alpha
 # incrementally; rebuilding them this often caps floating-point drift
-# so per-step optimality stays testable.
+# so per-step optimality stays testable. The driver's draw blocks end
+# at its multiples, so they never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
 
 # Plateau detector for regimes with an error floor: stop when the
@@ -36,10 +37,6 @@ RESIDUAL_REFRESH_EVERY = 1000
 # epoch: a few steps that revisit already solved rows change nothing.
 PLATEAU_REL_CHANGE = 1e-6
 PLATEAU_WINDOW = 5
-
-# The driver draws at most this many indices at once, so its memory
-# stays flat however long the run.
-DRAW_BLOCK = 1024
 
 
 class Regime(enum.Enum):
@@ -167,7 +164,6 @@ def _plateaued(err_history: list[float], window: int) -> bool:
 def drive(
     sampler: WeightedSampler,
     config: RunConfig,
-    default_every: int,
     advance: Callable[[np.ndarray], None],
     checkpoint: Callable[[], tuple[float, float, float]],
     rate: float,
@@ -179,40 +175,37 @@ def drive(
     """The checkpoint and stop loop that every method's run shares.
 
     Steps t = 1..max_iters draw their indices from `sampler` with the
-    seed config.seed, DRAW_BLOCK at a time at most, and `advance(indices)`
+    seed config.seed, in blocks that end at multiples of
+    RESIDUAL_REFRESH_EVERY and at checkpoints, and `advance(indices)`
     takes those steps in order. After step t, `refresh()` runs when t is
     a multiple of RESIDUAL_REFRESH_EVERY; then, when t is a multiple of the
-    checkpoint cadence (config.checkpoint_every, else default_every) or
-    t = max_iters, a checkpoint is recorded. `checkpoint()` returns
-    (err_sq, energy_err_sq, residual_sq) of the current iterate, and the
-    record's bound is rate^t times the initial value of the `natural`
-    column. The run stops at the first checkpoint where the natural
-    column is not finite, where the `tol_on` column is <= tol^2 (if
-    tol_on is given) or, with `plateau`, where the natural column has
-    plateaued over the last PLATEAU_WINDOW checkpoints, or the last
-    PLATEAU_WINDOW epochs of default_every steps if those hold more.
-    The trace records `natural` and whether the run converged: it did
-    if tol_on is None, else if its final tol_on column is <= tol^2.
+    checkpoint cadence (config.checkpoint_every, else one epoch of
+    len(sampler) steps) or t = max_iters, a checkpoint is recorded.
+    `checkpoint()` returns (err_sq, energy_err_sq, residual_sq) of the
+    current iterate, and the record's bound is rate^t times the initial
+    value of the `natural` column. The run stops at the first checkpoint
+    where the natural column is not finite, where the `tol_on` column is
+    <= tol^2 (if tol_on is given) or, with `plateau`, where the natural
+    column has plateaued over the last PLATEAU_WINDOW checkpoints, or the
+    last PLATEAU_WINDOW epochs if those hold more. The trace records
+    `natural` and whether the run converged: it did if tol_on is None,
+    else if its final tol_on column is <= tol^2.
     """
-    every = config.checkpoint_every or default_every
+    epoch = len(sampler)
+    every = config.checkpoint_every or epoch
     if every < 1:
         raise ValueError("checkpoint_every must be positive")
-    window = PLATEAU_WINDOW * math.ceil(default_every / every)
+    window = PLATEAU_WINDOW * math.ceil(epoch / every)
     tol_sq = config.tol * config.tol
     rng = RngState(config.seed)
     trace = ConvergenceTrace(natural=natural)
     history: list[float] = []
-    initial = 0.0
 
     def record(t: int) -> TraceRecord:
-        nonlocal initial
         rec = TraceRecord(t, *checkpoint(), 0.0)
-        value = getattr(rec, natural)
-        if t == 0:
-            initial = value
-        rec.bound = (rate ** t) * initial
+        history.append(getattr(rec, natural))
+        rec.bound = (rate ** t) * history[0]
         trace.append(rec)
-        history.append(value)
         return rec
 
     record(0)
@@ -220,9 +213,7 @@ def drive(
     while t < config.max_iters and math.isfinite(history[-1]):
         end = min(config.max_iters, t - t % every + every)
         while t < end:
-            k = min(end - t, DRAW_BLOCK)
-            if refresh is not None:
-                k = min(k, RESIDUAL_REFRESH_EVERY - t % RESIDUAL_REFRESH_EVERY)
+            k = min(end, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY) - t
             advance(sampler.draw_block(rng, k))
             t += k
             if refresh is not None and t % RESIDUAL_REFRESH_EVERY == 0:
@@ -244,19 +235,18 @@ def drive(
 # get the bits of rk_step and rcd_step.
 
 
-def row_descent(X, y, lam, beta0, sampler, config, measures, rate, natural, **stop):
+def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     """Coordinate descent on the dual system (X X^T + lam I) alpha = y
     for lam >= 0: rk at lam = 0, rk-ridge at lam > 0.
 
-    Starts from alpha = 0 and beta = beta0 (zero if None) and keeps
+    Starts from alpha = 0 and beta = config.beta0 (zero if None) and keeps
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
     alpha_i += delta and beta += delta x_i. Runs `drive` with
     checkpoint measures(beta, alpha) and the stop rule `stop`.
     """
-    n, p = X.shape
-    beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=np.float64)
-    alpha = np.zeros(n)
+    beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
+    alpha = np.zeros(X.shape[0])
     scaled = np.empty_like(beta)
 
     def advance(rows):
@@ -270,21 +260,20 @@ def row_descent(X, y, lam, beta0, sampler, config, measures, rate, natural, **st
             alpha[row] += delta
             beta += np.multiply(xr, delta, out=scaled)
 
-    return drive(sampler, config, n, advance, lambda: measures(beta, alpha), rate, natural,
-                 **stop)
+    return drive(sampler, config, advance, lambda: measures(beta, alpha), rate, natural, **stop)
 
 
-def column_descent(X, y, lam, beta0, sampler, config, measures, rate, natural, **stop):
+def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     """Coordinate descent on the primal system (X^T X + lam I) beta = X^T y
     for lam >= 0: rcd at lam = 0, rcd-ridge at lam > 0.
 
-    Starts from beta = beta0 (zero if None) and keeps r = y - X beta,
+    Starts from beta = config.beta0 (zero if None) and keeps r = y - X beta,
     rebuilt every RESIDUAL_REFRESH_EVERY steps to cap drift. The step on
     column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 + lam), then
     beta_c += delta and r -= delta x_c. Runs `drive` with checkpoint
     measures(beta) and the stop rule `stop`.
     """
-    beta = np.zeros(X.shape[1]) if beta0 is None else np.array(beta0, dtype=np.float64)
+    beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
     residual = y - X @ beta
     columns = list(X.T)
     norms = [float(xc @ xc) + lam for xc in columns]
@@ -306,7 +295,7 @@ def column_descent(X, y, lam, beta0, sampler, config, measures, rate, natural, *
     def refresh():
         residual[:] = y - X @ beta
 
-    return drive(sampler, config, X.shape[1], advance, lambda: measures(beta), rate, natural,
+    return drive(sampler, config, advance, lambda: measures(beta), rate, natural,
                  refresh=refresh, **stop)
 
 
@@ -336,8 +325,6 @@ def run(
         weights, descent, natural = linalg.row_norms_sq(X), row_descent, "err_sq"
     else:
         weights, descent, natural = linalg.col_norms_sq(X), column_descent, "energy_err_sq"
-    if float(np.sum(weights)) <= 0.0:
-        raise DegenerateWeights("matrix is entirely zero")
     sampler = build_sampler(weights)
 
     consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
@@ -348,6 +335,6 @@ def run(
         res = y - X @ beta
         return float(diff @ diff), float(fitted @ fitted), float(res @ res)
 
-    return descent(X, y, 0.0, config.beta0, sampler, config, measures, rate, natural,
+    return descent(X, y, 0.0, sampler, config, measures, rate, natural,
                    tol_on="residual_sq" if consistent else None,
                    plateau=problem.regime == Regime.INCONSISTENT)

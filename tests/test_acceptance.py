@@ -188,7 +188,7 @@ def test_criterion_4_regime_trichotomy():
     X, y, ref = inst.problem.X, inst.problem.y, inst.reference
     st = SolverState(np.zeros(50), None, 0, RngState(4))
     sampler = build_sampler(linalg.row_norms_sq(X))
-    basis = inst.null_basis
+    basis = oracle.null_space_basis(X)
     for k in range(100_000):
         rk_step(st, X, y, sampler.draw(st.rng))
         if (k + 1) % 1000 == 0:

@@ -586,11 +586,15 @@ class TestInputContract:
             io.write_meta(str(prob / "meta.txt"), {"regime": "consistent"})
             for kernel_name in ("linear", "gaussian"):
                 for method in cli.METHODS:
+                    # each method gets only the flags it reads
+                    flags = [] if method in ("rk", "rcd") else ["--lambda", "0.1"]
+                    if method == "rk-krr":
+                        flags += ["--kernel", kernel_name]
                     capsys.readouterr()
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
-                        code = run_cli("solve", str(prob), "--method", method, "--lambda", "0.1",
-                                       "--kernel", kernel_name, "--out", str(tmp_path / "t.csv"))
+                        code = run_cli("solve", str(prob), "--method", method, *flags,
+                                       "--out", str(tmp_path / "t.csv"))
                     err = capsys.readouterr().err
                     assert code == cli.EXIT_USAGE, (x_scale, kernel_name, method)
                     assert "overflows on this data" in err and "non-finite" in err, err
@@ -717,3 +721,93 @@ def test_stale_sidecar_never_changes_a_solve(tiny_problem, capsys, name, where, 
             if os.path.exists(sidecar(path)):
                 os.remove(sidecar(path))
     assert runs[0] == runs[1]
+
+
+KRR = ["solve", "{prob}", "--method", "rk-krr", "--lambda", "10"]
+# the benchmark's dual-oracle compare, at its tiny size
+DUAL_ORACLE = ["compare", "{prob}", "--method", "rk-ridge", "--method", "rcd-ridge",
+               "--method", "rk-krr", "--kernel", "gaussian", "--lambda", "10.0",
+               "--iters", "3000", "--trials", "2"]
+
+# (argv without --out, a flag with its value, whether a method run reads it)
+FLAG_CASES = [
+    (["solve", "{prob}", "--method", "rk"], ["--lambda", "0.1"], False),
+    (["solve", "{prob}", "--method", "rcd"], ["--kernel", "poly"], False),
+    (["solve", "{prob}", "--method", "rcd-ridge", "--lambda", "10"], ["--kernel", "linear"],
+     False),
+    (["solve", "{prob}", "--method", "rk-ridge"], ["--lambda", "0.1"], True),
+    (KRR + ["--kernel", "linear"], ["--gamma", "5"], False),
+    (KRR + ["--kernel", "gaussian"], ["--degree", "3"], False),
+    (KRR + ["--kernel", "gaussian"], ["--offset", "1"], False),
+    (KRR + ["--kernel", "gaussian"], ["--gamma", "0.5"], True),
+    (KRR + ["--kernel", "poly"], ["--degree", "2"], True),
+    (KRR + ["--kernel", "poly"], ["--offset", "1"], True),
+    (["compare", "{prob}", "--method", "rk", "--method", "rcd"], ["--lambda", "0.1"], False),
+    (["compare", "{prob}", "--method", "rk", "--method", "rk-ridge"], ["--lambda", "0.1"], True),
+    (["compare", "{prob}", "--method", "rk", "--method", "rk-krr", "--kernel", "linear",
+      "--lambda", "0.1"], ["--gamma", "5"], False),
+    (DUAL_ORACLE, ["--gamma", "0.01"], True),
+    (DUAL_ORACLE, ["--degree", "3"], False),
+    (["generate", "consistent", "30", "10"], ["--noise", "9"], False),
+    (["generate", "underdetermined", "10", "30"], ["--noise", "9"], False),
+    (["generate", "inconsistent", "30", "10"], ["--noise", "9"], True),
+]
+
+
+@pytest.fixture(scope="module")
+def flags_problem(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("flags") / "prob")
+    assert run_cli("generate", "underdetermined", "6", "12", "--seed", "3", "--out", out) == 0
+    return out
+
+
+@pytest.mark.parametrize("argv,flag,read", FLAG_CASES,
+                         ids=[f"{a[0]}-{' '.join(a[2:])}-{f[0]}" for a, f, _ in FLAG_CASES])
+def test_flag_that_nothing_reads_is_usage_error(flags_problem, tmp_path, capsys, argv, flag,
+                                                read):
+    argv = [arg.replace("{prob}", flags_problem) for arg in argv]
+    out = str(tmp_path / "out")
+    code = run_cli(*argv, *flag, "--out", out)
+    err = capsys.readouterr().err
+    if read:
+        assert code == cli.EXIT_OK, err
+        assert os.path.exists(out)
+        return
+    assert code == cli.EXIT_USAGE
+    assert f"{flag[0]} is unused here" in err, err
+    assert not os.path.exists(out)
+    # the same command without the flag runs
+    assert run_cli(*argv, "--out", out) == cli.EXIT_OK
+
+
+class TestComparePrecheck:
+    """compare checks every method's flags and files before it runs any."""
+
+    @pytest.fixture
+    def trials(self, monkeypatch):
+        calls = []
+        run_trials = cli._run_trials
+
+        def counting(method, *args):
+            calls.append(method)
+            return run_trials(method, *args)
+
+        monkeypatch.setattr(cli, "_run_trials", counting)
+        return calls
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--method", "rk-krr"], "rk-krr requires --kernel"),
+        (["--method", "rk"], "rk/rcd need a reference.vec"),
+        (["--method", "rk-krr", "--kernel", "linear", "--gamma", "2"], "--gamma is unused here"),
+    ])
+    def test_exits_before_any_trial(self, consistent_dir, tmp_path, capsys, trials, flags,
+                                    message):
+        # two ridge methods that run for seconds come first
+        os.remove(os.path.join(consistent_dir, "reference.vec"))
+        out = str(tmp_path / "cmp.csv")
+        code = run_cli("compare", consistent_dir, "--method", "rk-ridge", "--method", "rcd-ridge",
+                       *flags, "--lambda", "0.1", "--iters", "200000", "--tol", "0", "--out", out)
+        assert code == cli.EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert trials == []
+        assert not os.path.exists(out)

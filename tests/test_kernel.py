@@ -13,7 +13,6 @@ from randiter.kernel import (
     _Gram,
     apply_gram,
     kernel_column,
-    kernel_diag,
     krr_predict,
     krr_run,
     krr_step,
@@ -87,7 +86,7 @@ class TestKernelEval:
             assert np.max(np.abs(col - expected)) < 1e-12
             col = _Gram(spec, data).column(3, np.empty(6))
             assert np.max(np.abs(col - expected)) < 1e-12
-            diag = kernel_diag(spec, data)
+            diag = krr_weights(spec, data, 0.0)
             expected_d = [pair_value(spec, data[j], data[j]) for j in range(6)]
             assert np.max(np.abs(diag - expected_d)) < 1e-12
 
@@ -193,6 +192,13 @@ class TestKrrRun:
         errs = trace.column("err_sq")
         assert errs[-1] < 1e-20
         assert np.all(np.diff(errs[:10]) <= 0.0)
+
+    def test_rejects_beta0(self):
+        # krr_run iterates on alpha from 0; a primal start has no meaning
+        data = gaussian_points(4, 2, seed=15)
+        config = RunConfig(max_iters=10, beta0=np.ones(2))
+        with pytest.raises(ValueError, match="beta0"):
+            krr_run(data, np.ones(4), KernelSpec("linear"), 0.1, config, np.zeros(4), 0.9)
 
     def test_energy_matrix_free_checkpoints_match_oracle(self):
         data = gaussian_points(12, 2, seed=15)

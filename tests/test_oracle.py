@@ -210,7 +210,7 @@ class TestGenerators:
         inst = oracle.gen_underdetermined(3, 8, seed=2)
         X, y, ref = inst.problem.X, inst.problem.y, inst.reference
         assert np.max(np.abs(X @ ref - y)) <= 1e-10
-        assert oracle.null_space_leakage(X, ref, inst.null_basis) <= 1e-9
+        assert oracle.null_space_leakage(X, ref, oracle.null_space_basis(X)) <= 1e-9
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

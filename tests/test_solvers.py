@@ -144,7 +144,7 @@ class TestPythagorasAndMonotonicity:
     def test_rk_row_space_confinement(self):
         inst = oracle.gen_underdetermined(6, 15, seed=8)
         X, y = inst.problem.X, inst.problem.y
-        basis = inst.null_basis
+        basis = oracle.null_space_basis(X)
         st = fresh_state(15, seed=3)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(400):

@@ -1,0 +1,111 @@
+"""Check that two source trees of randiter give byte-identical CLI results.
+
+Usage: python3 tools/trace_identity.py PARENT_SRC CHANGE_SRC
+
+PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.
+Each tree runs the same commands, one process per command and one BLAS
+thread, in a working directory of its own:
+
+- `generate` of the four standard instances;
+- on each instance, `solve --trials 2` with each of the five methods and
+  one `compare` of all five, at the default checkpoint cadence and at
+  `--checkpoint-every 7`.
+
+Then every command's exit code and stderr, and every file the commands
+wrote, are compared byte for byte. Differences are listed one a line;
+the exit status is 0 when there are none and 1 otherwise.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import tempfile
+
+INSTANCES = {
+    "c50x20": ["consistent", "50", "20", "--seed", "1"],
+    "i30x10": ["inconsistent", "30", "10", "--seed", "5"],
+    "u20x50": ["underdetermined", "20", "50", "--seed", "4"],
+    "u40x80": ["underdetermined", "40", "80", "--seed", "1"],
+}
+METHOD_FLAGS = {
+    "rk": [],
+    "rcd": [],
+    "rk-ridge": ["--lambda", "0.1"],
+    "rcd-ridge": ["--lambda", "0.1"],
+    "rk-krr": ["--kernel", "gaussian", "--gamma", "0.5", "--lambda", "0.1"],
+}
+CADENCES = {"default": [], "every7": ["--checkpoint-every", "7"]}
+
+
+def commands() -> list[list[str]]:
+    """The argv of every command, in the order they run."""
+    cmds = [["generate", *spec, "--out", name] for name, spec in INSTANCES.items()]
+    for name in INSTANCES:
+        for cadence, every in CADENCES.items():
+            for method, flags in METHOD_FLAGS.items():
+                cmds.append(["solve", name, "--method", method, *flags, *every, "--trials", "2",
+                             "--out", f"{name}/{method}-{cadence}.csv"])
+            compare = ["compare", name]
+            for method in METHOD_FLAGS:
+                compare += ["--method", method]
+            cmds.append(compare + METHOD_FLAGS["rk-krr"] + every
+                        + ["--out", f"{name}/compare-{cadence}.csv"])
+    return cmds
+
+
+def run_tree(src: str, workdir: str) -> list[tuple[int, bytes]]:
+    """Run every command against the tree at src; (exit code, stderr) of each."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", RANDITER_LOG="off")
+    results = []
+    for argv in commands():
+        proc = subprocess.run([sys.executable, "-m", "randiter.cli", *argv], cwd=workdir,
+                              env=env, capture_output=True)
+        results.append((proc.returncode, proc.stderr))
+    return results
+
+
+def files_under(root: str) -> dict[str, bytes]:
+    out = {}
+    for base, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(base, name)
+            with open(path, "rb") as f:
+                out[os.path.relpath(path, root)] = f.read()
+    return out
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = [os.path.join(tmp, "parent"), os.path.join(tmp, "change")]
+        runs = []
+        for src, workdir in zip(argv, dirs):
+            os.makedirs(workdir)
+            runs.append(run_tree(src, workdir))
+        files = [files_under(d) for d in dirs]
+
+    diffs = []
+    for argv_, before, after in zip(commands(), *runs):
+        if before[0] != after[0]:
+            diffs.append(f"exit code {before[0]} -> {after[0]}: {' '.join(argv_)}")
+        if before[1] != after[1]:
+            diffs.append(f"stderr differs: {' '.join(argv_)}")
+    for name in sorted(set(files[0]) | set(files[1])):
+        if files[0].get(name) != files[1].get(name):
+            what = "differs" if name in files[0] and name in files[1] else "exists in one tree only"
+            diffs.append(f"file {what}: {name}")
+    for line in diffs:
+        print(line)
+    codes = sorted({code for code, _ in runs[0]})
+    print(f"{len(runs[0])} commands (exit codes {codes}), {len(files[0])} files: "
+          + ("byte-identical" if not diffs else f"{len(diffs)} differences"))
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
