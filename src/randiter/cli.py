@@ -204,45 +204,43 @@ def _oracle_step(method, X, y, reference, regime, args):
     computed once for all trials. Returns (rate, solve), where
     solve(run_config) is the per-trial solver step. M and y^T y are
     formed first and must be finite, so data that overflows them is a
-    usage error before any closed form or run starts on it."""
+    usage error before any closed form or run starts on it. For the row
+    and column methods M is oracle.small_gram(X) + lambda I, lambda 0 for rk and rcd."""
     n, p = X.shape
-    lam = args.lam
+    lam = 0.0 if method in ("rk", "rcd") else args.lam
     source = method
     with np.errstate(over="ignore", invalid="ignore"):
-        if method in ("rk", "rcd"):
-            M, name = oracle.gram(X), "X^T X"
-        elif method == "rk-ridge":
-            M, name = oracle.outer_gram(X) + lam * np.eye(n), "X X^T + lambda I"
-        elif method == "rcd-ridge":
-            M, name = oracle.gram(X) + lam * np.eye(p), "X^T X + lambda I"
-        else:  # rk-krr: rows of X are the data points
+        if method == "rk-krr":  # rows of X are the data points
             spec = _kernel_spec(args)
             K = oracle.gram_matrix(spec, X)
             M, name = K + lam * np.eye(n), "K + lambda I"
             params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
                       "gaussian": f" --gamma {spec.gamma}"}.get(spec.family, "")
             source = f"--kernel {args.kernel}{params}"
+        else:
+            M = oracle.small_gram(X) + lam * np.eye(min(n, p))
+            name = ("X^T X" if p <= n else "X X^T") + (" + lambda I" if lam else "")
         yy = y @ y
     if not np.all(np.isfinite(M)):
         raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
     if not np.isfinite(yy):
         raise UsageError("y overflows on this data: y^T y is non-finite")
 
+    positive_only = method in ("rk", "rcd") and regime == solvers.Regime.UNDERDETERMINED
+    # the rate of the Gram each method runs on: n x n for the dual methods, else p x p
+    rate = oracle.theoretical_rate(M, positive_only, n if method in _NO_BETA0 else p, lam)
     if method in ("rk", "rcd"):
-        rate = oracle.theoretical_rate(M, positive_only=regime == solvers.Regime.UNDERDETERMINED)
         kind = solvers.Method.RK if method == "rk" else solvers.Method.RCD
         problem = solvers.Problem(X, y, regime)
         return rate, lambda cfg: solvers.run(kind, problem, cfg, reference, rate)
-    rate = oracle.theoretical_rate(M)
+    if method == "rk-krr":
+        alpha_star = oracle.krr_alpha_star(X, y, spec, lam, K=K)
+        return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate,
+                                                energy_matrix=M)
+    beta_rr, alpha_star = oracle.ridge_solution(X, y, lam, M)
     if method == "rk-ridge":
-        beta_rr = oracle.ridge_solution(X, y, lam)
-        alpha_star = oracle.ridge_alpha_star(X, y, lam)
         return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)
-    if method == "rcd-ridge":
-        beta_rr = oracle.ridge_solution(X, y, lam)
-        return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate)
-    alpha_star = oracle.krr_alpha_star(X, y, spec, lam, K=K)
-    return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate, energy_matrix=M)
+    return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate)
 
 
 # Dual methods: they iterate on alpha from 0 and keep beta = X^T alpha,

@@ -42,4 +42,4 @@ class GenerationFailure(RanditerError):
 
 
 class OracleInconsistency(RanditerError):
-    """Two closed forms that must agree did not; indicates a linalg bug."""
+    """The ridge targets from one solve fail the link it did not use: a linalg bug."""

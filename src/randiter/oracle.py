@@ -53,22 +53,37 @@ def min_norm_solution(X: np.ndarray, y: np.ndarray) -> np.ndarray:
     return X.T @ linalg.solve_spd(outer_gram(X), y)
 
 
-def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
-    """beta_RR via both closed forms, cross-checked before returning."""
+def small_gram(X: np.ndarray) -> np.ndarray:
+    """X^T X if p <= n, else X X^T: the other Gram adds only zero eigenvalues."""
+    n, p = X.shape
+    return gram(X) if p <= n else outer_gram(X)
+
+
+def ridge_solution(X: np.ndarray, y: np.ndarray, lam: float,
+                   A: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(beta_RR, alpha*) from one solve with A = small_gram(X) + lambda I,
+    unless passed; beta = X^T alpha or lambda alpha = y - X beta gives the
+    other. lambda beta = X^T (y - X beta), taken through X, checks the link not used."""
     if not lam > 0.0:
         raise ValueError("ridge_solution requires lambda > 0")
-    primal = linalg.solve_spd(gram(X) + lam * np.eye(X.shape[1]), X.T @ y)
-    dual = X.T @ ridge_alpha_star(X, y, lam)
-    scale = 1.0 + float(np.max(np.abs(primal)))
-    if float(np.max(np.abs(primal - dual))) > RIDGE_FORM_TOL * scale:
+    n, p = X.shape
+    if A is None:
+        A = small_gram(X) + lam * np.eye(min(n, p))
+    if p <= n:
+        beta = linalg.solve_spd(A, X.T @ y)
+        alpha = (y - X @ beta) / lam
+    else:
+        alpha = linalg.solve_spd(A, y)
+        beta = X.T @ alpha
+    scale = 1.0 + float(np.max(np.abs(X.T @ y)))
+    if float(np.max(np.abs(lam * beta - X.T @ (y - X @ beta)))) > RIDGE_FORM_TOL * scale:
         raise OracleInconsistency("primal and dual ridge closed forms disagree")
-    return primal
+    return beta, alpha
 
 
 def ridge_alpha_star(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     """Dual target alpha* = (X X^T + lambda I)^-1 y."""
-    n = X.shape[0]
-    return linalg.solve_spd(outer_gram(X) + lam * np.eye(n), y)
+    return ridge_solution(X, y, lam)[1]
 
 
 def gram_matrix(spec: kern.KernelSpec, data: np.ndarray) -> np.ndarray:
@@ -91,24 +106,28 @@ def krr_alpha_star(data: np.ndarray, y: np.ndarray, spec: kern.KernelSpec, lam: 
     return linalg.solve_spd(K + lam * np.eye(data.shape[0]), y)
 
 
-def theoretical_rate(M: np.ndarray, positive_only: bool = False) -> float:
-    """Per-iteration contraction bound 1 - sigma_min(M) / trace(M).
+def theoretical_rate(M: np.ndarray, positive_only: bool = False, size: int | None = None,
+                     lam: float = 0.0) -> float:
+    """Per-iteration contraction bound 1 - sigma_min / trace of M, or of
+    the size x size Gram + lam I when M is small_gram(X) + lam I: M's
+    eigenvalues and lam repeated size - len(M) times.
 
     With positive_only, sigma_min^+ (smallest eigenvalue above
     POSITIVE_EIG_REL_TOL * ||M||_F) is used, for rank-deficient M.
     """
-    eigs = linalg.sym_eigs(M)
+    extra = (len(M) if size is None else size) - len(M)
+    eigs = np.append(linalg.sym_eigs(M), np.full(extra, lam))
     tr = float(np.sum(eigs))
     if tr <= 0.0:
         raise DegenerateMatrix("theoretical_rate needs a positive trace")
     if positive_only:
-        cutoff = POSITIVE_EIG_REL_TOL * math.sqrt(linalg.frobenius_sq(M))
+        cutoff = POSITIVE_EIG_REL_TOL * math.sqrt(linalg.frobenius_sq(M) + extra * lam * lam)
         positive = eigs[eigs > cutoff]
         if positive.size == 0:
             raise DegenerateMatrix("no eigenvalue above the positive-part cutoff")
-        smallest = float(positive[0])
+        smallest = float(np.min(positive))
     else:
-        smallest = float(eigs[0])
+        smallest = float(np.min(eigs))
     return 1.0 - smallest / tr
 
 
@@ -121,27 +140,13 @@ def null_space_basis(X: np.ndarray) -> np.ndarray:
     return vt[rank:].T
 
 
-def null_space_leakage(X: np.ndarray, v: np.ndarray, basis: np.ndarray | None = None) -> float:
-    """Norm of the component of v inside null(X)."""
-    B = null_space_basis(X) if basis is None else basis
-    if B.shape[1] == 0:
-        return 0.0
-    return float(np.linalg.norm(B.T @ v))
-
-
-def _min_singular_value(X: np.ndarray) -> float:
-    n, p = X.shape
-    G = gram(X) if p <= n else outer_gram(X)
-    smallest = float(linalg.sym_eigs(G)[0])
-    return math.sqrt(max(smallest, 0.0))
-
-
-def _full_rank_matrix(n: int, p: int, seed: int) -> np.ndarray:
+def _full_rank_matrix(n: int, p: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    """A full-rank n x p X, and the generator that draws the rest of the instance."""
     for attempt in range(MAX_GENERATION_RETRIES):
         rng = np.random.Generator(np.random.PCG64(seed + attempt))
         X = linalg.dense_matrix(rng.standard_normal((n, p)))
-        if _min_singular_value(X) > RANK_TOL:
-            return X
+        if linalg.sym_eigs(small_gram(X))[0] > RANK_TOL * RANK_TOL:  # sigma_min(X)^2
+            return X, np.random.Generator(np.random.PCG64(seed + 1_000_003))
     raise GenerationFailure(f"no full-rank {n}x{p} matrix after {MAX_GENERATION_RETRIES} tries")
 
 
@@ -149,8 +154,7 @@ def gen_consistent(n: int, p: int, seed: int) -> RegimeInstance:
     """n > p instance with a planted exact solution."""
     if n <= p:
         raise ValueError("consistent regime requires n > p")
-    X = _full_rank_matrix(n, p, seed)
-    rng = np.random.Generator(np.random.PCG64(seed + 1_000_003))
+    X, rng = _full_rank_matrix(n, p, seed)
     beta_star = rng.standard_normal(p)
     y = X @ beta_star
     return RegimeInstance(Problem(X, y, Regime.CONSISTENT_UNIQUE), beta_star)
@@ -162,8 +166,7 @@ def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeIns
         raise ValueError("inconsistent regime requires n > p")
     if not noise_scale > 0.0:
         raise ValueError("noise_scale must be positive")
-    X = _full_rank_matrix(n, p, seed)
-    rng = np.random.Generator(np.random.PCG64(seed + 1_000_003))
+    X, rng = _full_rank_matrix(n, p, seed)
     beta_ls = rng.standard_normal(p)
     for _ in range(MAX_GENERATION_RETRIES):
         v = rng.standard_normal(n)
@@ -180,8 +183,7 @@ def gen_underdetermined(n: int, p: int, seed: int) -> RegimeInstance:
     """p > n instance; reference is the minimum-norm solution."""
     if p <= n:
         raise ValueError("underdetermined regime requires p > n")
-    X = _full_rank_matrix(n, p, seed)
-    rng = np.random.Generator(np.random.PCG64(seed + 1_000_003))
+    X, rng = _full_rank_matrix(n, p, seed)
     alpha = rng.standard_normal(n)
     y = X @ (X.T @ alpha)  # consistent by construction
     return RegimeInstance(Problem(X, y, Regime.UNDERDETERMINED), min_norm_solution(X, y))

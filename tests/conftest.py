@@ -1,6 +1,16 @@
 import numpy as np
 import pytest
 
+from randiter import oracle
+
+
+def null_space_leakage(X, v, basis=None):
+    """Norm of the component of v inside null(X)."""
+    B = oracle.null_space_basis(X) if basis is None else basis
+    if B.shape[1] == 0:
+        return 0.0
+    return float(np.linalg.norm(B.T @ v))
+
 
 @pytest.fixture
 def assert_stops_at_tol():

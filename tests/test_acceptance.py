@@ -25,6 +25,8 @@ from randiter.ridge import (
 from randiter.sampling import RngState, build_sampler
 from randiter.solvers import Method, RunConfig, SolverState, rcd_step, rk_step, run
 
+from conftest import null_space_leakage
+
 
 class Stopwatch:
     def __init__(self, budget_s):
@@ -192,11 +194,11 @@ def test_criterion_4_regime_trichotomy():
     for k in range(100_000):
         rk_step(st, X, y, sampler.draw(st.rng))
         if (k + 1) % 1000 == 0:
-            assert oracle.null_space_leakage(X, st.beta, basis) <= 1e-10
+            assert null_space_leakage(X, st.beta, basis) <= 1e-10
             if np.linalg.norm(st.beta - ref) <= 1e-6:
                 break
     assert np.linalg.norm(st.beta - ref) <= 1e-6
-    assert oracle.null_space_leakage(X, st.beta, basis) <= 1e-10
+    assert null_space_leakage(X, st.beta, basis) <= 1e-10
 
     rate_plus = oracle.theoretical_rate(oracle.gram(X), positive_only=True)
     rcd_trace = run(Method.RCD, inst.problem,
@@ -218,7 +220,7 @@ def test_criterion_5_ridge_fixed_point_and_convergence():
     primal = linalg.solve_spd(oracle.gram(X) + lam * np.eye(p), X.T @ y)
     dual = X.T @ linalg.solve_spd(oracle.outer_gram(X) + lam * np.eye(n), y)
     assert np.max(np.abs(primal - dual)) <= 1e-10
-    beta_rr = oracle.ridge_solution(X, y, lam)
+    beta_rr = oracle.ridge_solution(X, y, lam)[0]
     alpha_star = oracle.ridge_alpha_star(X, y, lam)
 
     st = RidgeState(np.zeros(n), np.zeros(p), 0, RngState(6), lam)

@@ -602,16 +602,29 @@ class TestInputContract:
         assert not os.path.exists(tmp_path / "t.csv")
 
     @pytest.mark.parametrize("method", ["rk-ridge", "rcd-ridge"])
-    def test_oracle_out_of_memory_is_usage_error(self, consistent_dir, tmp_path, capsys,
-                                                 monkeypatch, method):
-        # Both ridge oracles form the n x n X X^T, which on tall data does
-        # not fit in memory; numpy raises MemoryError for it.
+    def test_ridge_oracles_need_no_outer_gram_on_tall_data(self, consistent_dir, tmp_path,
+                                                           monkeypatch, method):
+        # On tall data both ridge oracles work from the p x p X^T X, so an
+        # n x n X X^T that would not fit in memory is never asked for.
         def outer_gram(X):
             raise MemoryError("Unable to allocate an n x n array")
 
         monkeypatch.setattr(oracle, "outer_gram", outer_gram)
         code = run_cli("solve", consistent_dir, "--method", method, "--lambda", "0.1",
                        "--out", str(tmp_path / "t.csv"))
+        assert code in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE)
+        assert os.path.exists(tmp_path / "t.csv")
+
+    def test_oracle_out_of_memory_is_usage_error(self, consistent_dir, tmp_path, capsys,
+                                                 monkeypatch):
+        # rk-krr's kernel matrix K is n x n; numpy raises MemoryError when
+        # it does not fit in memory.
+        def gram_matrix(spec, data):
+            raise MemoryError("Unable to allocate an n x n array")
+
+        monkeypatch.setattr(oracle, "gram_matrix", gram_matrix)
+        code = run_cli("solve", consistent_dir, "--method", "rk-krr", "--kernel", "gaussian",
+                       "--lambda", "0.1", "--out", str(tmp_path / "t.csv"))
         assert code == cli.EXIT_USAGE
         assert "oracle does not fit in memory" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t.csv")

@@ -181,7 +181,7 @@ RIDGE_CASES = {
 def ridge_pair(method, X, y, lam, config):
     """(run's trace, step loop's trace) for one ridge method."""
     n, p = X.shape
-    beta_rr = oracle.ridge_solution(X, y, lam)
+    beta_rr = oracle.ridge_solution(X, y, lam)[0]
     stop = energy_stop(config.tol)
     if method == "rk-ridge":
         alpha_star = oracle.ridge_alpha_star(X, y, lam)

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 import randiter
 from randiter import cli, linalg, oracle
-from randiter.errors import DegenerateMatrix, NotPositiveDefinite
+from randiter.errors import DegenerateMatrix, NotPositiveDefinite, OracleInconsistency
 from randiter.kernel import KernelSpec
 from randiter.solvers import Regime
+
+from conftest import null_space_leakage
 
 
 class TestLsSolution:
@@ -58,7 +60,7 @@ class TestMinNormSolution:
 
 class TestRidgeSolution:
     def test_diagonal(self):
-        assert np.allclose(oracle.ridge_solution(np.eye(2), np.array([2.0, 4.0]), 1.0),
+        assert np.allclose(oracle.ridge_solution(np.eye(2), np.array([2.0, 4.0]), 1.0)[0],
                            [1.0, 2.0])
 
     def test_large_lambda_shrinkage_bound(self):
@@ -66,7 +68,7 @@ class TestRidgeSolution:
         X = linalg.dense_matrix(rng.standard_normal((10, 4)))
         y = rng.standard_normal(10)
         lam = 1e6
-        beta = oracle.ridge_solution(X, y, lam)
+        beta = oracle.ridge_solution(X, y, lam)[0]
         assert np.linalg.norm(beta) <= np.linalg.norm(X.T @ y) / lam
 
     def test_dual_forms_agree_across_shapes_and_seeds(self):
@@ -76,13 +78,49 @@ class TestRidgeSolution:
                 rng = np.random.default_rng(1000 * n + 10 * p + seed)
                 X = linalg.dense_matrix(rng.standard_normal((n, p)))
                 y = rng.standard_normal(n)
-                beta = oracle.ridge_solution(X, y, 0.3)
+                beta = oracle.ridge_solution(X, y, 0.3)[0]
                 primal = np.linalg.solve(X.T @ X + 0.3 * np.eye(p), X.T @ y)
                 assert np.max(np.abs(beta - primal)) < 1e-10 * (1.0 + np.max(np.abs(primal)))
 
     def test_lambda_zero_rejected(self):
         with pytest.raises(ValueError):
             oracle.ridge_solution(np.eye(2), np.ones(2), 0.0)
+
+    @pytest.mark.parametrize("n,p", [(15, 6), (9, 9), (6, 15)])
+    def test_alpha_star_is_the_dual_solution(self, n, p):
+        rng = np.random.default_rng(n + p)
+        X = linalg.dense_matrix(rng.standard_normal((n, p)))
+        y = rng.standard_normal(n)
+        beta, alpha = oracle.ridge_solution(X, y, 0.3)
+        dual = np.linalg.solve(X @ X.T + 0.3 * np.eye(n), y)
+        assert np.max(np.abs(alpha - dual)) < 1e-10 * (1.0 + np.max(np.abs(dual)))
+        assert np.max(np.abs(beta - X.T @ alpha)) < 1e-10 * (1.0 + np.max(np.abs(beta)))
+
+    @pytest.mark.parametrize("n,p", [(60, 5), (5, 60)])
+    @pytest.mark.parametrize("lam", [1e-6, 1e-9])
+    def test_small_lambda_passes_the_check(self, n, p, lam):
+        # The check is relative to X^T y, so rounding that 1/lambda
+        # amplifies in alpha does not fail it.
+        rng = np.random.default_rng(n + p)
+        X = linalg.dense_matrix(rng.standard_normal((n, p)))
+        y = rng.standard_normal(n)
+        beta = oracle.ridge_solution(X, y, lam)[0]
+        stacked = np.vstack([X, np.sqrt(lam) * np.eye(p)])
+        expected = np.linalg.lstsq(stacked, np.concatenate([y, np.zeros(p)]), rcond=None)[0]
+        assert np.max(np.abs(beta - expected)) < 1e-10 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("n,p", [(15, 6), (6, 15)])
+    def test_unused_link_failing_raises(self, monkeypatch, n, p):
+        # A solve that is off by 1e-6 relative still gives one vector from
+        # the other exactly; the normal equation is what it breaks.
+        rng = np.random.default_rng(n * p)
+        X = linalg.dense_matrix(rng.standard_normal((n, p)))
+        y = rng.standard_normal(n)
+        oracle.ridge_solution(X, y, 0.3)
+        solve = linalg.solve_spd
+        monkeypatch.setattr(linalg, "solve_spd", lambda A, b: solve(A, b) * (1.0 + 1e-6))
+        with pytest.raises(OracleInconsistency):
+            oracle.ridge_solution(X, y, 0.3)
 
 
 class TestKrrAlphaStar:
@@ -181,6 +219,26 @@ class TestOracleOncePerInstance:
                          "--trials", "3", "--out", str(tmp_path / "cmp.csv")]) == 0
         assert len(calls) == 3
 
+    @pytest.mark.parametrize("regime,n,p", [("underdetermined", "40", "80"),
+                                            ("consistent", "50", "20")])
+    @pytest.mark.parametrize("method", ["rk-ridge", "rcd-ridge"])
+    def test_ridge_methods_make_one_solve_of_the_smaller_size(self, tmp_path, monkeypatch,
+                                                              regime, n, p, method):
+        prob = str(tmp_path / "prob")
+        assert cli.main(["generate", regime, n, p, "--seed", "1", "--out", prob]) == 0
+        shapes = []
+        solve = linalg.solve_spd
+
+        def counting(A, b):
+            shapes.append(A.shape)
+            return solve(A, b)
+
+        monkeypatch.setattr(linalg, "solve_spd", counting)
+        assert cli.main(["solve", prob, "--method", method, "--lambda", "0.1", "--iters", "200",
+                         "--out", str(tmp_path / "t.csv")]) in (0, 3)
+        size = min(int(n), int(p))
+        assert shapes == [(size, size)]
+
     def test_solver_modules_never_call_the_oracles_factorizations(self):
         # The oracle checks the solvers, so they must share no eigen-solve,
         # SVD or Cholesky code path with it.
@@ -210,7 +268,7 @@ class TestGenerators:
         inst = oracle.gen_underdetermined(3, 8, seed=2)
         X, y, ref = inst.problem.X, inst.problem.y, inst.reference
         assert np.max(np.abs(X @ ref - y)) <= 1e-10
-        assert oracle.null_space_leakage(X, ref, oracle.null_space_basis(X)) <= 1e-9
+        assert null_space_leakage(X, ref, oracle.null_space_basis(X)) <= 1e-9
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
@@ -228,3 +286,19 @@ class TestSpectralIdentities:
         outer = linalg.sym_eigs(oracle.outer_gram(X))
         nonzero_outer = outer[outer > 1e-8 * outer[-1]]
         assert np.max(np.abs(np.sort(inner) - np.sort(nonzero_outer))) <= 1e-8
+
+    @pytest.mark.parametrize("n,p", [(30, 8), (12, 12), (8, 30)])
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    @pytest.mark.parametrize("full", ["gram", "outer_gram"])
+    def test_rate_from_small_gram_is_rate_of_either_gram(self, n, p, lam, full):
+        # The full Gram + lambda I has small_gram's eigenvalues + lambda, and
+        # lambda size - min(n, p) more times; at lambda 0 those are zeros,
+        # which the positive-part rate leaves out.
+        X = linalg.dense_matrix(np.random.default_rng(n + 2 * p).standard_normal((n, p)))
+        M = getattr(oracle, full)(X)
+        size = len(M)
+        positive_only = lam == 0.0
+        expected = oracle.theoretical_rate(M + lam * np.eye(size), positive_only)
+        small = oracle.small_gram(X) + lam * np.eye(min(n, p))
+        got = oracle.theoretical_rate(small, positive_only, size, lam)
+        assert 1.0 - got == pytest.approx(1.0 - expected, rel=1e-12)

@@ -37,7 +37,7 @@ class TestRkRidgeStep:
         assert st.beta[0] == pytest.approx(1.0)
         rk_ridge_step(st, X, y, 0)  # already at the fixed point
         assert st.alpha[0] == pytest.approx(1.0)
-        beta_rr = oracle.ridge_solution(X, y, 1.0)
+        beta_rr = oracle.ridge_solution(X, y, 1.0)[0]
         assert st.beta[0] == pytest.approx(beta_rr[0])
 
     def test_zero_correction_leaves_state(self):
@@ -79,7 +79,7 @@ class TestRkRidgeStep:
     def test_converges_to_ridge_solution(self):
         X, y = scaled_instance(30, 10, seed=3)
         lam = 0.1
-        beta_rr = oracle.ridge_solution(X, y, lam)
+        beta_rr = oracle.ridge_solution(X, y, lam)[0]
         st = zero_ridge_state(30, 10, lam, seed=3)
         sampler = build_sampler(rk_ridge_weights(X, lam))
         for _ in range(100000):
@@ -95,7 +95,7 @@ class TestRcdRidgeStep:
         rcd_ridge_step(st, X, y, 0)
         assert np.allclose(st.beta, [1.0, 0.0])
         rcd_ridge_step(st, X, y, 1)
-        assert np.allclose(st.beta, oracle.ridge_solution(X, y, 1.0))
+        assert np.allclose(st.beta, oracle.ridge_solution(X, y, 1.0)[0])
 
     def test_no_op_when_optimal(self):
         X = linalg.dense_matrix(np.eye(2))
@@ -134,7 +134,7 @@ class TestRcdRidgeStep:
     def test_converges_to_ridge_solution(self):
         X, y = scaled_instance(30, 10, seed=8)
         lam = 0.1
-        beta_rr = oracle.ridge_solution(X, y, lam)
+        beta_rr = oracle.ridge_solution(X, y, lam)[0]
         st = RcdRidgeState(np.zeros(10), y.copy(), 0, RngState(2), lam)
         sampler = build_sampler(rcd_ridge_weights(X, lam))
         for k in range(100000):
@@ -163,7 +163,7 @@ class TestRidgeRuns:
     def test_rk_ridge_trace_energy_decreases(self):
         X, y = scaled_instance(20, 6, seed=11)
         lam = 0.2
-        beta_rr = oracle.ridge_solution(X, y, lam)
+        beta_rr = oracle.ridge_solution(X, y, lam)[0]
         alpha_star = oracle.ridge_alpha_star(X, y, lam)
         rate = oracle.theoretical_rate(oracle.outer_gram(X) + lam * np.eye(20))
         trace = rk_ridge_run(X, y, lam, RunConfig(max_iters=4000, seed=12),
@@ -176,7 +176,7 @@ class TestRidgeStopsAtTol:
     def setup_method(self):
         self.X, self.y = scaled_instance(20, 6, seed=14)
         self.lam = 0.2
-        self.beta_rr = oracle.ridge_solution(self.X, self.y, self.lam)
+        self.beta_rr = oracle.ridge_solution(self.X, self.y, self.lam)[0]
 
     def test_rk_ridge(self, assert_stops_at_tol):
         X, y, lam = self.X, self.y, self.lam

@@ -12,12 +12,16 @@ thread, in a working directory of its own:
   `--checkpoint-every 7`.
 
 Then every command's exit code and stderr, and every file the commands
-wrote, are compared byte for byte. Differences are listed one a line;
-the exit status is 0 when there are none and 1 otherwise.
+wrote, are compared byte for byte. Differences are listed one a line.
+Under each CSV that differs go whether its rows and its `iter` column
+match, and the largest relative change |a - b| / max(|a|, |b|) in each
+numeric column; the largest per column over all CSVs closes the list.
+The exit status is 0 when there are no differences and 1 otherwise.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -77,6 +81,44 @@ def files_under(root: str) -> dict[str, bytes]:
     return out
 
 
+def relative_change(a: float, b: float) -> float:
+    """|a - b| / max(|a|, |b|); 0 for equal values or two NaNs, 1 where
+    only one side is finite."""
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return 1.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def column_report(before: bytes, after: bytes) -> tuple[str, dict[str, float]]:
+    """How two CSVs differ: a line on their rows and `iter` columns, and
+    the largest relative change in each numeric column over the rows
+    both have."""
+    tables = []
+    for data in (before, after):
+        lines = data.decode().splitlines()
+        tables.append((lines[0].split(","), [line.split(",") for line in lines[1:]]))
+    (head, rows0), (head1, rows1) = tables
+    if head != head1:
+        return "    headers differ", {}
+    pairs = list(zip(rows0, rows1))
+    rows = "rows same" if len(rows0) == len(rows1) else f"rows {len(rows0)} -> {len(rows1)}"
+    changes = {}
+    for k, name in enumerate(head):
+        try:
+            values = [(float(a[k]), float(b[k])) for a, b in pairs]
+        except ValueError:
+            continue  # not numeric
+        changes[name] = max((relative_change(a, b) for a, b in values), default=0.0)
+    if "iter" not in head:
+        iters = "no iter column"
+    else:
+        iters = "iter same" if changes["iter"] == 0.0 and rows == "rows same" else "iter differs"
+    columns = ", ".join(f"{name} {change:.2g}" for name, change in changes.items())
+    return f"    {rows}, {iters}; max relative change: {columns}", changes
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
@@ -95,12 +137,21 @@ def main(argv: list[str]) -> int:
             diffs.append(f"exit code {before[0]} -> {after[0]}: {' '.join(argv_)}")
         if before[1] != after[1]:
             diffs.append(f"stderr differs: {' '.join(argv_)}")
+    overall: dict[str, float] = {}
     for name in sorted(set(files[0]) | set(files[1])):
         if files[0].get(name) != files[1].get(name):
             what = "differs" if name in files[0] and name in files[1] else "exists in one tree only"
             diffs.append(f"file {what}: {name}")
+            if what == "differs" and name.endswith(".csv"):
+                report, changes = column_report(files[0][name], files[1][name])
+                diffs[-1] += "\n" + report
+                for column, change in changes.items():
+                    overall[column] = max(overall.get(column, 0.0), change)
     for line in diffs:
         print(line)
+    if overall:
+        print("max relative change over all CSVs: "
+              + ", ".join(f"{name} {change:.2g}" for name, change in sorted(overall.items())))
     codes = sorted({code for code, _ in runs[0]})
     print(f"{len(runs[0])} commands (exit codes {codes}), {len(files[0])} files: "
           + ("byte-identical" if not diffs else f"{len(diffs)} differences"))
