@@ -176,8 +176,10 @@ _FLAG_READERS = {
 
 
 def _check_flags(args, methods, reference):
-    """Before any method runs: what each method needs is there, and some
-    method reads each flag given."""
+    """Before any method runs: --tol is finite and >= 0, what each method
+    needs is there, and some method reads each flag given."""
+    if not 0.0 <= args.tol < np.inf:
+        raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     for method in methods:
         if method in ("rk", "rcd"):
             if reference is None:
@@ -212,8 +214,7 @@ def _oracle_step(method, X, y, reference, regime, args):
     with np.errstate(over="ignore", invalid="ignore"):
         if method == "rk-krr":  # rows of X are the data points
             spec = _kernel_spec(args)
-            K = oracle.gram_matrix(spec, X)
-            M, name = K + lam * np.eye(n), "K + lambda I"
+            M, name = oracle.gram_matrix(spec, X) + lam * np.eye(n), "K + lambda I"
             params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
                       "gaussian": f" --gamma {spec.gamma}"}.get(spec.family, "")
             source = f"--kernel {args.kernel}{params}"
@@ -234,7 +235,7 @@ def _oracle_step(method, X, y, reference, regime, args):
         problem = solvers.Problem(X, y, regime)
         return rate, lambda cfg: solvers.run(kind, problem, cfg, reference, rate)
     if method == "rk-krr":
-        alpha_star = oracle.krr_alpha_star(X, y, spec, lam, K=K)
+        alpha_star = oracle.krr_alpha_star(X, y, spec, lam, M)
         return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate,
                                                 energy_matrix=M)
     beta_rr, alpha_star = oracle.ridge_solution(X, y, lam, M)

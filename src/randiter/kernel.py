@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError
-from .sampling import RngState, build_sampler
+from .sampling import build_sampler
 from .solvers import ConvergenceTrace, RunConfig, drive
 
 # apply_gram forms at most this many entries of K at once (256 KB).
@@ -43,24 +43,11 @@ class KernelSpec:
                 raise ValueError("polynomial kernel requires offset >= 0")
 
 
-@dataclass
-class KrrState:
-    """Dual iterate alpha plus maintained s = K alpha, for krr_step;
-    krr_run keeps both in its own arrays."""
-
-    alpha: np.ndarray
-    s: np.ndarray
-    iter: int
-    rng: RngState | None
-    lam: float
-
-
 def kernel_column(spec: KernelSpec, data: np.ndarray, x: np.ndarray) -> np.ndarray:
     """k(x_j, x) for every row x_j of data; one column of K, never K.
 
     The gaussian family takes the differences x_j - x directly: the
-    oracle's K and krr_predict use this form, the solvers the one in
-    _Gram."""
+    oracle's K uses this form, the solvers the one in _Gram."""
     if data.shape[1] != x.shape[0]:
         raise DimensionError(f"kernel_column: {data.shape} vs {x.shape}")
     if spec.family == "linear":
@@ -158,32 +145,21 @@ class _Gram:
 
 
 def krr_step(
-    state: KrrState,
+    alpha: np.ndarray,
+    s: np.ndarray,
     data: np.ndarray,
     y: np.ndarray,
     spec: KernelSpec,
+    lam: float,
     row: int,
-) -> KrrState:
-    """One dual row action using a single on-the-fly kernel column: the
-    single-step reference for krr_run's inner loop, with the same
-    column."""
+) -> None:
+    """One dual row action, in place, using a single on-the-fly kernel
+    column; s = K alpha before and after. The single-step reference for
+    krr_run's inner loop, with the same column."""
     col = _Gram(spec, data).column(row, np.empty(data.shape[0]))
-    delta = (y[row] - state.s[row] - state.lam * state.alpha[row]) / (
-        float(col[row]) + state.lam
-    )
-    state.alpha[row] += delta
-    state.s += delta * col
-    state.iter += 1
-    return state
-
-
-def krr_predict(alpha: np.ndarray, data: np.ndarray, spec: KernelSpec, x: np.ndarray) -> float:
-    """f(x) = sum_i alpha_i k(x_i, x)."""
-    if alpha.shape[0] != data.shape[0]:
-        raise DimensionError(
-            f"alpha has length {alpha.shape[0]}, data has {data.shape[0]} points"
-        )
-    return float(alpha @ kernel_column(spec, data, x))
+    delta = (y[row] - s[row] - lam * alpha[row]) / (float(col[row]) + lam)
+    alpha[row] += delta
+    s += delta * col
 
 
 def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -96,14 +96,14 @@ def gram_matrix(spec: kern.KernelSpec, data: np.ndarray) -> np.ndarray:
 
 
 def krr_alpha_star(data: np.ndarray, y: np.ndarray, spec: kern.KernelSpec, lam: float,
-                   K: np.ndarray | None = None) -> np.ndarray:
-    """alpha* = (K + lambda I)^-1 y with K formed explicitly, unless the
-    caller passes gram_matrix(spec, data) as K."""
+                   A: np.ndarray | None = None) -> np.ndarray:
+    """alpha* = (K + lambda I)^-1 y from one solve with A = K + lambda I,
+    K formed explicitly, unless the caller passes A."""
     if not lam > 0.0:
         raise ValueError("krr_alpha_star requires lambda > 0")
-    if K is None:
-        K = gram_matrix(spec, data)
-    return linalg.solve_spd(K + lam * np.eye(data.shape[0]), y)
+    if A is None:
+        A = gram_matrix(spec, data) + lam * np.eye(data.shape[0])
+    return linalg.solve_spd(A, y)
 
 
 def theoretical_rate(M: np.ndarray, positive_only: bool = False, size: int | None = None,
@@ -164,8 +164,8 @@ def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeIns
     """n > p instance with y = X beta_LS + z, X^T z = 0, ||z|| = noise_scale."""
     if n <= p:
         raise ValueError("inconsistent regime requires n > p")
-    if not noise_scale > 0.0:
-        raise ValueError("noise_scale must be positive")
+    if not 0.0 < noise_scale < math.inf:
+        raise ValueError("noise_scale must be positive and finite")
     X, rng = _full_rank_matrix(n, p, seed)
     beta_ls = rng.standard_normal(p)
     for _ in range(MAX_GENERATION_RETRIES):
@@ -175,6 +175,9 @@ def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeIns
         if norm > RANK_TOL:
             z *= noise_scale / norm
             y = X @ beta_ls + z
+            with np.errstate(over="ignore"):
+                if not math.isfinite(y @ y) or not math.isfinite(z @ z):
+                    raise ValueError(f"noise_scale {noise_scale} overflows ||y||^2")
             return RegimeInstance(Problem(X, y, Regime.INCONSISTENT), beta_ls, z=z)
     raise GenerationFailure("could not draw a nonzero component orthogonal to col(X)")
 

@@ -11,70 +11,31 @@ weights, checkpoint measures and stop rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg
-from .sampling import RngState, build_sampler
+from .sampling import build_sampler
 from .solvers import ConvergenceTrace, RunConfig, column_descent, row_descent
 
 
-@dataclass
-class RidgeState:
-    """Dual/primal pair for rk_ridge; beta = X^T alpha throughout when
-    started from zeros."""
-
-    alpha: np.ndarray
-    beta: np.ndarray
-    iter: int
-    rng: RngState
-    lam: float
-
-
-@dataclass
-class RcdRidgeState:
-    """Primal iterate plus maintained residual r = y - X beta."""
-
-    beta: np.ndarray
-    residual: np.ndarray
-    iter: int
-    rng: RngState
-    lam: float
-
-
-def rk_ridge_step(state: RidgeState, X: np.ndarray, y: np.ndarray, row: int) -> RidgeState:
-    """One dual row action; updates alpha[row] and beta by the same delta."""
+def rk_ridge_step(alpha: np.ndarray, beta: np.ndarray, X: np.ndarray, y: np.ndarray,
+                  lam: float, row: int) -> None:
+    """One dual row action, in place: alpha[row] and beta move by the
+    same delta, so beta = X^T alpha holds throughout from zeros."""
     xr = X[row]
-    delta = (y[row] - float(state.beta @ xr) - state.lam * state.alpha[row]) / (
-        float(xr @ xr) + state.lam
-    )
-    state.alpha[row] += delta
-    state.beta += delta * xr
-    state.iter += 1
-    return state
+    delta = (y[row] - float(beta @ xr) - lam * alpha[row]) / (float(xr @ xr) + lam)
+    alpha[row] += delta
+    beta += delta * xr
 
 
-def rcd_ridge_step(state: RcdRidgeState, X: np.ndarray, y: np.ndarray, col: int) -> RcdRidgeState:
-    """One primal coordinate action in delta form; keeps r = y - X beta."""
+def rcd_ridge_step(beta: np.ndarray, residual: np.ndarray, X: np.ndarray, lam: float,
+                   col: int) -> None:
+    """One primal coordinate action in delta form, in place; residual =
+    y - X beta before and after."""
     xc = X[:, col]
-    delta = (float(xc @ state.residual) - state.lam * state.beta[col]) / (
-        float(xc @ xc) + state.lam
-    )
-    state.beta[col] += delta
-    state.residual -= delta * xc
-    state.iter += 1
-    return state
-
-
-def rk_ridge_weights(X: np.ndarray, lam: float) -> np.ndarray:
-    """Row sampling weights ||X^i||^2 + lambda, precomputed in one pass."""
-    return linalg.row_norms_sq(X) + lam
-
-
-def rcd_ridge_weights(X: np.ndarray, lam: float) -> np.ndarray:
-    """Column sampling weights ||X_j||^2 + lambda."""
-    return linalg.col_norms_sq(X) + lam
+    delta = (float(xc @ residual) - lam * beta[col]) / (float(xc @ xc) + lam)
+    beta[col] += delta
+    residual -= delta * xc
 
 
 def _check_lambda(lam: float) -> None:
@@ -102,7 +63,7 @@ def rk_ridge_run(
     _check_lambda(lam)
     if config.beta0 is not None:
         raise ValueError("rk_ridge starts from alpha = 0 and takes no beta0")
-    sampler = build_sampler(rk_ridge_weights(X, lam))
+    sampler = build_sampler(linalg.row_norms_sq(X) + lam)
 
     def measures(beta, alpha):
         dbeta = beta - reference_beta
@@ -127,7 +88,7 @@ def rcd_ridge_run(
     ||X v||^2 + lambda ||v||^2 for v = beta - beta_RR. Stops as
     rk_ridge_run does."""
     _check_lambda(lam)
-    sampler = build_sampler(rcd_ridge_weights(X, lam))
+    sampler = build_sampler(linalg.col_norms_sq(X) + lam)
 
     def measures(beta):
         v = beta - reference_beta

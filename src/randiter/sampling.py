@@ -1,11 +1,11 @@
 """Weighted discrete index sampling with a reproducible RNG.
 
-The generator is numpy's PCG64, seeded with a 64-bit integer. A given
-(seed, weights) pair fully determines the draw sequence, which the
-experiment harness relies on for byte-identical reruns. A block of k
-uniforms from `Generator.random(k)` is the same k doubles that k scalar
-`random()` calls give, so drawing a block at a time leaves the sequence
-unchanged.
+The stream is numpy's PCG64 Generator,
+`np.random.Generator(np.random.PCG64(seed))`. A given (seed, weights)
+pair fully determines the draw sequence, which the experiment harness
+relies on for byte-identical reruns. A block of k uniforms from
+`Generator.random(k)` is the same k doubles that k scalar `random()`
+calls give, so drawing a block at a time leaves the sequence unchanged.
 """
 
 from __future__ import annotations
@@ -13,22 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateWeights, NegativeWeight
-
-
-class RngState:
-    """Single-owner deterministic random stream (PCG64)."""
-
-    def __init__(self, seed: int):
-        self.seed = int(seed)
-        self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self) -> float:
-        """Next float64 in [0, 1)."""
-        return float(self._gen.random())
-
-    def uniforms(self, k: int) -> np.ndarray:
-        """Next k float64s in [0, 1), the same as k calls of uniform()."""
-        return self._gen.random(k)
 
 
 class WeightedSampler:
@@ -64,13 +48,13 @@ class WeightedSampler:
         # subnormal); that goes to the last positive bin
         return np.where(idx == len(self), self._last, idx)
 
-    def draw(self, rng: RngState) -> int:
+    def draw(self, rng: np.random.Generator) -> int:
         """One index with the sampler's distribution; advances rng."""
-        return int(self._indices(rng.uniform()))
+        return int(self._indices(rng.random()))
 
-    def draw_block(self, rng: RngState, k: int) -> np.ndarray:
+    def draw_block(self, rng: np.random.Generator, k: int) -> np.ndarray:
         """k indices, the same as k calls of draw(); advances rng by k."""
-        return self._indices(rng.uniforms(k))
+        return self._indices(rng.random(k))
 
 
 def build_sampler(weights) -> WeightedSampler:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DimensionError, ZeroNormColumn, ZeroNormRow
-from .sampling import RngState, WeightedSampler, build_sampler
+from .sampling import WeightedSampler, build_sampler
 
 # The column loop maintains r = y - X beta and rk-krr s = K alpha
 # incrementally; rebuilding them this often caps floating-point drift
@@ -67,21 +67,6 @@ class Problem:
 
 
 @dataclass
-class SolverState:
-    """Mutable iterate for RK/RCD.
-
-    RK does not maintain `residual` (a step needs only one row inner
-    product); it is None there and recomputed at checkpoints. RCD keeps
-    it incrementally up to date.
-    """
-
-    beta: np.ndarray
-    residual: np.ndarray | None
-    iter: int
-    rng: RngState
-
-
-@dataclass
 class TraceRecord:
     iter: int
     err_sq: float
@@ -123,31 +108,26 @@ class RunConfig:
     beta0: np.ndarray | None = None  # default: zero vector
 
 
-def rk_step(state: SolverState, X: np.ndarray, y: np.ndarray, row: int) -> SolverState:
-    """Project the iterate onto the hyperplane of one equation (row)."""
+def rk_step(beta: np.ndarray, X: np.ndarray, y: np.ndarray, row: int) -> None:
+    """Project beta, in place, onto the hyperplane of one equation (row)."""
     xr = X[row]
     nrm = float(xr @ xr)
     if nrm <= 0.0:
         raise ZeroNormRow(f"row {row} has zero norm")
-    delta = (y[row] - float(xr @ state.beta)) / nrm
-    state.beta += delta * xr
-    state.iter += 1
-    return state
+    delta = (y[row] - float(xr @ beta)) / nrm
+    beta += delta * xr
 
 
-def rcd_step(state: SolverState, X: np.ndarray, y: np.ndarray, col: int) -> SolverState:
-    """Exactly minimize the residual norm along one coordinate (column)."""
+def rcd_step(beta: np.ndarray, residual: np.ndarray, X: np.ndarray, col: int) -> None:
+    """Exactly minimize the residual norm along one coordinate (column),
+    in place; residual = y - X beta before and after."""
     xc = X[:, col]
     nrm = float(xc @ xc)
     if nrm <= 0.0:
         raise ZeroNormColumn(f"column {col} has zero norm")
-    if state.residual is None:
-        state.residual = y - X @ state.beta
-    delta = float(xc @ state.residual) / nrm
-    state.beta[col] += delta
-    state.residual -= delta * xc
-    state.iter += 1
-    return state
+    delta = float(xc @ residual) / nrm
+    beta[col] += delta
+    residual -= delta * xc
 
 
 def _plateaued(err_history: list[float], window: int) -> bool:
@@ -197,7 +177,7 @@ def drive(
         raise ValueError("checkpoint_every must be positive")
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
     tol_sq = config.tol * config.tol
-    rng = RngState(config.seed)
+    rng = np.random.Generator(np.random.PCG64(config.seed))
     trace = ConvergenceTrace(natural=natural)
     history: list[float] = []
 

@@ -4,6 +4,11 @@ import pytest
 from randiter import oracle
 
 
+def pcg(seed):
+    """The random stream `drive` draws from for a run with this seed."""
+    return np.random.Generator(np.random.PCG64(seed))
+
+
 def null_space_leakage(X, v, basis=None):
     """Norm of the component of v inside null(X)."""
     B = oracle.null_space_basis(X) if basis is None else basis

@@ -9,23 +9,14 @@ import time
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from randiter import cli, io, linalg, oracle
-from randiter.kernel import KernelSpec, KrrState, krr_run, krr_step, krr_weights
-from randiter.ridge import (
-    RcdRidgeState,
-    RidgeState,
-    rcd_ridge_step,
-    rcd_ridge_weights,
-    rk_ridge_run,
-    rk_ridge_step,
-    rk_ridge_weights,
-)
-from randiter.sampling import RngState, build_sampler
-from randiter.solvers import Method, RunConfig, SolverState, rcd_step, rk_step, run
+from randiter.kernel import KernelSpec, krr_run, krr_step, krr_weights
+from randiter.ridge import rcd_ridge_step, rk_ridge_step
+from randiter.sampling import build_sampler
+from randiter.solvers import Method, RunConfig, rcd_step, rk_step, run
 
-from conftest import null_space_leakage
+from conftest import null_space_leakage, pcg
 
 
 class Stopwatch:
@@ -58,37 +49,37 @@ def test_criterion_1_per_step_identities():
         X, y = inst.problem.X, inst.problem.y
         tol_y = 1e-10
 
-        st = SolverState(np.zeros(10), None, 0, RngState(seed))
+        beta, rng = np.zeros(10), pcg(seed)
         sampler = build_sampler(linalg.row_norms_sq(X))
         worst = 0.0
         for _ in range(steps):
-            r = sampler.draw(st.rng)
-            rk_step(st, X, y, r)
-            worst = max(worst, abs(float(X[r] @ st.beta) - y[r]) / (1.0 + abs(y[r])))
+            r = sampler.draw(rng)
+            rk_step(beta, X, y, r)
+            worst = max(worst, abs(float(X[r] @ beta) - y[r]) / (1.0 + abs(y[r])))
         assert worst <= tol_y
 
-        st = SolverState(np.zeros(10), y.copy(), 0, RngState(seed))
+        beta, residual, rng = np.zeros(10), y.copy(), pcg(seed)
         sampler = build_sampler(linalg.col_norms_sq(X))
         scale = 1.0 + float(np.max(np.abs(y)))
         worst = 0.0
         for k in range(steps):
-            c = sampler.draw(st.rng)
-            rcd_step(st, X, y, c)
+            c = sampler.draw(rng)
+            rcd_step(beta, residual, X, c)
             if (k + 1) % 1000 == 0:
-                st.residual = y - X @ st.beta
-            worst = max(worst, abs(float(X[:, c] @ (y - X @ st.beta))) / scale)
+                residual[:] = y - X @ beta
+            worst = max(worst, abs(float(X[:, c] @ (y - X @ beta))) / scale)
         assert worst <= tol_y
 
         lam = 0.1
-        rst = RcdRidgeState(np.zeros(10), y.copy(), 0, RngState(seed), lam)
-        sampler = build_sampler(rcd_ridge_weights(X, lam))
+        beta, residual, rng = np.zeros(10), y.copy(), pcg(seed)
+        sampler = build_sampler(linalg.col_norms_sq(X) + lam)
         worst = 0.0
         for k in range(steps):
-            c = sampler.draw(rst.rng)
-            rcd_ridge_step(rst, X, y, c)
+            c = sampler.draw(rng)
+            rcd_ridge_step(beta, residual, X, lam, c)
             if (k + 1) % 1000 == 0:
-                rst.residual = y - X @ rst.beta
-            grad = float(X[:, c] @ (y - X @ rst.beta)) - lam * rst.beta[c]
+                residual[:] = y - X @ beta
+            grad = float(X[:, c] @ (y - X @ beta)) - lam * beta[c]
             worst = max(worst, abs(grad) / scale)
         assert worst <= tol_y
     watch.done("criterion 1 (per-step identities)")
@@ -104,14 +95,14 @@ def test_criterion_2_pythagoras_identities():
     # RK, consistent (shape chosen so 1e4 steps stay above the fp floor)
     inst = oracle.gen_consistent(100, 80, seed=200)
     X, y, ref = inst.problem.X, inst.problem.y, inst.reference
-    st = SolverState(np.zeros(80), None, 0, RngState(1))
+    beta, rng = np.zeros(80), pcg(1)
     sampler = build_sampler(linalg.row_norms_sq(X))
-    e_prev = float((st.beta - ref) @ (st.beta - ref))
+    e_prev = float((beta - ref) @ (beta - ref))
     for _ in range(steps):
-        prev = st.beta.copy()
-        rk_step(st, X, y, sampler.draw(st.rng))
-        e_new = float((st.beta - ref) @ (st.beta - ref))
-        move = float((st.beta - prev) @ (st.beta - prev))
+        prev = beta.copy()
+        rk_step(beta, X, y, sampler.draw(rng))
+        e_new = float((beta - ref) @ (beta - ref))
+        move = float((beta - prev) @ (beta - prev))
         assert abs(e_prev - e_new - move) <= 1e-9 * max(e_prev, 1e-300)
         e_prev = e_new
 
@@ -119,16 +110,16 @@ def test_criterion_2_pythagoras_identities():
     for inst in (oracle.gen_consistent(100, 80, seed=201),
                  oracle.gen_inconsistent(100, 80, 0.5, seed=202)):
         X, y, ref = inst.problem.X, inst.problem.y, inst.reference
-        st = SolverState(np.zeros(80), y.copy(), 0, RngState(2))
+        beta, residual, rng = np.zeros(80), y.copy(), pcg(2)
         sampler = build_sampler(linalg.col_norms_sq(X))
         fit_ref = X @ ref
-        fit_prev = X @ st.beta
+        fit_prev = X @ beta
         e_prev = float((fit_prev - fit_ref) @ (fit_prev - fit_ref))
         for k in range(steps):
-            rcd_step(st, X, y, sampler.draw(st.rng))
+            rcd_step(beta, residual, X, sampler.draw(rng))
             if (k + 1) % 1000 == 0:
-                st.residual = y - X @ st.beta
-            fit = X @ st.beta
+                residual[:] = y - X @ beta
+            fit = X @ beta
             e_new = float((fit - fit_ref) @ (fit - fit_ref))
             move = float((fit - fit_prev) @ (fit - fit_prev))
             assert abs(e_prev - e_new - move) <= 1e-9 * max(e_prev, 1e-300)
@@ -188,17 +179,17 @@ def test_criterion_4_regime_trichotomy():
     # (b) underdetermined 20x50
     inst = oracle.gen_underdetermined(20, 50, seed=401)
     X, y, ref = inst.problem.X, inst.problem.y, inst.reference
-    st = SolverState(np.zeros(50), None, 0, RngState(4))
+    beta, rng = np.zeros(50), pcg(4)
     sampler = build_sampler(linalg.row_norms_sq(X))
     basis = oracle.null_space_basis(X)
     for k in range(100_000):
-        rk_step(st, X, y, sampler.draw(st.rng))
+        rk_step(beta, X, y, sampler.draw(rng))
         if (k + 1) % 1000 == 0:
-            assert null_space_leakage(X, st.beta, basis) <= 1e-10
-            if np.linalg.norm(st.beta - ref) <= 1e-6:
+            assert null_space_leakage(X, beta, basis) <= 1e-10
+            if np.linalg.norm(beta - ref) <= 1e-6:
                 break
-    assert np.linalg.norm(st.beta - ref) <= 1e-6
-    assert null_space_leakage(X, st.beta, basis) <= 1e-10
+    assert np.linalg.norm(beta - ref) <= 1e-6
+    assert null_space_leakage(X, beta, basis) <= 1e-10
 
     rate_plus = oracle.theoretical_rate(oracle.gram(X), positive_only=True)
     rcd_trace = run(Method.RCD, inst.problem,
@@ -223,15 +214,15 @@ def test_criterion_5_ridge_fixed_point_and_convergence():
     beta_rr = oracle.ridge_solution(X, y, lam)[0]
     alpha_star = oracle.ridge_alpha_star(X, y, lam)
 
-    st = RidgeState(np.zeros(n), np.zeros(p), 0, RngState(6), lam)
-    sampler = build_sampler(rk_ridge_weights(X, lam))
+    alpha, beta, rng = np.zeros(n), np.zeros(p), pcg(6)
+    sampler = build_sampler(linalg.row_norms_sq(X) + lam)
     for k in range(100_000):
-        rk_ridge_step(st, X, y, sampler.draw(st.rng))
+        rk_ridge_step(alpha, beta, X, y, lam, sampler.draw(rng))
         if (k + 1) % 1000 == 0:
-            link = np.max(np.abs(st.beta - X.T @ st.alpha))
-            assert link <= 1e-10 * (1.0 + np.max(np.abs(st.beta)))
-    assert np.linalg.norm(st.beta - beta_rr) <= 1e-8
-    assert np.linalg.norm(st.alpha - alpha_star) <= 1e-7
+            link = np.max(np.abs(beta - X.T @ alpha))
+            assert link <= 1e-10 * (1.0 + np.max(np.abs(beta)))
+    assert np.linalg.norm(beta - beta_rr) <= 1e-8
+    assert np.linalg.norm(alpha - alpha_star) <= 1e-7
     watch.done("criterion 5 (ridge fixed point and convergence)")
 
 
@@ -258,11 +249,11 @@ def test_criterion_6_krr_matrix_free():
     big = linalg.dense_matrix(rng.standard_normal((2000, 3)))
     y_big = linalg.dense_vector(rng.standard_normal(2000))
     sampler = build_sampler(krr_weights(spec, big, lam))
-    st = KrrState(np.zeros(2000), np.zeros(2000), 0, RngState(8), lam)
+    alpha, s, rng = np.zeros(2000), np.zeros(2000), pcg(8)
     tracemalloc.start()
     tracemalloc.reset_peak()
     for _ in range(200):
-        krr_step(st, big, y_big, spec, sampler.draw(st.rng))
+        krr_step(alpha, s, big, y_big, spec, lam, sampler.draw(rng))
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 4 * 2000 * 8 * 10  # ~0.6 MB: a handful of length-n vectors
@@ -291,21 +282,21 @@ def test_criterion_7_linear_kernel_equivalence():
     lam = 0.3
     spec = KernelSpec("linear")
 
-    w_ridge = rk_ridge_weights(X, lam)
+    w_ridge = linalg.row_norms_sq(X) + lam
     w_krr = krr_weights(spec, X, lam)
     assert np.all(w_ridge == w_krr)
 
-    ridge_st = RidgeState(np.zeros(25), np.zeros(8), 0, RngState(9), lam)
-    krr_st = KrrState(np.zeros(25), np.zeros(25), 0, RngState(9), lam)
+    ridge_alpha, ridge_beta, ridge_rng = np.zeros(25), np.zeros(8), pcg(9)
+    krr_alpha, krr_s, krr_rng = np.zeros(25), np.zeros(25), pcg(9)
     s_ridge = build_sampler(w_ridge)
     s_krr = build_sampler(w_krr)
     for _ in range(1000):
-        i = s_ridge.draw(ridge_st.rng)
-        j = s_krr.draw(krr_st.rng)
+        i = s_ridge.draw(ridge_rng)
+        j = s_krr.draw(krr_rng)
         assert i == j
-        rk_ridge_step(ridge_st, X, y, i)
-        krr_step(krr_st, X, y, spec, j)
-        assert np.max(np.abs(ridge_st.alpha - krr_st.alpha)) <= 1e-12
+        rk_ridge_step(ridge_alpha, ridge_beta, X, y, lam, i)
+        krr_step(krr_alpha, krr_s, X, y, spec, lam, j)
+        assert np.max(np.abs(ridge_alpha - krr_alpha)) <= 1e-12
     watch.done("criterion 7 (linear-kernel equivalence)")
 
 

@@ -236,6 +236,15 @@ class TestGenerate:
         assert run_cli("generate", "consistent", "10", "40",
                        "--out", str(tmp_path / "x")) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("noise", ["inf", "1e308"])
+    def test_noise_that_overflows_is_usage_error(self, tmp_path, capsys, noise):
+        out = tmp_path / "inc"
+        assert run_cli("generate", "inconsistent", "30", "10", "--noise", noise,
+                       "--out", str(out)) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("randiter: noise_scale") and "Warning" not in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_rk_converges_end_to_end(self, consistent_dir, tmp_path):
@@ -308,6 +317,18 @@ class TestSolve:
         assert code == cli.EXIT_USAGE
         assert f"{flag}: must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("command", ["solve", "compare"])
+    @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
+    def test_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, command, tol):
+        prob, out = tmp_path / "prob", tmp_path / "t.csv"
+        assert run_cli("generate", "consistent", "30", "10", "--seed", "1",
+                       "--out", str(prob)) == 0
+        code = run_cli(command, str(prob), "--method", "rk", "--iters", "3000",
+                       "--tol", tol, "--out", str(out))
+        assert code == cli.EXIT_USAGE
+        assert "--tol must be finite and >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_trials_emit_mean_trace(self, consistent_dir, tmp_path):
         out = str(tmp_path / "t.csv")

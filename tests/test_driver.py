@@ -11,25 +11,9 @@ import numpy as np
 import pytest
 
 from randiter import linalg, oracle
-from randiter.kernel import (
-    KernelSpec,
-    KrrState,
-    apply_gram,
-    krr_run,
-    krr_step,
-    krr_weights,
-)
-from randiter.ridge import (
-    RcdRidgeState,
-    RidgeState,
-    rcd_ridge_run,
-    rcd_ridge_step,
-    rcd_ridge_weights,
-    rk_ridge_run,
-    rk_ridge_step,
-    rk_ridge_weights,
-)
-from randiter.sampling import RngState, build_sampler
+from randiter.kernel import KernelSpec, apply_gram, krr_run, krr_step, krr_weights
+from randiter.ridge import rcd_ridge_run, rcd_ridge_step, rk_ridge_run, rk_ridge_step
+from randiter.sampling import build_sampler
 from randiter.solvers import (
     PLATEAU_WINDOW,
     RESIDUAL_REFRESH_EVERY,
@@ -38,13 +22,14 @@ from randiter.solvers import (
     Problem,
     Regime,
     RunConfig,
-    SolverState,
     TraceRecord,
     _plateaued,
     rcd_step,
     rk_step,
     run,
 )
+
+from conftest import pcg
 
 RATE = 0.97
 
@@ -59,7 +44,7 @@ def step_loop(weights, config, epoch, step, measures, natural, stop,
     every = config.checkpoint_every or epoch
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
     sampler = build_sampler(weights)
-    rng = RngState(config.seed)
+    rng = pcg(config.seed)
     trace, history = ConvergenceTrace(), []
 
     def record(t):
@@ -95,7 +80,7 @@ def energy_stop(tol):
 def ls_reference(method, problem, config, reference):
     X, y = problem.X, problem.y
     n, p = X.shape
-    beta = np.zeros(p)
+    beta, residual = np.zeros(p), y.copy()
     consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
     def stop(rec, history, window):
@@ -104,19 +89,17 @@ def ls_reference(method, problem, config, reference):
         return problem.regime == Regime.INCONSISTENT and _plateaued(history, window)
 
     def measures():
-        return fits(X, y, state.beta, reference)
+        return fits(X, y, beta, reference)
 
     if method == Method.RK:
-        state = SolverState(beta, None, 0, None)
         return step_loop(linalg.row_norms_sq(X), config, n,
-                         lambda i: rk_step(state, X, y, i), measures, "err_sq", stop)
-    state = SolverState(beta, y - X @ beta, 0, None)
+                         lambda i: rk_step(beta, X, y, i), measures, "err_sq", stop)
 
     def refresh():
-        state.residual = y - X @ state.beta
+        residual[:] = y - X @ beta
 
     return step_loop(linalg.col_norms_sq(X), config, p,
-                     lambda j: rcd_step(state, X, y, j), measures, "energy_err_sq", stop,
+                     lambda j: rcd_step(beta, residual, X, j), measures, "energy_err_sq", stop,
                      refresh, RESIDUAL_REFRESH_EVERY)
 
 
@@ -183,33 +166,35 @@ def ridge_pair(method, X, y, lam, config):
     n, p = X.shape
     beta_rr = oracle.ridge_solution(X, y, lam)[0]
     stop = energy_stop(config.tol)
+    beta = np.zeros(p)
     if method == "rk-ridge":
         alpha_star = oracle.ridge_alpha_star(X, y, lam)
-        state = RidgeState(np.zeros(n), np.zeros(p), 0, None, lam)
+        alpha = np.zeros(n)
 
         def measures():
-            v = state.alpha - alpha_star
+            v = alpha - alpha_star
             xtv = X.T @ v
-            err_sq, _, res_sq = fits(X, y, state.beta, beta_rr)
+            err_sq, _, res_sq = fits(X, y, beta, beta_rr)
             return err_sq, float(xtv @ xtv) + lam * float(v @ v), res_sq
 
-        ref = step_loop(rk_ridge_weights(X, lam), config, n,
-                        lambda i: rk_ridge_step(state, X, y, i), measures, "energy_err_sq", stop)
+        ref = step_loop(linalg.row_norms_sq(X) + lam, config, n,
+                        lambda i: rk_ridge_step(alpha, beta, X, y, lam, i), measures,
+                        "energy_err_sq", stop)
         return rk_ridge_run(X, y, lam, config, beta_rr, alpha_star, RATE), ref
-    state = RcdRidgeState(np.zeros(p), y.copy(), 0, None, lam)
+    residual = y.copy()
 
     def measures():
-        v = state.beta - beta_rr
+        v = beta - beta_rr
         xv = X @ v
-        err_sq, _, res_sq = fits(X, y, state.beta, beta_rr)
+        err_sq, _, res_sq = fits(X, y, beta, beta_rr)
         return err_sq, float(xv @ xv) + lam * float(v @ v), res_sq
 
     def refresh():
-        state.residual = y - X @ state.beta
+        residual[:] = y - X @ beta
 
-    ref = step_loop(rcd_ridge_weights(X, lam), config, p,
-                    lambda j: rcd_ridge_step(state, X, y, j), measures, "energy_err_sq", stop,
-                    refresh, RESIDUAL_REFRESH_EVERY)
+    ref = step_loop(linalg.col_norms_sq(X) + lam, config, p,
+                    lambda j: rcd_ridge_step(beta, residual, X, lam, j), measures,
+                    "energy_err_sq", stop, refresh, RESIDUAL_REFRESH_EVERY)
     return rcd_ridge_run(X, y, lam, config, beta_rr, RATE), ref
 
 
@@ -246,23 +231,23 @@ def test_krr_run_matches_step_loop(case, matrix_free):
     alpha_star = np.linalg.solve(M, y)
     energy_matrix = None if matrix_free else M
     config = RunConfig(max_iters=max_iters, tol=tol, seed=13, checkpoint_every=every)
-    state = KrrState(np.zeros(n), np.zeros(n), 0, None, lam)
+    alpha, s = np.zeros(n), np.zeros(n)
 
     def measures():
-        v = state.alpha - alpha_star
+        v = alpha - alpha_star
         if matrix_free:
             energy = float(v @ apply_gram(spec, data, v)) + lam * float(v @ v)
         else:
             energy = max(float(v @ (M @ v)), 0.0)
-        dual_res = y - state.s - lam * state.alpha
+        dual_res = y - s - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
     def refresh():
-        state.s = apply_gram(spec, data, state.alpha)
+        s[:] = apply_gram(spec, data, alpha)
 
     ref = step_loop(krr_weights(spec, data, lam), config, n,
-                    lambda i: krr_step(state, data, y, spec, i), measures, "energy_err_sq",
-                    energy_stop(tol), refresh, RESIDUAL_REFRESH_EVERY)
+                    lambda i: krr_step(alpha, s, data, y, spec, lam, i), measures,
+                    "energy_err_sq", energy_stop(tol), refresh, RESIDUAL_REFRESH_EVERY)
     trace = krr_run(data, y, spec, lam, config, alpha_star, RATE, energy_matrix=energy_matrix)
     assert trace.records == ref.records
     check_end(trace, max_iters, every or 1, ends)
@@ -313,7 +298,7 @@ class TestZeroRow:
         problem = Problem(X, y, Regime.INCONSISTENT)
         reference = np.linalg.lstsq(X, y, rcond=None)[0]
         config = RunConfig(max_iters=1500, seed=16, checkpoint_every=13)
-        rows = build_sampler(linalg.row_norms_sq(X)).draw_block(RngState(config.seed), 1500)
+        rows = build_sampler(linalg.row_norms_sq(X)).draw_block(pcg(config.seed), 1500)
         assert 4 not in rows
         trace = run(Method.RK, problem, config, reference, RATE)
         assert trace.records == ls_reference(Method.RK, problem, config, reference).records
@@ -321,7 +306,7 @@ class TestZeroRow:
     def test_rk_ridge(self):
         lam = 0.5
         config = RunConfig(max_iters=3000, tol=0.0, seed=17, checkpoint_every=13)
-        rows = build_sampler(rk_ridge_weights(self.X, lam)).draw_block(RngState(config.seed), 3000)
+        rows = build_sampler(linalg.row_norms_sq(self.X) + lam).draw_block(pcg(config.seed), 3000)
         assert 4 in rows
         trace, ref = ridge_pair("rk-ridge", self.X, self.y, lam, config)
         assert trace.records == ref.records

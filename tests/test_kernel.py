@@ -9,17 +9,17 @@ from randiter.errors import DimensionError
 from randiter.kernel import (
     GRAM_TILE_ELEMS,
     KernelSpec,
-    KrrState,
     _Gram,
     apply_gram,
     kernel_column,
-    krr_predict,
     krr_run,
     krr_step,
     krr_weights,
 )
-from randiter.sampling import RngState, build_sampler
+from randiter.sampling import build_sampler
 from randiter.solvers import RunConfig
+
+from conftest import pcg
 
 
 def gaussian_points(n, d, seed):
@@ -96,11 +96,12 @@ class TestKrrStep:
         data = linalg.dense_matrix([[1.0]])
         spec = KernelSpec("linear")
         y = np.array([1.0])
-        st = KrrState(np.zeros(1), np.zeros(1), 0, RngState(0), lam=1.0)
-        krr_step(st, data, y, spec, 0)
-        assert st.alpha[0] == pytest.approx(0.5)
-        krr_step(st, data, y, spec, 0)
-        assert st.alpha[0] == pytest.approx(0.5)
+        alpha, s = np.zeros(1), np.zeros(1)
+        assert krr_step(alpha, s, data, y, spec, 1.0, 0) is None
+        assert alpha[0] == pytest.approx(0.5)
+        assert s[0] == pytest.approx(0.5)
+        krr_step(alpha, s, data, y, spec, 1.0, 0)
+        assert alpha[0] == pytest.approx(0.5)
 
     def test_linear_kernel_matches_generic_psd_step(self):
         data = gaussian_points(7, 3, seed=3)
@@ -110,11 +111,11 @@ class TestKrrStep:
         A = data @ data.T + lam * np.eye(7)
         alpha = np.random.default_rng(5).standard_normal(7)
         for i in range(7):
-            st = KrrState(alpha.copy(), (data @ data.T) @ alpha, 0, RngState(0), lam)
-            krr_step(st, data, y, spec, i)
+            got = alpha.copy()
+            krr_step(got, (data @ data.T) @ alpha, data, y, spec, lam, i)
             expected = alpha.copy()
             expected[i] += (y[i] - float(A[i] @ alpha)) / A[i, i]
-            assert np.max(np.abs(st.alpha - expected)) <= 1e-12
+            assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_converges_to_oracle_alpha(self):
         data = gaussian_points(40, 3, seed=6)
@@ -122,11 +123,11 @@ class TestKrrStep:
         lam = 0.1
         y = np.random.default_rng(7).standard_normal(40)
         alpha_star = oracle.krr_alpha_star(data, y, spec, lam)
-        st = KrrState(np.zeros(40), np.zeros(40), 0, RngState(5), lam)
+        alpha, s, rng = np.zeros(40), np.zeros(40), pcg(5)
         sampler = build_sampler(krr_weights(spec, data, lam))
         for _ in range(100000):
-            krr_step(st, data, y, spec, sampler.draw(st.rng))
-        assert np.linalg.norm(st.alpha - alpha_star) <= 1e-6
+            krr_step(alpha, s, data, y, spec, lam, sampler.draw(rng))
+        assert np.linalg.norm(alpha - alpha_star) <= 1e-6
 
     def test_gaussian_diagonal_is_exactly_one(self):
         # in 50 dimensions 2 gamma ||z||^2 is about 50, and the exponent
@@ -142,40 +143,12 @@ class TestKrrStep:
         data = gaussian_points(15, 2, seed=8)
         spec = KernelSpec("gaussian", gamma=0.3)
         y = np.random.default_rng(9).standard_normal(15)
-        st = KrrState(np.zeros(15), np.zeros(15), 0, RngState(6), lam=0.2)
+        alpha, s, rng = np.zeros(15), np.zeros(15), pcg(6)
         sampler = build_sampler(krr_weights(spec, data, 0.2))
         for _ in range(500):
-            krr_step(st, data, y, spec, sampler.draw(st.rng))
-        rebuilt = apply_gram(spec, data, st.alpha)
-        assert np.max(np.abs(rebuilt - st.s)) <= 1e-9 * (1.0 + np.max(np.abs(y)))
-
-
-class TestKrrPredict:
-    def test_basis_alpha(self):
-        data = gaussian_points(5, 2, seed=10)
-        spec = KernelSpec("gaussian", gamma=1.0)
-        alpha = np.zeros(5)
-        alpha[0] = 1.0
-        assert krr_predict(alpha, data, spec, data[0]) == pytest.approx(1.0)
-
-    def test_zero_alpha(self):
-        data = gaussian_points(5, 2, seed=11)
-        spec = KernelSpec("polynomial", degree=2, offset=1.0)
-        assert krr_predict(np.zeros(5), data, spec, np.ones(2)) == 0.0
-
-    def test_linear_kernel_duality(self):
-        data = gaussian_points(6, 3, seed=12)
-        spec = KernelSpec("linear")
-        rng = np.random.default_rng(13)
-        alpha = rng.standard_normal(6)
-        x = rng.standard_normal(3)
-        expected = float((data.T @ alpha) @ x)
-        assert krr_predict(alpha, data, spec, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_length_mismatch(self):
-        data = gaussian_points(5, 2, seed=14)
-        with pytest.raises(DimensionError):
-            krr_predict(np.zeros(4), data, KernelSpec("linear"), np.ones(2))
+            krr_step(alpha, s, data, y, spec, 0.2, sampler.draw(rng))
+        rebuilt = apply_gram(spec, data, alpha)
+        assert np.max(np.abs(rebuilt - s)) <= 1e-9 * (1.0 + np.max(np.abs(y)))
 
 
 class TestKrrRun:

@@ -146,6 +146,15 @@ class TestKrrAlphaStar:
         K = oracle.gram_matrix(spec, data)
         assert np.max(np.abs((K + 0.1 * np.eye(20)) @ alpha - y)) <= 1e-8
 
+    def test_passed_A_gives_the_bits_of_the_default(self):
+        rng = np.random.default_rng(6)
+        data = linalg.dense_matrix(rng.standard_normal((20, 2)))
+        y = rng.standard_normal(20)
+        spec = KernelSpec("gaussian", gamma=0.5)
+        A = oracle.gram_matrix(spec, data) + 0.1 * np.eye(20)
+        alpha = oracle.krr_alpha_star(data, y, spec, 0.1, A)
+        assert alpha.tobytes() == oracle.krr_alpha_star(data, y, spec, 0.1).tobytes()
+
 
 class TestTheoreticalRate:
     def test_identity(self):

@@ -2,22 +2,11 @@ import numpy as np
 import pytest
 
 from randiter import linalg, oracle
-from randiter.ridge import (
-    RcdRidgeState,
-    RidgeState,
-    rcd_ridge_run,
-    rcd_ridge_step,
-    rcd_ridge_weights,
-    rk_ridge_run,
-    rk_ridge_step,
-    rk_ridge_weights,
-)
-from randiter.sampling import RngState, build_sampler
+from randiter.ridge import rcd_ridge_run, rcd_ridge_step, rk_ridge_run, rk_ridge_step
+from randiter.sampling import build_sampler
 from randiter.solvers import RunConfig
 
-
-def zero_ridge_state(n, p, lam, seed=0):
-    return RidgeState(np.zeros(n), np.zeros(p), 0, RngState(seed), lam)
+from conftest import pcg
 
 
 def scaled_instance(n, p, seed):
@@ -31,34 +20,34 @@ class TestRkRidgeStep:
     def test_scalar_fixed_point(self):
         X = linalg.dense_matrix([[1.0]])
         y = np.array([2.0])
-        st = zero_ridge_state(1, 1, lam=1.0)
-        rk_ridge_step(st, X, y, 0)
-        assert st.alpha[0] == pytest.approx(1.0)
-        assert st.beta[0] == pytest.approx(1.0)
-        rk_ridge_step(st, X, y, 0)  # already at the fixed point
-        assert st.alpha[0] == pytest.approx(1.0)
+        alpha, beta = np.zeros(1), np.zeros(1)
+        assert rk_ridge_step(alpha, beta, X, y, 1.0, 0) is None
+        assert alpha[0] == pytest.approx(1.0)
+        assert beta[0] == pytest.approx(1.0)
+        rk_ridge_step(alpha, beta, X, y, 1.0, 0)  # already at the fixed point
+        assert alpha[0] == pytest.approx(1.0)
         beta_rr = oracle.ridge_solution(X, y, 1.0)[0]
-        assert st.beta[0] == pytest.approx(beta_rr[0])
+        assert beta[0] == pytest.approx(beta_rr[0])
 
     def test_zero_correction_leaves_state(self):
         X, y = scaled_instance(6, 3, seed=1)
         lam = 0.2
         alpha_star = oracle.ridge_alpha_star(X, y, lam)
-        st = RidgeState(alpha_star.copy(), X.T @ alpha_star, 0, RngState(0), lam)
+        alpha, beta = alpha_star.copy(), X.T @ alpha_star
         for row in range(6):
-            before_a, before_b = st.alpha.copy(), st.beta.copy()
-            rk_ridge_step(st, X, y, row)
-            assert np.max(np.abs(st.alpha - before_a)) < 1e-12
-            assert np.max(np.abs(st.beta - before_b)) < 1e-12
+            before_a, before_b = alpha.copy(), beta.copy()
+            rk_ridge_step(alpha, beta, X, y, lam, row)
+            assert np.max(np.abs(alpha - before_a)) < 1e-12
+            assert np.max(np.abs(beta - before_b)) < 1e-12
 
     def test_duality_link(self):
         X, y = scaled_instance(12, 5, seed=2)
-        st = zero_ridge_state(12, 5, lam=0.3, seed=4)
-        sampler = build_sampler(rk_ridge_weights(X, 0.3))
+        alpha, beta, rng = np.zeros(12), np.zeros(5), pcg(4)
+        sampler = build_sampler(linalg.row_norms_sq(X) + 0.3)
         for _ in range(400):
-            rk_ridge_step(st, X, y, sampler.draw(st.rng))
-            link = np.max(np.abs(st.beta - X.T @ st.alpha))
-            assert link <= 1e-10 * (1.0 + np.max(np.abs(st.beta)))
+            rk_ridge_step(alpha, beta, X, y, 0.3, sampler.draw(rng))
+            link = np.max(np.abs(beta - X.T @ alpha))
+            assert link <= 1e-10 * (1.0 + np.max(np.abs(beta)))
 
     def test_matches_generic_psd_coordinate_step(self):
         # same move as x_i += (b_i - <A_i, x>) / A_ii on A = XX^T + lam I
@@ -67,52 +56,51 @@ class TestRkRidgeStep:
         A = oracle.outer_gram(X) + lam * np.eye(7)
         rng = np.random.default_rng(5)
         alpha = rng.standard_normal(7)
-        st = RidgeState(alpha.copy(), X.T @ alpha, 0, RngState(0), lam)
         for i in range(7):
             expected = alpha.copy()
             expected[i] += (y[i] - float(A[i] @ alpha)) / A[i, i]
-            st.alpha = alpha.copy()
-            st.beta = X.T @ alpha
-            rk_ridge_step(st, X, y, i)
-            assert np.max(np.abs(st.alpha - expected)) <= 1e-12
+            got = alpha.copy()
+            rk_ridge_step(got, X.T @ alpha, X, y, lam, i)
+            assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_converges_to_ridge_solution(self):
         X, y = scaled_instance(30, 10, seed=3)
         lam = 0.1
         beta_rr = oracle.ridge_solution(X, y, lam)[0]
-        st = zero_ridge_state(30, 10, lam, seed=3)
-        sampler = build_sampler(rk_ridge_weights(X, lam))
+        alpha, beta, rng = np.zeros(30), np.zeros(10), pcg(3)
+        sampler = build_sampler(linalg.row_norms_sq(X) + lam)
         for _ in range(100000):
-            rk_ridge_step(st, X, y, sampler.draw(st.rng))
-        assert np.linalg.norm(st.beta - beta_rr) <= 1e-8
+            rk_ridge_step(alpha, beta, X, y, lam, sampler.draw(rng))
+        assert np.linalg.norm(beta - beta_rr) <= 1e-8
 
 
 class TestRcdRidgeStep:
     def test_diagonal_case(self):
         X = linalg.dense_matrix(np.eye(2))
         y = np.array([2.0, 2.0])
-        st = RcdRidgeState(np.zeros(2), y.copy(), 0, RngState(0), 1.0)
-        rcd_ridge_step(st, X, y, 0)
-        assert np.allclose(st.beta, [1.0, 0.0])
-        rcd_ridge_step(st, X, y, 1)
-        assert np.allclose(st.beta, oracle.ridge_solution(X, y, 1.0)[0])
+        beta, residual = np.zeros(2), y.copy()
+        assert rcd_ridge_step(beta, residual, X, 1.0, 0) is None
+        assert np.allclose(beta, [1.0, 0.0])
+        rcd_ridge_step(beta, residual, X, 1.0, 1)
+        assert np.allclose(beta, oracle.ridge_solution(X, y, 1.0)[0])
+        assert np.allclose(residual, y - X @ beta)
 
     def test_no_op_when_optimal(self):
         X = linalg.dense_matrix(np.eye(2))
-        st = RcdRidgeState(np.zeros(2), np.zeros(2), 0, RngState(0), 0.7)
-        rcd_ridge_step(st, X, np.zeros(2), 0)
-        assert np.all(st.beta == 0.0)
+        beta = np.zeros(2)
+        rcd_ridge_step(beta, np.zeros(2), X, 0.7, 0)
+        assert np.all(beta == 0.0)
 
     def test_regularized_optimality_per_step(self):
         X, y = scaled_instance(12, 5, seed=6)
         lam = 0.3
-        st = RcdRidgeState(np.zeros(5), y.copy(), 0, RngState(8), lam)
-        sampler = build_sampler(rcd_ridge_weights(X, lam))
+        beta, residual, rng = np.zeros(5), y.copy(), pcg(8)
+        sampler = build_sampler(linalg.col_norms_sq(X) + lam)
         tol = 1e-10 * (1.0 + np.max(np.abs(y)))
         for _ in range(400):
-            c = sampler.draw(st.rng)
-            rcd_ridge_step(st, X, y, c)
-            grad_c = float(X[:, c] @ (y - X @ st.beta)) - lam * st.beta[c]
+            c = sampler.draw(rng)
+            rcd_ridge_step(beta, residual, X, lam, c)
+            grad_c = float(X[:, c] @ (y - X @ beta)) - lam * beta[c]
             assert abs(grad_c) <= tol
 
     def test_shrinkage_two_form_identity(self):
@@ -125,23 +113,23 @@ class TestRcdRidgeStep:
             r = y - X @ beta
             c = trial % 4
             nrm = float(X[:, c] @ X[:, c])
-            st = RcdRidgeState(beta.copy(), r.copy(), 0, RngState(0), lam)
-            rcd_ridge_step(st, X, y, c)
+            got = beta.copy()
+            rcd_ridge_step(got, r.copy(), X, lam, c)
             z = beta[c] + float(X[:, c] @ r) / nrm
             alt = z / (1.0 + lam / nrm)
-            assert abs(st.beta[c] - alt) <= 1e-14 * (1.0 + abs(alt))
+            assert abs(got[c] - alt) <= 1e-14 * (1.0 + abs(alt))
 
     def test_converges_to_ridge_solution(self):
         X, y = scaled_instance(30, 10, seed=8)
         lam = 0.1
         beta_rr = oracle.ridge_solution(X, y, lam)[0]
-        st = RcdRidgeState(np.zeros(10), y.copy(), 0, RngState(2), lam)
-        sampler = build_sampler(rcd_ridge_weights(X, lam))
+        beta, residual, rng = np.zeros(10), y.copy(), pcg(2)
+        sampler = build_sampler(linalg.col_norms_sq(X) + lam)
         for k in range(100000):
-            rcd_ridge_step(st, X, y, sampler.draw(st.rng))
+            rcd_ridge_step(beta, residual, X, lam, sampler.draw(rng))
             if (k + 1) % 1000 == 0:
-                st.residual = y - X @ st.beta
-        assert np.linalg.norm(st.beta - beta_rr) <= 1e-8
+                residual[:] = y - X @ beta
+        assert np.linalg.norm(beta - beta_rr) <= 1e-8
 
 
 class TestRidgeRuns:

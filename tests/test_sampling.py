@@ -5,7 +5,9 @@ from hypothesis import strategies as st
 
 from randiter import linalg
 from randiter.errors import DegenerateWeights, NegativeWeight
-from randiter.sampling import RngState, WeightedSampler, build_sampler
+from randiter.sampling import build_sampler
+
+from conftest import pcg
 
 
 def probabilities(sampler):
@@ -15,7 +17,7 @@ def probabilities(sampler):
 
 def empirical_frequencies(weights, n_draws, seed):
     sampler = build_sampler(weights)
-    rng = RngState(seed)
+    rng = pcg(seed)
     counts = np.zeros(len(weights))
     for _ in range(n_draws):
         counts[sampler.draw(rng)] += 1
@@ -48,19 +50,19 @@ class TestBuild:
 class TestDraw:
     def test_single_weight(self):
         s = build_sampler([5.0])
-        rng = RngState(0)
+        rng = pcg(0)
         assert all(s.draw(rng) == 0 for _ in range(20))
 
     def test_zero_weight_excluded(self):
         s = build_sampler([0.0, 1.0])
-        rng = RngState(1)
+        rng = pcg(1)
         assert all(s.draw(rng) == 1 for _ in range(200))
 
     def test_determinism_replay(self):
         s = build_sampler([1.0, 2.0, 3.0])
-        first = s.draw_block(RngState(42), 1).tolist()
-        seq_a = [s.draw(RngState(42)) for _ in range(1)]
-        rng_a, rng_b = RngState(42), RngState(42)
+        first = s.draw_block(pcg(42), 1).tolist()
+        seq_a = [s.draw(pcg(42)) for _ in range(1)]
+        rng_a, rng_b = pcg(42), pcg(42)
         a = [s.draw(rng_a) for _ in range(5)]
         b = [s.draw(rng_b) for _ in range(5)]
         assert a == b
@@ -99,11 +101,8 @@ class TopUniform:
 
     U = float(np.nextafter(1.0, 0.0))
 
-    def uniform(self):
-        return self.U
-
-    def uniforms(self, k):
-        return np.full(k, self.U)
+    def random(self, size=None):
+        return self.U if size is None else np.full(size, self.U)
 
 
 class TestDrawBlock:
@@ -111,7 +110,7 @@ class TestDrawBlock:
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
     def test_equals_k_scalar_draws(self, seed, k):
         s = build_sampler([0.5, 0.0, 2.0, 1e-3, 3.0, 0.0])
-        rng_block, rng_scalar = RngState(seed), RngState(seed)
+        rng_block, rng_scalar = pcg(seed), pcg(seed)
         for _ in range(2):  # and the stream continues alike
             block = s.draw_block(rng_block, k)
             assert block.shape == (k,)
@@ -132,6 +131,6 @@ class TestDrawBlock:
         if float(w.sum()) <= 0.0:
             return
         s = build_sampler(w)
-        drawn = np.concatenate([s.draw_block(RngState(seed), 3000),
+        drawn = np.concatenate([s.draw_block(pcg(seed), 3000),
                                 s.draw_block(TopUniform(), 3)])
         assert np.all(w[drawn] > 0.0)

@@ -3,141 +3,135 @@ import pytest
 
 from randiter import linalg, oracle
 from randiter.errors import ZeroNormColumn, ZeroNormRow
-from randiter.sampling import RngState, build_sampler
+from randiter.sampling import build_sampler
 from randiter.solvers import (
     ConvergenceTrace,
     Method,
     Problem,
     Regime,
     RunConfig,
-    SolverState,
     TraceRecord,
     rcd_step,
     rk_step,
     run,
 )
 
-from conftest import null_space_leakage
-
-
-def fresh_state(p, seed=0, residual=None):
-    return SolverState(np.zeros(p), residual, 0, RngState(seed))
+from conftest import null_space_leakage, pcg
 
 
 class TestRkStep:
     def test_projection_onto_axis(self):
         X = linalg.dense_matrix(np.eye(2))
         y = np.array([1.0, 2.0])
-        st = fresh_state(2)
-        rk_step(st, X, y, 0)
-        assert np.allclose(st.beta, [1.0, 0.0])
-        assert st.iter == 1
+        beta = np.zeros(2)
+        assert rk_step(beta, X, y, 0) is None
+        assert np.allclose(beta, [1.0, 0.0])
 
     def test_forced_row(self):
         X = linalg.dense_matrix([[3.0, 4.0]])
         y = np.array([10.0])
-        st = fresh_state(2)
-        rk_step(st, X, y, 0)
-        assert np.allclose(st.beta, [1.2, 1.6])
-        assert float(X[0] @ st.beta) == pytest.approx(10.0, abs=1e-12)
+        beta = np.zeros(2)
+        rk_step(beta, X, y, 0)
+        assert np.allclose(beta, [1.2, 1.6])
+        assert float(X[0] @ beta) == pytest.approx(10.0, abs=1e-12)
 
     def test_zero_norm_row_raises(self):
         X = linalg.dense_matrix([[0.0, 0.0], [1.0, 1.0]])
         with pytest.raises(ZeroNormRow):
-            rk_step(fresh_state(2), X, np.zeros(2), 0)
+            rk_step(np.zeros(2), X, np.zeros(2), 0)
 
     def test_projection_identity_random_steps(self):
         inst = oracle.gen_consistent(12, 5, seed=3)
         X, y = inst.problem.X, inst.problem.y
-        st = fresh_state(5)
+        beta, rng = np.zeros(5), pcg(0)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(500):
-            r = sampler.draw(st.rng)
-            rk_step(st, X, y, r)
-            assert abs(float(X[r] @ st.beta) - y[r]) <= 1e-10 * (1.0 + abs(y[r]))
+            r = sampler.draw(rng)
+            rk_step(beta, X, y, r)
+            assert abs(float(X[r] @ beta) - y[r]) <= 1e-10 * (1.0 + abs(y[r]))
 
     def test_converges_to_oracle_solution(self):
         inst = oracle.gen_consistent(8, 3, seed=21)
         X, y = inst.problem.X, inst.problem.y
         beta_star = linalg.solve_spd(X.T @ X, X.T @ y)  # closed form
-        st = fresh_state(3, seed=7)
+        beta, rng = np.zeros(3), pcg(7)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(20000):
-            rk_step(st, X, y, sampler.draw(st.rng))
-        assert np.linalg.norm(st.beta - beta_star) <= 1e-8
+            rk_step(beta, X, y, sampler.draw(rng))
+        assert np.linalg.norm(beta - beta_star) <= 1e-8
 
 
 class TestRcdStep:
     def test_axis_column(self):
         X = linalg.dense_matrix(np.eye(2))
         y = np.array([1.0, 2.0])
-        st = fresh_state(2, residual=y.copy())
-        rcd_step(st, X, y, 0)
-        assert np.allclose(st.beta, [1.0, 0.0])
+        beta, residual = np.zeros(2), y.copy()
+        assert rcd_step(beta, residual, X, 0) is None
+        assert np.allclose(beta, [1.0, 0.0])
+        assert np.allclose(residual, [0.0, 2.0])
 
     def test_single_column_least_squares(self):
         X = linalg.dense_matrix([[3.0], [4.0]])
         y = np.array([10.0, 10.0])
-        st = fresh_state(1, residual=y.copy())
-        rcd_step(st, X, y, 0)
-        assert st.beta[0] == pytest.approx(70.0 / 25.0)
+        beta = np.zeros(1)
+        rcd_step(beta, y.copy(), X, 0)
+        assert beta[0] == pytest.approx(70.0 / 25.0)
 
     def test_zero_norm_column_raises(self):
         X = linalg.dense_matrix([[1.0, 0.0], [1.0, 0.0]])
-        st = fresh_state(2, residual=np.zeros(2))
         with pytest.raises(ZeroNormColumn):
-            rcd_step(st, X, np.zeros(2), 1)
+            rcd_step(np.zeros(2), np.zeros(2), X, 1)
 
     def test_coordinate_optimality_random_steps(self):
         inst = oracle.gen_inconsistent(12, 5, 0.5, seed=4)
         X, y = inst.problem.X, inst.problem.y
-        st = fresh_state(5, residual=y.copy())
+        beta, residual, rng = np.zeros(5), y.copy(), pcg(0)
         sampler = build_sampler(linalg.col_norms_sq(X))
         tol = 1e-10 * (1.0 + np.max(np.abs(y)))
         for _ in range(500):
-            c = sampler.draw(st.rng)
-            rcd_step(st, X, y, c)
-            assert abs(float(X[:, c] @ (y - X @ st.beta))) <= tol
+            c = sampler.draw(rng)
+            rcd_step(beta, residual, X, c)
+            assert abs(float(X[:, c] @ (y - X @ beta))) <= tol
 
     def test_converges_to_least_squares(self):
         inst = oracle.gen_inconsistent(10, 3, 0.5, seed=5)
         X, y = inst.problem.X, inst.problem.y
         beta_ls = linalg.solve_spd(X.T @ X, X.T @ y)
-        st = fresh_state(3, seed=11, residual=y.copy())
+        beta, residual, rng = np.zeros(3), y.copy(), pcg(11)
         sampler = build_sampler(linalg.col_norms_sq(X))
         for k in range(30000):
-            rcd_step(st, X, y, sampler.draw(st.rng))
+            rcd_step(beta, residual, X, sampler.draw(rng))
             if (k + 1) % 1000 == 0:
-                st.residual = y - X @ st.beta
-        assert np.linalg.norm(st.beta - beta_ls) <= 1e-7
+                residual[:] = y - X @ beta
+        assert np.linalg.norm(beta - beta_ls) <= 1e-7
 
 
 class TestPythagorasAndMonotonicity:
     def test_rk_pythagoras_consistent(self):
         inst = oracle.gen_consistent(20, 8, seed=6)
         X, y, ref = inst.problem.X, inst.problem.y, inst.reference
-        st = fresh_state(8, seed=1)
+        beta, rng = np.zeros(8), pcg(1)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(300):
-            prev = st.beta.copy()
+            prev = beta.copy()
             e_prev = float((prev - ref) @ (prev - ref))
-            rk_step(st, X, y, sampler.draw(st.rng))
-            e_new = float((st.beta - ref) @ (st.beta - ref))
-            move = float((st.beta - prev) @ (st.beta - prev))
+            rk_step(beta, X, y, sampler.draw(rng))
+            e_new = float((beta - ref) @ (beta - ref))
+            move = float((beta - prev) @ (beta - prev))
             assert abs(e_prev - e_new - move) <= 1e-9 * max(e_prev, 1e-300)
             assert e_new <= e_prev * (1.0 + 1e-12)
 
     def test_rcd_pythagoras_even_inconsistent(self):
         inst = oracle.gen_inconsistent(20, 8, 0.5, seed=7)
         X, y, ref = inst.problem.X, inst.problem.y, inst.reference
-        st = fresh_state(8, seed=2, residual=y.copy())
+        beta, residual, rng = np.zeros(8), y.copy(), pcg(2)
         sampler = build_sampler(linalg.col_norms_sq(X))
         fit_ref = X @ ref
         for _ in range(300):
-            prev_fit = X @ st.beta
+            prev_fit = X @ beta
             e_prev = float((prev_fit - fit_ref) @ (prev_fit - fit_ref))
-            rcd_step(st, X, y, sampler.draw(st.rng))
-            fit = X @ st.beta
+            rcd_step(beta, residual, X, sampler.draw(rng))
+            fit = X @ beta
             e_new = float((fit - fit_ref) @ (fit - fit_ref))
             move = float((fit - prev_fit) @ (fit - prev_fit))
             assert abs(e_prev - e_new - move) <= 1e-9 * max(e_prev, 1e-300)
@@ -147,12 +141,12 @@ class TestPythagorasAndMonotonicity:
         inst = oracle.gen_underdetermined(6, 15, seed=8)
         X, y = inst.problem.X, inst.problem.y
         basis = oracle.null_space_basis(X)
-        st = fresh_state(15, seed=3)
+        beta, rng = np.zeros(15), pcg(3)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(400):
-            rk_step(st, X, y, sampler.draw(st.rng))
-            leak = null_space_leakage(X, st.beta, basis)
-            assert leak <= 1e-10 * max(np.linalg.norm(st.beta), 1e-300)
+            rk_step(beta, X, y, sampler.draw(rng))
+            leak = null_space_leakage(X, beta, basis)
+            assert leak <= 1e-10 * max(np.linalg.norm(beta), 1e-300)
 
 
 class TestRun:
