@@ -64,14 +64,17 @@ def _stderr_logging():
         log.propagate = saved[1]
 
 
-def _positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _int_at_least(low: int):
+    """An argparse type: an int that is at least `low`."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,23 +83,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a problem instance")
     gen.add_argument("regime", choices=["consistent", "inconsistent", "underdetermined"])
-    gen.add_argument("n", type=int)
-    gen.add_argument("p", type=int)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("n", type=_int_at_least(1))
+    gen.add_argument("p", type=_int_at_least(1))
+    gen.add_argument("--seed", type=_int_at_least(0), default=0)
     gen.add_argument("--noise", type=float, default=None)
     gen.add_argument("--out", required=True)
 
     def add_run_flags(p):
-        p.add_argument("--iters", type=_positive_int, default=10000)
+        p.add_argument("--iters", type=_int_at_least(1), default=10000)
         p.add_argument("--tol", type=float, default=1e-12)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_int_at_least(0), default=0)
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--kernel", choices=["linear", "gaussian", "poly"], default=None)
         p.add_argument("--gamma", type=float, default=None)
         p.add_argument("--degree", type=int, default=None)
         p.add_argument("--offset", type=float, default=None)
-        p.add_argument("--checkpoint-every", type=_positive_int, default=None)
-        p.add_argument("--trials", type=_positive_int, default=1)
+        p.add_argument("--checkpoint-every", type=_int_at_least(1), default=None)
+        p.add_argument("--trials", type=_int_at_least(1), default=1)
         p.add_argument("--beta0", default=None, help="vector file; default zero")
         p.add_argument("--out", required=True)
 
@@ -125,8 +128,8 @@ def cmd_generate(args) -> int:
 
     os.makedirs(args.out, exist_ok=True)
     paths = io.problem_paths(args.out)
-    io.write_matrix(paths["X"], inst.problem.X)
-    io.write_vector(paths["y"], inst.problem.y)
+    io.write_matrix(paths["X"], inst.X)
+    io.write_vector(paths["y"], inst.y)
     io.write_vector(paths["reference"], inst.reference)
     meta = {
         "regime": args.regime,
@@ -143,6 +146,8 @@ def cmd_generate(args) -> int:
 
 
 def _load_problem(problem_dir):
+    """(X, y, reference or None, regime) from a problem directory; the
+    regime is UNKNOWN when meta.txt is missing or names none."""
     paths = io.problem_paths(problem_dir)
     X = io.read_matrix(paths["X"])
     y = io.read_vector(paths["y"])
@@ -154,14 +159,11 @@ def _load_problem(problem_dir):
         raise IOError(
             f"{paths['reference']}: {reference.shape[0]} values for the {X.shape[1]} columns of X"
         )
-    return X, y, reference, meta
-
-
-def _regime_from_meta(meta) -> solvers.Regime:
     try:
-        return solvers.Regime(meta.get("regime"))
+        regime = solvers.Regime(meta.get("regime"))
     except ValueError:
-        return solvers.Regime.UNKNOWN
+        regime = solvers.Regime.UNKNOWN
+    return X, y, reference, regime
 
 
 # The run flags that only some methods read: flag -> (args attribute,
@@ -227,13 +229,12 @@ def _oracle_step(method, X, y, reference, regime, args):
     if not np.isfinite(yy):
         raise UsageError("y overflows on this data: y^T y is non-finite")
 
-    positive_only = method in ("rk", "rcd") and regime == solvers.Regime.UNDERDETERMINED
+    # for p > n, the errors rk and rcd measure see only X^T X's positive eigenvalues
+    positive_only = method in ("rk", "rcd") and p > n
     # the rate of the Gram each method runs on: n x n for the dual methods, else p x p
     rate = oracle.theoretical_rate(M, positive_only, n if method in _NO_BETA0 else p, lam)
     if method in ("rk", "rcd"):
-        kind = solvers.Method.RK if method == "rk" else solvers.Method.RCD
-        problem = solvers.Problem(X, y, regime)
-        return rate, lambda cfg: solvers.run(kind, problem, cfg, reference, rate)
+        return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate)
     if method == "rk-krr":
         alpha_star = oracle.krr_alpha_star(X, y, spec, lam, M)
         return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate,
@@ -263,16 +264,19 @@ def _read_beta0(args, methods, p):
     return beta0
 
 
-def _run_trials(method, X, y, reference, regime, args, beta0):
-    """The oracle step once, then one solver step per trial, with seeds
-    args.seed, args.seed + 1, ...; returns (traces, theoretical_rate)."""
-    rate, solve = _oracle_step(method, X, y, reference, regime, args)
+def _runs(args, methods):
+    """Load the problem and check every method's flags and --beta0; then
+    yield (method, traces, theoretical_rate) per method from its oracle
+    step and one run per trial, with seeds args.seed, args.seed + 1, ..."""
+    X, y, reference, regime = _load_problem(args.problem_dir)
+    beta0 = _read_beta0(args, methods, X.shape[1])
+    _check_flags(args, methods, reference)
     config = solvers.RunConfig(max_iters=args.iters, tol=args.tol, seed=args.seed,
                                checkpoint_every=args.checkpoint_every, beta0=beta0)
-    traces = [
-        solve(dataclasses.replace(config, seed=args.seed + trial)) for trial in range(args.trials)
-    ]
-    return traces, rate
+    for method in methods:
+        rate, solve = _oracle_step(method, X, y, reference, regime, args)
+        yield method, [solve(dataclasses.replace(config, seed=args.seed + trial))
+                       for trial in range(args.trials)], rate
 
 
 def _mean_trace(traces) -> solvers.ConvergenceTrace:
@@ -287,11 +291,7 @@ def _mean_trace(traces) -> solvers.ConvergenceTrace:
 
 
 def cmd_solve(args) -> int:
-    X, y, reference, meta = _load_problem(args.problem_dir)
-    regime = _regime_from_meta(meta)
-    beta0 = _read_beta0(args, [args.method], X.shape[1])
-    _check_flags(args, [args.method], reference)
-    traces, _ = _run_trials(args.method, X, y, reference, regime, args, beta0)
+    [(_, traces, _)] = _runs(args, [args.method])
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
         io.write_trace_csv(args.out + ".mean.csv", _mean_trace(traces))
@@ -323,39 +323,21 @@ def _iters_to_tol(traces, natural: str, tol: float) -> int:
 
 
 def cmd_compare(args) -> int:
-    X, y, reference, meta = _load_problem(args.problem_dir)
-    regime = _regime_from_meta(meta)
-    beta0 = _read_beta0(args, args.method, X.shape[1])
-    _check_flags(args, args.method, reference)
     rows = []
-    for method in args.method:
-        traces, rate = _run_trials(method, X, y, reference, regime, args, beta0)
+    for method, traces, rate in _runs(args, args.method):
         mean = _mean_trace(traces) if len(traces) > 1 else traces[0]
         natural = traces[0].natural
         # means over each trial's own last checkpoint; the mean trace
         # ends at the earliest of them
         final = [float(np.mean([getattr(t.final(), col) for t in traces]))
                  for col in ("err_sq", "energy_err_sq", "residual_sq")]
-        rows.append(
-            (
-                method,
-                len(traces),
-                _iters_to_tol(traces, natural, args.tol),
-                *final,
-                rate,
-                _contraction_per_iter(mean, natural),
-            )
-        )
+        floats = [*final, rate, _contraction_per_iter(mean, natural)]
+        rows.append(f"{method},{len(traces)},{_iters_to_tol(traces, natural, args.tol)},"
+                    + ",".join(map(io.fmt, floats)) + "\n")
     with open(args.out, "w", newline="\n") as f:
-        f.write(
-            "method,trials,iters_to_tol,final_err_sq,final_energy_err_sq,"
-            "final_residual_sq,theoretical_rate,contraction_per_iter\n"
-        )
-        for row in rows:
-            f.write(
-                f"{row[0]},{row[1]},{row[2]},{io.fmt(row[3])},{io.fmt(row[4])},"
-                f"{io.fmt(row[5])},{io.fmt(row[6])},{io.fmt(row[7])}\n"
-            )
+        f.write("method,trials,iters_to_tol,final_err_sq,final_energy_err_sq,"
+                "final_residual_sq,theoretical_rate,contraction_per_iter\n")
+        f.writelines(rows)
     return EXIT_OK
 
 

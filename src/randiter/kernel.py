@@ -189,6 +189,8 @@ def krr_run(
     first checkpoint with energy_err_sq <= tol^2, at a plateau, or at
     max_iters.
     """
+    if y.shape[0] != data.shape[0]:
+        raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
     if not lam > 0.0:
         raise ValueError("kernel ridge requires lambda > 0")
     if config.beta0 is not None:

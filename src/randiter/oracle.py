@@ -15,7 +15,7 @@ import numpy as np
 from . import kernel as kern
 from . import linalg
 from .errors import DegenerateMatrix, GenerationFailure, OracleInconsistency
-from .solvers import Problem, Regime
+from .solvers import Regime
 
 RIDGE_FORM_TOL = 1e-8
 RANK_TOL = 1e-8  # minimum singular value for generated instances
@@ -26,9 +26,11 @@ MAX_GENERATION_RETRIES = 10
 
 @dataclass
 class RegimeInstance:
-    """A generated problem plus the closed-form target it converges to."""
+    """A generated problem, X (n x p) and y, plus the closed-form target it converges to."""
 
-    problem: Problem
+    X: np.ndarray
+    y: np.ndarray
+    regime: Regime
     reference: np.ndarray
     z: np.ndarray | None = None  # inconsistency component, X^T z = 0
 
@@ -157,7 +159,7 @@ def gen_consistent(n: int, p: int, seed: int) -> RegimeInstance:
     X, rng = _full_rank_matrix(n, p, seed)
     beta_star = rng.standard_normal(p)
     y = X @ beta_star
-    return RegimeInstance(Problem(X, y, Regime.CONSISTENT_UNIQUE), beta_star)
+    return RegimeInstance(X, y, Regime.CONSISTENT_UNIQUE, beta_star)
 
 
 def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeInstance:
@@ -178,7 +180,7 @@ def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeIns
             with np.errstate(over="ignore"):
                 if not math.isfinite(y @ y) or not math.isfinite(z @ z):
                     raise ValueError(f"noise_scale {noise_scale} overflows ||y||^2")
-            return RegimeInstance(Problem(X, y, Regime.INCONSISTENT), beta_ls, z=z)
+            return RegimeInstance(X, y, Regime.INCONSISTENT, beta_ls, z=z)
     raise GenerationFailure("could not draw a nonzero component orthogonal to col(X)")
 
 
@@ -189,4 +191,4 @@ def gen_underdetermined(n: int, p: int, seed: int) -> RegimeInstance:
     X, rng = _full_rank_matrix(n, p, seed)
     alpha = rng.standard_normal(n)
     y = X @ (X.T @ alpha)  # consistent by construction
-    return RegimeInstance(Problem(X, y, Regime.UNDERDETERMINED), min_norm_solution(X, y))
+    return RegimeInstance(X, y, Regime.UNDERDETERMINED, min_norm_solution(X, y))

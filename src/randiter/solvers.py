@@ -46,26 +46,6 @@ class Regime(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Method(enum.Enum):
-    RK = "rk"
-    RCD = "rcd"
-
-
-@dataclass
-class Problem:
-    """One regression instance: X (n x p), observations y (length n)."""
-
-    X: np.ndarray
-    y: np.ndarray
-    regime: Regime = Regime.UNKNOWN
-
-    def __post_init__(self):
-        if self.y.shape[0] != self.X.shape[0]:
-            raise DimensionError(
-                f"y has length {self.y.shape[0]}, X has {self.X.shape[0]} rows"
-            )
-
-
 @dataclass
 class TraceRecord:
     iter: int
@@ -154,7 +134,7 @@ def drive(
 ) -> ConvergenceTrace:
     """The checkpoint and stop loop that every method's run shares.
 
-    Steps t = 1..max_iters draw their indices from `sampler` with the
+    Steps t = 1..max_iters (>= 1) draw their indices from `sampler` with the
     seed config.seed, in blocks that end at multiples of
     RESIDUAL_REFRESH_EVERY and at checkpoints, and `advance(indices)`
     takes those steps in order. After step t, `refresh()` runs when t is
@@ -171,6 +151,8 @@ def drive(
     `natural` and whether the run converged: it did if tol_on is None,
     else if its final tol_on column is <= tol^2.
     """
+    if config.max_iters < 1:
+        raise ValueError("max_iters must be positive")
     epoch = len(sampler)
     every = config.checkpoint_every or epoch
     if every < 1:
@@ -225,6 +207,8 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     alpha_i += delta and beta += delta x_i. Runs `drive` with
     checkpoint measures(beta, alpha) and the stop rule `stop`.
     """
+    if y.shape[0] != X.shape[0]:
+        raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
     beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
     alpha = np.zeros(X.shape[0])
     scaled = np.empty_like(beta)
@@ -253,6 +237,8 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     beta_c += delta and r -= delta x_c. Runs `drive` with checkpoint
     measures(beta) and the stop rule `stop`.
     """
+    if y.shape[0] != X.shape[0]:
+        raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
     beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
     residual = y - X @ beta
     columns = list(X.T)
@@ -280,13 +266,15 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
 
 
 def run(
-    method: Method,
-    problem: Problem,
+    method: str,
+    X: np.ndarray,
+    y: np.ndarray,
+    regime: Regime,
     config: RunConfig,
     reference: np.ndarray,
     rate: float,
 ) -> ConvergenceTrace:
-    """Drive sampler-chosen steps and record a convergence trace.
+    """Run `method`, "rk" or "rcd", on X and y; record a convergence trace.
 
     `reference` is the regime's target (beta*, beta_LS or beta_MN) from
     the oracle; `rate` is the theoretical per-iteration contraction
@@ -294,20 +282,19 @@ def run(
     the squared Euclidean error, energy_err_sq the squared error of
     fitted values ||X (beta - reference)||^2, and `bound` the rate^t
     envelope on the method's natural error (Euclidean for RK, energy
-    for RCD). A consistent run stops at the first checkpoint with
-    residual_sq <= tol^2, an inconsistent one at a plateau.
+    for RCD). `regime` sets the stop rule: consistent and underdetermined
+    runs stop at the first checkpoint with residual_sq <= tol^2, inconsistent
+    ones at a plateau; UNKNOWN ones run to max_iters, counted as converged.
     """
-    X, y = problem.X, problem.y
-    if config.max_iters <= 0:
-        raise ValueError("max_iters must be positive")
-
-    if method == Method.RK:
+    if method == "rk":
         weights, descent, natural = linalg.row_norms_sq(X), row_descent, "err_sq"
-    else:
+    elif method == "rcd":
         weights, descent, natural = linalg.col_norms_sq(X), column_descent, "energy_err_sq"
+    else:
+        raise ValueError(f"unknown method {method!r}: expected 'rk' or 'rcd'")
     sampler = build_sampler(weights)
 
-    consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
+    consistent = regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
     def measures(beta, *_):
         diff = beta - reference
@@ -317,4 +304,4 @@ def run(
 
     return descent(X, y, 0.0, sampler, config, measures, rate, natural,
                    tol_on="residual_sq" if consistent else None,
-                   plateau=problem.regime == Regime.INCONSISTENT)
+                   plateau=regime == Regime.INCONSISTENT)

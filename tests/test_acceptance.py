@@ -14,7 +14,7 @@ from randiter import cli, io, linalg, oracle
 from randiter.kernel import KernelSpec, krr_run, krr_step, krr_weights
 from randiter.ridge import rcd_ridge_step, rk_ridge_step
 from randiter.sampling import build_sampler
-from randiter.solvers import Method, RunConfig, rcd_step, rk_step, run
+from randiter.solvers import RunConfig, rcd_step, rk_step, run
 
 from conftest import null_space_leakage, pcg
 
@@ -46,7 +46,7 @@ def test_criterion_1_per_step_identities():
     steps = 10_000
     for seed in range(5):
         inst = oracle.gen_consistent(30, 10, seed=100 + seed)
-        X, y = inst.problem.X, inst.problem.y
+        X, y = inst.X, inst.y
         tol_y = 1e-10
 
         beta, rng = np.zeros(10), pcg(seed)
@@ -94,7 +94,7 @@ def test_criterion_2_pythagoras_identities():
 
     # RK, consistent (shape chosen so 1e4 steps stay above the fp floor)
     inst = oracle.gen_consistent(100, 80, seed=200)
-    X, y, ref = inst.problem.X, inst.problem.y, inst.reference
+    X, y, ref = inst.X, inst.y, inst.reference
     beta, rng = np.zeros(80), pcg(1)
     sampler = build_sampler(linalg.row_norms_sq(X))
     e_prev = float((beta - ref) @ (beta - ref))
@@ -109,7 +109,7 @@ def test_criterion_2_pythagoras_identities():
     # RCD, consistent and inconsistent
     for inst in (oracle.gen_consistent(100, 80, seed=201),
                  oracle.gen_inconsistent(100, 80, 0.5, seed=202)):
-        X, y, ref = inst.problem.X, inst.problem.y, inst.reference
+        X, y, ref = inst.X, inst.y, inst.reference
         beta, residual, rng = np.zeros(80), y.copy(), pcg(2)
         sampler = build_sampler(linalg.col_norms_sq(X))
         fit_ref = X @ ref
@@ -132,16 +132,16 @@ def test_criterion_3_expectation_rate_bound():
     1.5 x (1 - sigma_min/Tr)^t x initial, 200 seeds, 30 epochs."""
     watch = Stopwatch(60.0)
     inst = oracle.gen_consistent(50, 20, seed=300)
-    rate = oracle.theoretical_rate(oracle.gram(inst.problem.X))
+    rate = oracle.theoretical_rate(oracle.gram(inst.X))
     n_seeds = 200
     epochs = 30
 
-    for method, natural, every in ((Method.RK, "err_sq", 50), (Method.RCD, "energy_err_sq", 20)):
+    for method, natural, every in (("rk", "err_sq", 50), ("rcd", "energy_err_sq", 20)):
         sums = None
         for seed in range(n_seeds):
             cfg = RunConfig(max_iters=epochs * every, tol=0.0, seed=seed,
                             checkpoint_every=every)
-            trace = run(method, inst.problem, cfg, inst.reference, rate)
+            trace = run(method, inst.X, inst.y, inst.regime, cfg, inst.reference, rate)
             col = trace.column(natural)
             sums = col if sums is None else sums + col
         mean = sums / n_seeds
@@ -159,18 +159,18 @@ def test_criterion_4_regime_trichotomy():
 
     # (a) inconsistent 50x20, noise 0.5
     inst = oracle.gen_inconsistent(50, 20, 0.5, seed=400)
-    rate = oracle.theoretical_rate(oracle.gram(inst.problem.X))
-    rcd_trace = run(Method.RCD, inst.problem,
+    rate = oracle.theoretical_rate(oracle.gram(inst.X))
+    rcd_trace = run("rcd", inst.X, inst.y, inst.regime,
                     RunConfig(max_iters=100_000, seed=1), inst.reference, rate)
     assert rcd_trace.final().err_sq <= 1e-12  # ||beta - beta_LS|| <= 1e-6
 
-    ref_trace = run(Method.RK, inst.problem,
+    ref_trace = run("rk", inst.X, inst.y, inst.regime,
                     RunConfig(max_iters=1_000_000, seed=2), inst.reference, rate)
     ref_errs = ref_trace.column("err_sq")
     floor = float(np.min(ref_errs))
     assert floor > 1e-12  # RK never reaches ||beta - beta_LS|| <= 1e-6
 
-    check_trace = run(Method.RK, inst.problem,
+    check_trace = run("rk", inst.X, inst.y, inst.regime,
                       RunConfig(max_iters=200_000, seed=3), inst.reference, rate)
     errs = check_trace.column("err_sq")
     plateau_start = len(errs) // 5  # past the initial descent
@@ -178,7 +178,7 @@ def test_criterion_4_regime_trichotomy():
 
     # (b) underdetermined 20x50
     inst = oracle.gen_underdetermined(20, 50, seed=401)
-    X, y, ref = inst.problem.X, inst.problem.y, inst.reference
+    X, y, ref = inst.X, inst.y, inst.reference
     beta, rng = np.zeros(50), pcg(4)
     sampler = build_sampler(linalg.row_norms_sq(X))
     basis = oracle.null_space_basis(X)
@@ -192,7 +192,7 @@ def test_criterion_4_regime_trichotomy():
     assert null_space_leakage(X, beta, basis) <= 1e-10
 
     rate_plus = oracle.theoretical_rate(oracle.gram(X), positive_only=True)
-    rcd_trace = run(Method.RCD, inst.problem,
+    rcd_trace = run("rcd", inst.X, inst.y, inst.regime,
                     RunConfig(max_iters=100_000, seed=5, tol=1e-13), ref, rate_plus)
     final = rcd_trace.final()
     assert final.residual_sq <= 1e-12

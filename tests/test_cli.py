@@ -246,6 +246,22 @@ class TestGenerate:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name", [
+    (["generate", "consistent", "30", "10", "--seed", "-1"], "--seed"),
+    (["generate", "underdetermined", "0", "5"], "n"),
+    (["generate", "consistent", "5", "0"], "p"),
+    (["generate", "consistent", "5", "-1"], "p"),
+    (["solve", "{prob}", "--method", "rk", "--seed", "-1"], "--seed"),
+    (["compare", "{prob}", "--method", "rk", "--seed", "-1"], "--seed"),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v[:1] + v[-2:]))
+def test_int_below_its_lower_bound_is_usage_error(consistent_dir, tmp_path, capsys, argv, name):
+    out = tmp_path / "out"
+    argv = [consistent_dir if arg == "{prob}" else arg for arg in argv]
+    assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
+    assert f"argument {name}: must be at least" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSolve:
     def test_rk_converges_end_to_end(self, consistent_dir, tmp_path):
         trace_out = str(tmp_path / "trace.csv")
@@ -317,6 +333,20 @@ class TestSolve:
         assert code == cli.EXIT_USAGE
         assert f"{flag}: must be at least 1" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t.csv")
+
+    def test_directory_without_meta_runs_unjudged_with_a_falling_bound(self, tmp_path):
+        # without meta.txt the regime is unknown, so rcd is not judged; the
+        # rate still comes from the shape: X X^T's positive eigenvalues
+        prob, out = tmp_path / "und", str(tmp_path / "t.csv")
+        assert run_cli("generate", "underdetermined", "20", "50", "--seed", "4",
+                       "--out", str(prob)) == 0
+        os.remove(prob / "meta.txt")
+        assert run_cli("solve", str(prob), "--method", "rcd", "--iters", "200",
+                       "--out", out) == cli.EXIT_OK
+        bound = [float(line.split(",")[4]) for line in open(out).read().splitlines()[1:]]
+        assert bound[0] == pytest.approx(35199.7, rel=1e-5)
+        assert bound[-1] == pytest.approx(3924.6, rel=1e-5)
+        assert all(later < earlier for earlier, later in zip(bound, bound[1:]))
 
     @pytest.mark.parametrize("command", ["solve", "compare"])
     @pytest.mark.parametrize("tol", ["-1", "inf", "nan"])
@@ -820,13 +850,13 @@ class TestComparePrecheck:
     @pytest.fixture
     def trials(self, monkeypatch):
         calls = []
-        run_trials = cli._run_trials
+        oracle_step = cli._oracle_step
 
         def counting(method, *args):
             calls.append(method)
-            return run_trials(method, *args)
+            return oracle_step(method, *args)
 
-        monkeypatch.setattr(cli, "_run_trials", counting)
+        monkeypatch.setattr(cli, "_oracle_step", counting)
         return calls
 
     @pytest.mark.parametrize("flags,message", [

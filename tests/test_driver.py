@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from randiter import linalg, oracle
+from randiter.errors import DimensionError
 from randiter.kernel import KernelSpec, apply_gram, krr_run, krr_step, krr_weights
 from randiter.ridge import rcd_ridge_run, rcd_ridge_step, rk_ridge_run, rk_ridge_step
 from randiter.sampling import build_sampler
@@ -18,8 +19,6 @@ from randiter.solvers import (
     PLATEAU_WINDOW,
     RESIDUAL_REFRESH_EVERY,
     ConvergenceTrace,
-    Method,
-    Problem,
     Regime,
     RunConfig,
     TraceRecord,
@@ -77,21 +76,20 @@ def energy_stop(tol):
                                          or _plateaued(history, window))
 
 
-def ls_reference(method, problem, config, reference):
-    X, y = problem.X, problem.y
+def ls_reference(method, X, y, regime, config, reference):
     n, p = X.shape
     beta, residual = np.zeros(p), y.copy()
-    consistent = problem.regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
+    consistent = regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
     def stop(rec, history, window):
         if consistent and rec.residual_sq <= config.tol ** 2:
             return True
-        return problem.regime == Regime.INCONSISTENT and _plateaued(history, window)
+        return regime == Regime.INCONSISTENT and _plateaued(history, window)
 
     def measures():
         return fits(X, y, beta, reference)
 
-    if method == Method.RK:
+    if method == "rk":
         return step_loop(linalg.row_norms_sq(X), config, n,
                          lambda i: rk_step(beta, X, y, i), measures, "err_sq", stop)
 
@@ -111,12 +109,12 @@ def instance(regime, n, p, seed):
 
 # (regime, n, p, instance seed, max_iters, checkpoint_every, tol, how it ends)
 LS_CASES = {
-    Method.RK: [
+    "rk": [
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 1000, 7, 0.0, "max_iters"),
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 20000, None, 1e-6, "tol"),
         (Regime.INCONSISTENT, 12, 1, 3, 3000, None, 1e-12, "plateau"),
     ],
-    Method.RCD: [
+    "rcd": [
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 1000, 7, 0.0, "max_iters"),
         (Regime.CONSISTENT_UNIQUE, 30, 10, 5, 20000, None, 1e-6, "tol"),
         (Regime.INCONSISTENT, 30, 10, 5, 3000, None, 1e-12, "plateau"),
@@ -133,16 +131,16 @@ def check_end(trace, max_iters, every, ends):
 
 
 @pytest.mark.parametrize("method,case", [(m, c) for m, cs in LS_CASES.items() for c in cs],
-                         ids=lambda v: getattr(v, "value", None) or v[-1])
+                         ids=lambda v: v if isinstance(v, str) else v[-1])
 def test_ls_run_matches_step_loop(method, case):
     regime, n, p, seed, max_iters, every, tol, ends = case
     inst = instance(regime, n, p, seed)
-    problem = Problem(inst.problem.X, inst.problem.y, regime)
+    X, y = inst.X, inst.y
     config = RunConfig(max_iters=max_iters, tol=tol, seed=11, checkpoint_every=every)
-    trace = run(method, problem, config, inst.reference, RATE)
-    assert trace.records == ls_reference(method, problem, config, inst.reference).records
+    trace = run(method, X, y, regime, config, inst.reference, RATE)
+    assert trace.records == ls_reference(method, X, y, regime, config, inst.reference).records
     check_end(trace, max_iters, every or 1, ends)
-    if method == Method.RCD and ends != "tol":
+    if method == "rcd" and ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
 
 
@@ -205,7 +203,7 @@ def test_ridge_run_matches_step_loop(method, case):
     regime, n, p, seed, lam, max_iters, every, tol, ends = case
     inst = instance(regime, n, p, seed)
     config = RunConfig(max_iters=max_iters, tol=tol, seed=12, checkpoint_every=every)
-    trace, ref = ridge_pair(method, inst.problem.X, inst.problem.y, lam, config)
+    trace, ref = ridge_pair(method, inst.X, inst.y, lam, config)
     assert trace.records == ref.records
     check_end(trace, max_iters, every or 1, ends)
     if method == "rcd-ridge" and ends != "tol":
@@ -225,7 +223,7 @@ KRR_CASES = [
 def test_krr_run_matches_step_loop(case, matrix_free):
     max_iters, every, tol, ends = case
     inst = oracle.gen_inconsistent(30, 10, 0.1, 5)
-    data, y = inst.problem.X, inst.problem.y
+    data, y = inst.X, inst.y
     spec, lam, n = KernelSpec("gaussian", gamma=0.5), 0.5, 30
     M = oracle.gram_matrix(spec, data) + lam * np.eye(n)
     alpha_star = np.linalg.solve(M, y)
@@ -262,17 +260,17 @@ class TestZeroColumn:
 
     def setup_method(self):
         inst = oracle.gen_inconsistent(30, 10, 0.1, 5)
-        self.X = inst.problem.X.copy()
+        self.X = inst.X.copy()
         self.X[:, 3] = 0.0
-        self.y = inst.problem.y
+        self.y = inst.y
 
     def test_rcd(self):
         X, y = self.X, self.y
-        problem = Problem(X, y, Regime.INCONSISTENT)
+        regime = Regime.INCONSISTENT
         reference = np.linalg.lstsq(X, y, rcond=None)[0]
         config = RunConfig(max_iters=1500, seed=14, checkpoint_every=13)
-        trace = run(Method.RCD, problem, config, reference, RATE)
-        assert trace.records == ls_reference(Method.RCD, problem, config, reference).records
+        trace = run("rcd", X, y, regime, config, reference, RATE)
+        assert trace.records == ls_reference("rcd", X, y, regime, config, reference).records
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
 
     def test_rcd_ridge(self):
@@ -289,19 +287,19 @@ class TestZeroRow:
 
     def setup_method(self):
         inst = oracle.gen_inconsistent(30, 10, 0.1, 5)
-        self.X = inst.problem.X.copy()
+        self.X = inst.X.copy()
         self.X[4] = 0.0
-        self.y = inst.problem.y
+        self.y = inst.y
 
     def test_rk(self):
         X, y = self.X, self.y
-        problem = Problem(X, y, Regime.INCONSISTENT)
+        regime = Regime.INCONSISTENT
         reference = np.linalg.lstsq(X, y, rcond=None)[0]
         config = RunConfig(max_iters=1500, seed=16, checkpoint_every=13)
         rows = build_sampler(linalg.row_norms_sq(X)).draw_block(pcg(config.seed), 1500)
         assert 4 not in rows
-        trace = run(Method.RK, problem, config, reference, RATE)
-        assert trace.records == ls_reference(Method.RK, problem, config, reference).records
+        trace = run("rk", X, y, regime, config, reference, RATE)
+        assert trace.records == ls_reference("rk", X, y, regime, config, reference).records
 
     def test_rk_ridge(self):
         lam = 0.5
@@ -317,7 +315,7 @@ class TestZeroRow:
 
 def test_krr_run_stops_at_first_non_finite_checkpoint():
     inst = oracle.gen_consistent(30, 10, 1)
-    data, y = inst.problem.X, inst.problem.y
+    data, y = inst.X, inst.y
     spec, lam = KernelSpec("polynomial", degree=200, offset=1000.0), 0.1
     config = RunConfig(max_iters=3000, seed=3)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -325,3 +323,33 @@ def test_krr_run_stops_at_first_non_finite_checkpoint():
     energies = trace.column("energy_err_sq")
     assert trace.final().iter == 30
     assert not np.isfinite(energies[-1]) and np.all(np.isfinite(energies[:-1]))
+
+
+# Every run entry point on (X, y, config) of a 30 x 10 instance, with
+# zero targets and lambda 0.1; "unknown" is run with a method it does not know.
+ENTRY_POINTS = {
+    "rk": lambda X, y, cfg: run("rk", X, y, Regime.CONSISTENT_UNIQUE, cfg, np.zeros(10), RATE),
+    "rcd": lambda X, y, cfg: run("rcd", X, y, Regime.CONSISTENT_UNIQUE, cfg, np.zeros(10), RATE),
+    "rk-ridge": lambda X, y, cfg: rk_ridge_run(X, y, 0.1, cfg, np.zeros(10), np.zeros(30), RATE),
+    "rcd-ridge": lambda X, y, cfg: rcd_ridge_run(X, y, 0.1, cfg, np.zeros(10), RATE),
+    "rk-krr": lambda X, y, cfg: krr_run(X, y, KernelSpec("gaussian"), 0.1, cfg, np.zeros(30),
+                                        RATE),
+    "unknown": lambda X, y, cfg: run("rk-ridge", X, y, Regime.CONSISTENT_UNIQUE, cfg,
+                                     np.zeros(10), RATE),
+}
+# (entry point, max_iters, entries cut from y, the error, its message)
+BAD_INPUTS = [
+    *[(entry, max_iters, 0, ValueError, "max_iters must be positive")
+      for entry in list(ENTRY_POINTS)[:-1] for max_iters in (0, -5)],
+    *[(entry, 100, 1, DimensionError, "y has length 29")
+      for entry in list(ENTRY_POINTS)[:-1]],
+    ("unknown", 100, 0, ValueError, "unknown method 'rk-ridge'"),
+]
+
+
+@pytest.mark.parametrize("entry,max_iters,cut,error,message", BAD_INPUTS,
+                         ids=[f"{e}-iters{m}-cut{c}" for e, m, c, _, _ in BAD_INPUTS])
+def test_run_inputs_are_checked_in_the_shared_loops(entry, max_iters, cut, error, message):
+    inst = oracle.gen_consistent(30, 10, 1)
+    with pytest.raises(error, match=message):
+        ENTRY_POINTS[entry](inst.X, inst.y[:30 - cut], RunConfig(max_iters=max_iters))

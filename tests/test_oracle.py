@@ -262,20 +262,20 @@ class TestOracleOncePerInstance:
 class TestGenerators:
     def test_consistent_construction_identity(self):
         inst = oracle.gen_consistent(2, 1, seed=0)
-        assert np.max(np.abs(inst.problem.X @ inst.reference - inst.problem.y)) <= 1e-10
-        assert inst.problem.regime == Regime.CONSISTENT_UNIQUE
+        assert np.max(np.abs(inst.X @ inst.reference - inst.y)) <= 1e-10
+        assert inst.regime == Regime.CONSISTENT_UNIQUE
 
     def test_inconsistent_projection(self):
         inst = oracle.gen_inconsistent(12, 5, 0.5, seed=1)
-        X = inst.problem.X
+        X = inst.X
         assert np.max(np.abs(X.T @ inst.z)) <= 1e-9
         assert np.linalg.norm(inst.z) == pytest.approx(0.5, abs=1e-10)
-        resid = inst.problem.y - X @ inst.reference
+        resid = inst.y - X @ inst.reference
         assert np.max(np.abs(X.T @ resid)) <= 1e-9
 
     def test_underdetermined_reference(self):
         inst = oracle.gen_underdetermined(3, 8, seed=2)
-        X, y, ref = inst.problem.X, inst.problem.y, inst.reference
+        X, y, ref = inst.X, inst.y, inst.reference
         assert np.max(np.abs(X @ ref - y)) <= 1e-10
         assert null_space_leakage(X, ref, oracle.null_space_basis(X)) <= 1e-9
 

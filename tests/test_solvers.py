@@ -6,8 +6,6 @@ from randiter.errors import ZeroNormColumn, ZeroNormRow
 from randiter.sampling import build_sampler
 from randiter.solvers import (
     ConvergenceTrace,
-    Method,
-    Problem,
     Regime,
     RunConfig,
     TraceRecord,
@@ -42,7 +40,7 @@ class TestRkStep:
 
     def test_projection_identity_random_steps(self):
         inst = oracle.gen_consistent(12, 5, seed=3)
-        X, y = inst.problem.X, inst.problem.y
+        X, y = inst.X, inst.y
         beta, rng = np.zeros(5), pcg(0)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(500):
@@ -52,7 +50,7 @@ class TestRkStep:
 
     def test_converges_to_oracle_solution(self):
         inst = oracle.gen_consistent(8, 3, seed=21)
-        X, y = inst.problem.X, inst.problem.y
+        X, y = inst.X, inst.y
         beta_star = linalg.solve_spd(X.T @ X, X.T @ y)  # closed form
         beta, rng = np.zeros(3), pcg(7)
         sampler = build_sampler(linalg.row_norms_sq(X))
@@ -84,7 +82,7 @@ class TestRcdStep:
 
     def test_coordinate_optimality_random_steps(self):
         inst = oracle.gen_inconsistent(12, 5, 0.5, seed=4)
-        X, y = inst.problem.X, inst.problem.y
+        X, y = inst.X, inst.y
         beta, residual, rng = np.zeros(5), y.copy(), pcg(0)
         sampler = build_sampler(linalg.col_norms_sq(X))
         tol = 1e-10 * (1.0 + np.max(np.abs(y)))
@@ -95,7 +93,7 @@ class TestRcdStep:
 
     def test_converges_to_least_squares(self):
         inst = oracle.gen_inconsistent(10, 3, 0.5, seed=5)
-        X, y = inst.problem.X, inst.problem.y
+        X, y = inst.X, inst.y
         beta_ls = linalg.solve_spd(X.T @ X, X.T @ y)
         beta, residual, rng = np.zeros(3), y.copy(), pcg(11)
         sampler = build_sampler(linalg.col_norms_sq(X))
@@ -109,7 +107,7 @@ class TestRcdStep:
 class TestPythagorasAndMonotonicity:
     def test_rk_pythagoras_consistent(self):
         inst = oracle.gen_consistent(20, 8, seed=6)
-        X, y, ref = inst.problem.X, inst.problem.y, inst.reference
+        X, y, ref = inst.X, inst.y, inst.reference
         beta, rng = np.zeros(8), pcg(1)
         sampler = build_sampler(linalg.row_norms_sq(X))
         for _ in range(300):
@@ -123,7 +121,7 @@ class TestPythagorasAndMonotonicity:
 
     def test_rcd_pythagoras_even_inconsistent(self):
         inst = oracle.gen_inconsistent(20, 8, 0.5, seed=7)
-        X, y, ref = inst.problem.X, inst.problem.y, inst.reference
+        X, y, ref = inst.X, inst.y, inst.reference
         beta, residual, rng = np.zeros(8), y.copy(), pcg(2)
         sampler = build_sampler(linalg.col_norms_sq(X))
         fit_ref = X @ ref
@@ -139,7 +137,7 @@ class TestPythagorasAndMonotonicity:
 
     def test_rk_row_space_confinement(self):
         inst = oracle.gen_underdetermined(6, 15, seed=8)
-        X, y = inst.problem.X, inst.problem.y
+        X, y = inst.X, inst.y
         basis = oracle.null_space_basis(X)
         beta, rng = np.zeros(15), pcg(3)
         sampler = build_sampler(linalg.row_norms_sq(X))
@@ -153,8 +151,7 @@ class TestRun:
     def test_identity_system_converges_immediately(self):
         X = linalg.dense_matrix(np.eye(2))
         y = np.array([1.0, 1.0])
-        problem = Problem(X, y, Regime.CONSISTENT_UNIQUE)
-        trace = run(problem=problem, method=Method.RK,
+        trace = run(method="rk", X=X, y=y, regime=Regime.CONSISTENT_UNIQUE,
                     config=RunConfig(max_iters=10, checkpoint_every=1),
                     reference=y.copy(), rate=0.5)
         final = trace.final()
@@ -163,8 +160,8 @@ class TestRun:
 
     def test_trace_is_strictly_increasing_and_finite(self):
         inst = oracle.gen_consistent(15, 6, seed=9)
-        rate = oracle.theoretical_rate(oracle.gram(inst.problem.X))
-        trace = run(Method.RCD, inst.problem, RunConfig(max_iters=500, seed=4),
+        rate = oracle.theoretical_rate(oracle.gram(inst.X))
+        trace = run("rcd", inst.X, inst.y, inst.regime, RunConfig(max_iters=500, seed=4),
                     inst.reference, rate)
         iters = trace.column("iter")
         assert np.all(np.diff(iters) > 0)
@@ -174,9 +171,9 @@ class TestRun:
 
     def test_underdetermined_rcd_leaves_min_norm_gap(self):
         inst = oracle.gen_underdetermined(10, 40, seed=10)
-        rate = oracle.theoretical_rate(oracle.gram(inst.problem.X), positive_only=True)
-        trace = run(Method.RCD, inst.problem, RunConfig(max_iters=60000, seed=5, tol=1e-13),
-                    inst.reference, rate)
+        rate = oracle.theoretical_rate(oracle.gram(inst.X), positive_only=True)
+        trace = run("rcd", inst.X, inst.y, inst.regime,
+                    RunConfig(max_iters=60000, seed=5, tol=1e-13), inst.reference, rate)
         final = trace.final()
         assert final.residual_sq <= 1e-12
         assert final.err_sq > 0.01 ** 2

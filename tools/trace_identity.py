@@ -6,7 +6,9 @@ PARENT_SRC and CHANGE_SRC are the `src` directories of two checkouts.
 Each tree runs the same commands, one process per command and one BLAS
 thread, in a working directory of its own:
 
-- `generate` of the four standard instances;
+- `generate` of the four standard instances, and of `u20x50` once more
+  as `u20x50-nometa`, whose meta.txt is then removed, so its runs see no
+  regime;
 - on each instance, `solve --trials 2` with each of the five methods and
   one `compare` of all five, at the default checkpoint cadence and at
   `--checkpoint-every 7`.
@@ -32,7 +34,10 @@ INSTANCES = {
     "i30x10": ["inconsistent", "30", "10", "--seed", "5"],
     "u20x50": ["underdetermined", "20", "50", "--seed", "4"],
     "u40x80": ["underdetermined", "40", "80", "--seed", "1"],
+    "u20x50-nometa": ["underdetermined", "20", "50", "--seed", "4"],
 }
+# Instances whose meta.txt is removed right after `generate`.
+UNLABELLED = ("u20x50-nometa",)
 METHOD_FLAGS = {
     "rk": [],
     "rcd": [],
@@ -68,6 +73,8 @@ def run_tree(src: str, workdir: str) -> list[tuple[int, bytes]]:
         proc = subprocess.run([sys.executable, "-m", "randiter.cli", *argv], cwd=workdir,
                               env=env, capture_output=True)
         results.append((proc.returncode, proc.stderr))
+        if argv[0] == "generate" and argv[-1] in UNLABELLED:
+            os.remove(os.path.join(workdir, argv[-1], "meta.txt"))
     return results
 
 
