@@ -1,8 +1,11 @@
 """Kernel evaluation and matrix-free Kaczmarz for kernel ridge regression.
 
-The solver iterates on the dual system (K + lambda I) alpha = y using
-one kernel column per step, evaluated on the fly; no n x n structure is
-ever allocated. The maintained auxiliary vector is s = K alpha (rather
+The solver iterates on the dual system (K + lambda I) alpha = y. It
+takes its steps k at a time as one forward Gauss-Seidel sweep
+(solvers.dual_sweep), with the k rows of K it needs, K[J, :] for the
+drawn rows J, evaluated on the fly in one product, or, where k is too
+small to pay, one kernel column per step; no n x n structure is ever
+allocated. The maintained auxiliary vector is s = K alpha (rather
 than the residual), so y never has to be touched during updates.
 """
 
@@ -14,10 +17,16 @@ import numpy as np
 
 from .errors import DimensionError
 from .sampling import build_sampler
-from .solvers import ConvergenceTrace, RunConfig, drive
-
-# apply_gram forms at most this many entries of K at once (256 KB).
-GRAM_TILE_ELEMS = 1 << 15
+from .solvers import (
+    GRAM_TILE_ELEMS,
+    SWEEP_MIN_STEPS,
+    SWEEP_STEPS,
+    ConvergenceTrace,
+    RunConfig,
+    drive,
+    dual_sweep,
+    sweeps,
+)
 
 _FAMILIES = ("linear", "gaussian", "polynomial")
 
@@ -118,14 +127,24 @@ class _Gram:
         self._map(out, i)
         return out
 
+    def block(self, J: np.ndarray) -> np.ndarray:
+        """K[J, :], the rows of K at indices J, from one product."""
+        out = self.points[J] @ self.rows.T
+        self._map(out, (np.arange(len(J)), J))
+        return out
+
     def apply(self, v: np.ndarray) -> np.ndarray:
-        """K v from the tiles of K on or above its block diagonal: each
-        tile adds its rows' products with v and, by symmetry, its
-        columns' products below the diagonal."""
-        n = v.shape[0]
-        res = np.zeros(n)
-        if not v.any():
-            # K 0 = 0 exactly, even where K's entries overflow
+        """K v, for one vector v or for each row of a stack of them,
+        from the tiles of K on or above its block diagonal: each tile
+        adds its rows' products with each v and, by symmetry, its
+        columns' products below the diagonal. A stack shares the tiles,
+        and each of its vectors gets the products, and the bits, of its
+        own apply."""
+        n = v.shape[-1]
+        res = np.zeros(v.shape)
+        # K 0 = 0 exactly, even where K's entries overflow
+        live = [(u, out) for u, out in zip(v.reshape(-1, n), res.reshape(-1, n)) if u.any()]
+        if not live:
             return res
         buf = np.empty(max(GRAM_TILE_ELEMS, n))
         start = 0
@@ -138,8 +157,9 @@ class _Gram:
             np.matmul(self.rows[start:stop], self.points[start:].T, out=tile)
             diag = np.arange(stop - start)
             self._map(tile, (diag, diag))
-            res[start:stop] += tile @ v[start:]
-            res[stop:] += v[start:stop] @ tile[:, stop - start:]
+            for u, out in live:
+                out[start:stop] += tile @ u[start:]
+                out[stop:] += u[start:stop] @ tile[:, stop - start:]
             start = stop
         return res
 
@@ -155,7 +175,7 @@ def krr_step(
 ) -> None:
     """One dual row action, in place, using a single on-the-fly kernel
     column; s = K alpha before and after. The single-step reference for
-    krr_run's inner loop, with the same column."""
+    krr_run's sweeps, and, with the same column, for its step loop."""
     col = _Gram(spec, data).column(row, np.empty(data.shape[0]))
     delta = (y[row] - s[row] - lam * alpha[row]) / (float(col[row]) + lam)
     alpha[row] += delta
@@ -163,7 +183,8 @@ def krr_step(
 
 
 def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """K v without forming K: tiles of at most GRAM_TILE_ELEMS entries
+    """K v without forming K, for a vector v or for each row of a stack
+    of them (see _Gram.apply): tiles of at most GRAM_TILE_ELEMS entries
     (more only when one row of K is longer), one BLAS product each,
     that cover about half of K, by symmetry. Extra memory is
     O(GRAM_TILE_ELEMS + n p)."""
@@ -185,9 +206,15 @@ def krr_run(
     err_sq is ||alpha - alpha*||^2; energy_err_sq the same in the
     (K + lambda I) norm. The oracle may pass K + lambda I explicitly as
     `energy_matrix` (desk scale); otherwise checkpoints apply K with
-    apply_gram, still without materializing it. The run stops at the
-    first checkpoint with energy_err_sq <= tol^2, at a plateau, or at
-    max_iters.
+    apply_gram, still without materializing it. Steps are taken a dual
+    sweep of k = min(SWEEP_STEPS, GRAM_TILE_ELEMS // n) steps at a time
+    (solvers.dual_sweep), with K[J, :] for the sweep's rows J from one
+    product, or one kernel column per step in a run shorter than
+    SWEEP_MIN_STEPS and throughout where k is (n > 4096). The refresh of
+    s = K alpha every RESIDUAL_REFRESH_EVERY steps waits for the next
+    draw block or checkpoint; a checkpoint shares its apply_gram pass
+    with it. The run stops at the first checkpoint with
+    energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
@@ -197,12 +224,30 @@ def krr_run(
         raise ValueError("krr_run starts from alpha = 0 and takes no beta0")
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
-    column = _Gram(spec, data).column
+    gram = _Gram(spec, data)
+    column = gram.column
     ys = y.tolist()
     alpha, s, col = np.zeros(n), np.zeros(n), np.empty(n)
+    k = min(SWEEP_STEPS, GRAM_TILE_ELEMS // n)
+    stale = False  # s awaits its rebuild from alpha
 
-    def advance(rows):
+    def products(v=None):
+        """K v, if v is given, from one apply_gram pass that also
+        rebuilds s if it is stale."""
+        nonlocal stale
+        if not stale:
+            return None if v is None else apply_gram(spec, data, v)
+        stale = False
+        if v is None:
+            s[:] = apply_gram(spec, data, alpha)
+            return None
+        Kv, s[:] = apply_gram(spec, data, np.array((v, alpha)))
+        return Kv
+
+    def steps(rows):
         nonlocal s
+        if stale:
+            products()
         # krr_step for each row in turn, with the column written into
         # col and then scaled in place
         for row in rows.tolist():
@@ -211,17 +256,31 @@ def krr_run(
             alpha[row] += delta
             s += np.multiply(col, delta, out=col)
 
+    def advance(rows):
+        if stale:
+            products()
+        for J in sweeps(rows, k):
+            if len(J) < SWEEP_MIN_STEPS:
+                steps(J)
+            else:
+                KJ = gram.block(J)
+                dual_sweep(J, KJ, KJ[:, J], y[J] - s[J], lam, alpha, s)
+
     def refresh():
-        s[:] = apply_gram(spec, data, alpha)
+        # deferred to the next block or checkpoint, whose pass it shares
+        nonlocal stale
+        stale = True
 
     def checkpoint():
         v = alpha - alpha_star
         if energy_matrix is not None:
+            products()
             energy = max(float(v @ (energy_matrix @ v)), 0.0)
         else:
-            energy = float(v @ apply_gram(spec, data, v)) + lam * float(v @ v)
+            energy = float(v @ products(v)) + lam * float(v @ v)
         dual_res = y - s - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
-    return drive(sampler, config, advance, checkpoint, rate, "energy_err_sq",
+    loop = advance if k >= SWEEP_MIN_STEPS else steps
+    return drive(sampler, config, loop, checkpoint, rate, "energy_err_sq",
                  tol_on="energy_err_sq", plateau=True, refresh=refresh)

@@ -8,14 +8,20 @@ rcd-ridge (ridge.py) at lam > 0. A row step costs O(p), a column step
 O(n). The driver that every method's run shares (`drive`) samples
 indices a block at a time, with probability proportional to squared
 row/column norms (plus lam), hands each block to the method's loop,
-and records a convergence trace at checkpoints.
+and records a convergence trace at checkpoints. The row loop, and
+rk-krr's (kernel.py), take a block's steps up to SWEEP_STEPS at a time:
+k steps on drawn rows J are one forward Gauss-Seidel sweep on the J x J
+block of the dual system (`dual_sweep`), a k x k triangular solve and
+two BLAS products in place of 2k vector operations. Runs too short for
+that to pay, fewer than SWEEP_MIN_STEPS steps, are stepped one at a
+time.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +35,22 @@ from .sampling import WeightedSampler, build_sampler
 # so per-step optimality stays testable. The driver's draw blocks end
 # at its multiples, so they never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
+
+# A dual sweep's k rows of K, and each tile of K that kernel.apply_gram
+# forms, hold at most this many entries (256 KB), more only when a
+# single row is longer.
+GRAM_TILE_ELEMS = 1 << 15
+# A sweep on rows of X also forms X_J X_J^T, k p multiply-adds a step
+# that single steps do not make, so rk and rk-ridge hold k p to this
+# many entries; rk-krr's K[J, J] comes free with K[J, :].
+ROW_SWEEP_ELEMS = 1 << 12
+# A dual sweep takes at most SWEEP_STEPS steps: its triangular solve
+# grows as the square of k. Runs of fewer than SWEEP_MIN_STEPS, at the
+# end of a draw block or where the entry cap holds k below it, are
+# taken a step at a time: there a sweep's fixed cost outweighs the
+# per-step calls it saves.
+SWEEP_STEPS = 32
+SWEEP_MIN_STEPS = 8
 
 # Plateau detector for regimes with an error floor: stop when the
 # relative err_sq change between consecutive checkpoints stays below
@@ -189,12 +211,53 @@ def drive(
     return trace
 
 
-# The two loops below call ndarray.dot, which reaches the same BLAS
-# ddot as the steps' `@` with less call overhead, and scale a row or
-# column into a scratch buffer instead of a new array: the same
-# operations on the same operands, so the same bits as the *_step
-# functions. At lam = 0 the lam terms are exact zeros, so rk and rcd
-# get the bits of rk_step and rcd_step.
+def sweeps(indices: np.ndarray, k: int) -> Sequence[np.ndarray]:
+    """A draw block cut, in order, into runs of at most k indices. A run
+    of SWEEP_MIN_STEPS or more is one dual sweep; a shorter one is taken
+    a step at a time."""
+    if len(indices) <= k:
+        return (indices,)
+    return [indices[start:start + k] for start in range(0, len(indices), k)]
+
+
+def dual_sweep(J, B, G, b, lam, alpha, w):
+    """k dual coordinate steps on rows J = (j_1, ..., j_k), in that order
+    and in place, as one forward Gauss-Seidel sweep.
+
+    The dual system is (M + lam I) alpha = y. For rk and rk-ridge M is
+    X X^T, w is beta and B is X_J; for rk-krr M is K, w is s = K alpha
+    and B is K[J, :]. G is M[J, J], and b is y_J - X_J beta or y_J - s_J,
+    both at the sweep's start. Step t, on row j = j_t, is
+    delta_t = (y_j - x_j.beta - lam alpha_j) / (M_jj + lam) (s_j in place
+    of x_j.beta for rk-krr), and sees the sweep's earlier steps u < t
+    only through G[t, u] + lam [j_t = j_u]. So delta solves the lower
+    triangle of G + lam [j_t = j_u] for b - lam alpha_J, by forward
+    substitution. Then alpha_J += delta, a row that repeats in J adding
+    its deltas in order as the steps do, and w += delta B in one
+    product. That is the steps' iterate up to rounding. A pivot <= 0 is
+    a zero-norm row at lam = 0.
+    """
+    G = G + lam * (J[:, None] == J)
+    delta = []
+    for row, rhs, j in zip(G.tolist(), (b - lam * alpha[J]).tolist(), J.tolist()):
+        pivot = row[len(delta)]
+        if pivot <= 0.0:
+            raise ZeroNormRow(f"row {j} has zero norm")
+        for g, d in zip(row, delta):  # the entries left of the pivot
+            rhs -= g * d
+        delta.append(rhs / pivot)
+    delta = np.array(delta)
+    np.add.at(alpha, J, delta)
+    w += delta @ B
+
+
+# The step loops below, row_descent's for runs too short to sweep and
+# column_descent's, call ndarray.dot, which reaches the same BLAS ddot
+# as the steps' `@` with less call overhead, and scale a row or column
+# into a scratch buffer instead of a new array: the same operations on
+# the same operands, so the same bits as the *_step functions. At
+# lam = 0 the lam terms are exact zeros, so rk and rcd get the bits of
+# rk_step and rcd_step.
 
 
 def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
@@ -204,7 +267,10 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     Starts from alpha = 0 and beta = config.beta0 (zero if None) and keeps
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
-    alpha_i += delta and beta += delta x_i. Runs `drive` with
+    alpha_i += delta and beta += delta x_i, taken a dual sweep of
+    k = min(SWEEP_STEPS, ROW_SWEEP_ELEMS // p) steps at a time
+    (`dual_sweep`), or a step at a time in a run shorter than
+    SWEEP_MIN_STEPS and throughout where k is. Runs `drive` with
     checkpoint measures(beta, alpha) and the stop rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
@@ -212,8 +278,9 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
     alpha = np.zeros(X.shape[0])
     scaled = np.empty_like(beta)
+    k = min(SWEEP_STEPS, ROW_SWEEP_ELEMS // max(X.shape[1], 1))
 
-    def advance(rows):
+    def steps(rows):
         nonlocal beta
         for row in rows.tolist():
             xr = X[row]
@@ -224,7 +291,16 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
             alpha[row] += delta
             beta += np.multiply(xr, delta, out=scaled)
 
-    return drive(sampler, config, advance, lambda: measures(beta, alpha), rate, natural, **stop)
+    def advance(rows):
+        for J in sweeps(rows, k):
+            if len(J) < SWEEP_MIN_STEPS:
+                steps(J)
+            else:
+                XJ = X[J]
+                dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
+
+    loop = advance if k >= SWEEP_MIN_STEPS else steps
+    return drive(sampler, config, loop, lambda: measures(beta, alpha), rate, natural, **stop)
 
 
 def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):

@@ -1,8 +1,14 @@
 """The shared block driver against the per-step loop it replaced.
 
-Each `*_run` must give exactly the trace of a reference loop that takes
-one scalar `WeightedSampler.draw` and one `*_step` call per iteration,
-refreshes every 1000 steps, and checks the stop rule at each checkpoint.
+Each `*_run` is checked against a reference loop that takes one scalar
+`WeightedSampler.draw` and one `*_step` call per iteration, refreshes
+every 1000 steps, and checks the stop rule at each checkpoint. The
+column methods (rcd, rcd-ridge) must give exactly its trace. The row
+methods (rk, rk-ridge, rk-krr) take their steps as dual sweeps, which
+sum in another order, so theirs must have the same `iter` column and
+every column within SWEEP_RTOL of that column's record-0 value; a run
+too short to sweep steps one row at a time and must again give exactly
+the reference trace.
 """
 
 import math
@@ -16,8 +22,11 @@ from randiter.kernel import KernelSpec, apply_gram, krr_run, krr_step, krr_weigh
 from randiter.ridge import rcd_ridge_run, rcd_ridge_step, rk_ridge_run, rk_ridge_step
 from randiter.sampling import build_sampler
 from randiter.solvers import (
+    GRAM_TILE_ELEMS,
     PLATEAU_WINDOW,
     RESIDUAL_REFRESH_EVERY,
+    ROW_SWEEP_ELEMS,
+    SWEEP_MIN_STEPS,
     ConvergenceTrace,
     Regime,
     RunConfig,
@@ -31,6 +40,24 @@ from randiter.solvers import (
 from conftest import pcg
 
 RATE = 0.97
+# A sweep's iterate is the step loop's up to rounding: its traces differ
+# by at most about 1e-17 of each column's starting value.
+SWEEP_RTOL = 1e-12
+COLUMNS = ("err_sq", "energy_err_sq", "residual_sq", "bound")
+
+
+def assert_matches_step_loop(trace, ref, method):
+    """rcd and rcd-ridge give the step loop's records; the sweep methods
+    its checkpoints and final iteration, and every column within
+    SWEEP_RTOL of its record-0 value."""
+    if method in ("rcd", "rcd-ridge"):
+        assert trace.records == ref.records
+        return
+    assert trace.column("iter").tolist() == ref.column("iter").tolist()
+    assert trace.final().iter == ref.final().iter
+    for name in COLUMNS:
+        got, want = trace.column(name), ref.column(name)
+        assert np.all(np.abs(got - want) <= SWEEP_RTOL * abs(want[0])), name
 
 
 def step_loop(weights, config, epoch, step, measures, natural, stop,
@@ -138,7 +165,8 @@ def test_ls_run_matches_step_loop(method, case):
     X, y = inst.X, inst.y
     config = RunConfig(max_iters=max_iters, tol=tol, seed=11, checkpoint_every=every)
     trace = run(method, X, y, regime, config, inst.reference, RATE)
-    assert trace.records == ls_reference(method, X, y, regime, config, inst.reference).records
+    assert_matches_step_loop(trace, ls_reference(method, X, y, regime, config, inst.reference),
+                             method)
     check_end(trace, max_iters, every or 1, ends)
     if method == "rcd" and ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
@@ -204,7 +232,7 @@ def test_ridge_run_matches_step_loop(method, case):
     inst = instance(regime, n, p, seed)
     config = RunConfig(max_iters=max_iters, tol=tol, seed=12, checkpoint_every=every)
     trace, ref = ridge_pair(method, inst.X, inst.y, lam, config)
-    assert trace.records == ref.records
+    assert_matches_step_loop(trace, ref, method)
     check_end(trace, max_iters, every or 1, ends)
     if method == "rcd-ridge" and ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
@@ -218,22 +246,15 @@ KRR_CASES = [
 ]
 
 
-@pytest.mark.parametrize("matrix_free", [False, True], ids=["energy-matrix", "matrix-free"])
-@pytest.mark.parametrize("case", KRR_CASES, ids=lambda c: c[-1])
-def test_krr_run_matches_step_loop(case, matrix_free):
-    max_iters, every, tol, ends = case
-    inst = oracle.gen_inconsistent(30, 10, 0.1, 5)
-    data, y = inst.X, inst.y
-    spec, lam, n = KernelSpec("gaussian", gamma=0.5), 0.5, 30
-    M = oracle.gram_matrix(spec, data) + lam * np.eye(n)
-    alpha_star = np.linalg.solve(M, y)
-    energy_matrix = None if matrix_free else M
-    config = RunConfig(max_iters=max_iters, tol=tol, seed=13, checkpoint_every=every)
+def krr_pair(data, y, spec, lam, config, alpha_star, M=None):
+    """krr_run and its step-loop reference; checkpoints use M = K + lam I
+    if given, else apply_gram."""
+    n = data.shape[0]
     alpha, s = np.zeros(n), np.zeros(n)
 
     def measures():
         v = alpha - alpha_star
-        if matrix_free:
+        if M is None:
             energy = float(v @ apply_gram(spec, data, v)) + lam * float(v @ v)
         else:
             energy = max(float(v @ (M @ v)), 0.0)
@@ -245,12 +266,54 @@ def test_krr_run_matches_step_loop(case, matrix_free):
 
     ref = step_loop(krr_weights(spec, data, lam), config, n,
                     lambda i: krr_step(alpha, s, data, y, spec, lam, i), measures,
-                    "energy_err_sq", energy_stop(tol), refresh, RESIDUAL_REFRESH_EVERY)
-    trace = krr_run(data, y, spec, lam, config, alpha_star, RATE, energy_matrix=energy_matrix)
-    assert trace.records == ref.records
+                    "energy_err_sq", energy_stop(config.tol), refresh, RESIDUAL_REFRESH_EVERY)
+    return krr_run(data, y, spec, lam, config, alpha_star, RATE, energy_matrix=M), ref
+
+
+@pytest.mark.parametrize("matrix_free", [False, True], ids=["energy-matrix", "matrix-free"])
+@pytest.mark.parametrize("case", KRR_CASES, ids=lambda c: c[-1])
+def test_krr_run_matches_step_loop(case, matrix_free):
+    max_iters, every, tol, ends = case
+    inst = oracle.gen_inconsistent(30, 10, 0.1, 5)
+    data, y = inst.X, inst.y
+    spec, lam, n = KernelSpec("gaussian", gamma=0.5), 0.5, 30
+    M = oracle.gram_matrix(spec, data) + lam * np.eye(n)
+    alpha_star = np.linalg.solve(M, y)
+    config = RunConfig(max_iters=max_iters, tol=tol, seed=13, checkpoint_every=every)
+    trace, ref = krr_pair(data, y, spec, lam, config, alpha_star, None if matrix_free else M)
+    assert_matches_step_loop(trace, ref, "rk-krr")
     check_end(trace, max_iters, every or 1, ends)
     if ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
+
+
+@pytest.mark.parametrize("method", ["rk", "rk-ridge", "rk-krr"])
+@pytest.mark.parametrize("shape", ["short-blocks", "long-rows"])
+def test_runs_too_short_to_sweep_give_the_step_loop_bits(method, shape):
+    # Checkpoints every 5 steps cut every draw block below
+    # SWEEP_MIN_STEPS; rows of p = 600 hold a sweep on X to
+    # ROW_SWEEP_ELEMS // 600 = 6 steps, rows of K at n = 4100 to
+    # GRAM_TILE_ELEMS // 4100 = 7. Either way no run sweeps, and the
+    # trace is the step loop's, bit for bit.
+    assert ROW_SWEEP_ELEMS // 600 < SWEEP_MIN_STEPS and GRAM_TILE_ELEMS // 4100 < SWEEP_MIN_STEPS
+    lam = 0.5
+    if shape == "short-blocks":
+        n, p, config = 30, 10, RunConfig(max_iters=1500, tol=0.0, seed=16, checkpoint_every=5)
+    elif method == "rk-krr":
+        n, p, config = 4100, 2, RunConfig(max_iters=300, tol=0.0, seed=16, checkpoint_every=150)
+    else:
+        n, p, config = 40, 600, RunConfig(max_iters=1500, tol=0.0, seed=16)
+    inst = (oracle.gen_underdetermined if n < p else oracle.gen_consistent)(n, p, 17)
+    if method == "rk":
+        trace = run("rk", inst.X, inst.y, Regime.UNKNOWN, config, inst.reference, RATE)
+        ref = ls_reference("rk", inst.X, inst.y, Regime.UNKNOWN, config, inst.reference)
+    elif method == "rk-ridge":
+        trace, ref = ridge_pair("rk-ridge", inst.X, inst.y, lam, config)
+    else:
+        trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), lam, config,
+                              np.zeros(n))
+    assert len(trace.records) > 2
+    assert trace.records == ref.records
 
 
 class TestZeroColumn:
@@ -299,7 +362,7 @@ class TestZeroRow:
         rows = build_sampler(linalg.row_norms_sq(X)).draw_block(pcg(config.seed), 1500)
         assert 4 not in rows
         trace = run("rk", X, y, regime, config, reference, RATE)
-        assert trace.records == ls_reference("rk", X, y, regime, config, reference).records
+        assert_matches_step_loop(trace, ls_reference("rk", X, y, regime, config, reference), "rk")
 
     def test_rk_ridge(self):
         lam = 0.5
@@ -307,7 +370,7 @@ class TestZeroRow:
         rows = build_sampler(linalg.row_norms_sq(self.X) + lam).draw_block(pcg(config.seed), 3000)
         assert 4 in rows
         trace, ref = ridge_pair("rk-ridge", self.X, self.y, lam, config)
-        assert trace.records == ref.records
+        assert_matches_step_loop(trace, ref, "rk-ridge")
         # energy_err_sq >= lam (alpha_4 - alpha*_4)^2, and alpha*_4 = y_4 / lam
         assert oracle.ridge_alpha_star(self.X, self.y, lam)[4] == pytest.approx(self.y[4] / lam)
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq

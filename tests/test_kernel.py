@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from randiter import linalg, oracle
+from randiter import kernel, linalg, oracle
 from randiter.errors import DimensionError
 from randiter.kernel import (
     GRAM_TILE_ELEMS,
@@ -188,6 +188,40 @@ class TestKrrRun:
         b = matrix_free.column("energy_err_sq")
         assert np.max(np.abs(a - b)) <= 1e-9 * (1.0 + np.max(a))
 
+    def test_matrix_free_run_allocation_audit(self):
+        # krr_run itself at n = 2000, sweeps and checkpoints included,
+        # far below the 32 MB of an n x n float64 K
+        data = gaussian_points(2000, 3, seed=25)
+        y = np.random.default_rng(26).standard_normal(2000)
+        config = RunConfig(max_iters=4000, tol=0.0, seed=27)
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1, config, np.zeros(2000),
+                        0.99)
+        _, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert trace.final().iter == 4000
+        assert peak < 1 << 20
+
+    def test_refresh_on_a_checkpoint_shares_its_pass(self, monkeypatch):
+        # n = 100, checkpoints every 100 steps, refreshes at 1000 and
+        # 2000: both refreshes ride on a checkpoint's pass, so 2000
+        # steps make 21 passes, not 23, and the refreshed s is exact
+        passes = []
+
+        def counted(spec, data, v):
+            passes.append(v.shape)
+            return apply_gram(spec, data, v)
+
+        monkeypatch.setattr(kernel, "apply_gram", counted)
+        data = gaussian_points(100, 3, seed=28)
+        y = np.random.default_rng(29).standard_normal(100)
+        trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1,
+                        RunConfig(max_iters=2000, tol=0.0, seed=30), np.zeros(100), 0.99)
+        assert trace.final().iter == 2000
+        assert len(passes) == 21
+        assert passes.count((2, 100)) == 2
+
     def test_gaussian_sampling_is_uniform(self):
         data = gaussian_points(9, 2, seed=17)
         w = krr_weights(KernelSpec("gaussian", gamma=0.8), data, 0.5)
@@ -236,6 +270,21 @@ class TestApplyGram:
         for spec in (*SPECS, KernelSpec("polynomial", degree=200, offset=1000.0)):
             out = apply_gram(spec, gaussian_points(50, 3, seed=18), np.zeros(50))
             assert out.shape == (50,) and np.all(out == 0.0)
+
+    @pytest.mark.parametrize("spec", (*SPECS, KernelSpec("polynomial", degree=200, offset=1000.0)),
+                             ids=["linear", "gaussian", "polynomial", "overflowing"])
+    def test_stack_gives_each_vector_its_own_bytes(self, spec):
+        # three vectors share the tiles of K at n = 2049; the zero one
+        # gets exact zeros even where K's entries overflow
+        data = gaussian_points(2049, 3, seed=21)
+        vs = np.random.default_rng(22).standard_normal((3, 2049))
+        vs[1] = 0.0
+        gram = _Gram(spec, data)
+        with np.errstate(over="ignore", invalid="ignore"):
+            stacked = gram.apply(vs)
+            for v, got in zip(vs, stacked):
+                assert got.tobytes() == gram.apply(v).tobytes()
+        assert np.all(stacked[1] == 0.0)
 
     @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
     def test_allocation_audit(self, spec):

@@ -17,8 +17,13 @@ Then every command's exit code and stderr, and every file the commands
 wrote, are compared byte for byte. Differences are listed one a line.
 Under each CSV that differs go whether its rows and its `iter` column
 match, and the largest relative change |a - b| / max(|a|, |b|) in each
-numeric column; the largest per column over all CSVs closes the list.
-The exit status is 0 when there are no differences and 1 otherwise.
+numeric column. That measure reads near 1 on values at the rounding
+floor (say 1e-30 against 1e-31 after a run has converged), so each trace
+CSV (one with an `iter` column) also gets each column's largest change
+relative to its record-0 value, |a - b| / |a_0|, where a_0 is the
+column's value in the parent's first row. The largest of each per
+column over all CSVs closes the list. The exit status is 0 when there
+are no differences and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -98,32 +103,55 @@ def relative_change(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def column_report(before: bytes, after: bytes) -> tuple[str, dict[str, float]]:
-    """How two CSVs differ: a line on their rows and `iter` columns, and
-    the largest relative change in each numeric column over the rows
-    both have."""
+def change_from_start(values: list[tuple[float, float]]) -> float:
+    """max |a - b| / |a_0| over the (a, b) pairs, a_0 the first a. Equal
+    values and two NaNs are no change, as in relative_change; a change
+    that is not finite, or any change where a_0 is 0, is inf."""
+    start = abs(values[0][0]) if values else 0.0
+    worst = 0.0
+    for a, b in values:
+        if relative_change(a, b):
+            diff = abs(a - b)
+            worst = max(worst, diff / start if start and math.isfinite(diff) else math.inf)
+    return worst
+
+
+def column_report(before: bytes, after: bytes) -> tuple[str, dict[str, float],
+                                                        dict[str, float]]:
+    """How two CSVs differ: a line on their rows and `iter` columns, the
+    largest relative change in each numeric column over the rows both
+    have, and, for a trace CSV, each column's largest change relative to
+    its record-0 value."""
     tables = []
     for data in (before, after):
         lines = data.decode().splitlines()
         tables.append((lines[0].split(","), [line.split(",") for line in lines[1:]]))
     (head, rows0), (head1, rows1) = tables
     if head != head1:
-        return "    headers differ", {}
+        return "    headers differ", {}, {}
     pairs = list(zip(rows0, rows1))
     rows = "rows same" if len(rows0) == len(rows1) else f"rows {len(rows0)} -> {len(rows1)}"
-    changes = {}
+    changes, from_start = {}, {}
     for k, name in enumerate(head):
         try:
             values = [(float(a[k]), float(b[k])) for a, b in pairs]
         except ValueError:
             continue  # not numeric
         changes[name] = max((relative_change(a, b) for a, b in values), default=0.0)
+        if "iter" in head and name != "iter":
+            from_start[name] = change_from_start(values)
     if "iter" not in head:
         iters = "no iter column"
     else:
         iters = "iter same" if changes["iter"] == 0.0 and rows == "rows same" else "iter differs"
-    columns = ", ".join(f"{name} {change:.2g}" for name, change in changes.items())
-    return f"    {rows}, {iters}; max relative change: {columns}", changes
+    line = f"    {rows}, {iters}; max relative change: {listing(changes)}"
+    if from_start:
+        line += f"\n    max change relative to record 0: {listing(from_start)}"
+    return line, changes, from_start
+
+
+def listing(changes: dict[str, float]) -> str:
+    return ", ".join(f"{name} {change:.2g}" for name, change in changes.items())
 
 
 def main(argv: list[str]) -> int:
@@ -145,20 +173,24 @@ def main(argv: list[str]) -> int:
         if before[1] != after[1]:
             diffs.append(f"stderr differs: {' '.join(argv_)}")
     overall: dict[str, float] = {}
+    overall_start: dict[str, float] = {}
     for name in sorted(set(files[0]) | set(files[1])):
         if files[0].get(name) != files[1].get(name):
             what = "differs" if name in files[0] and name in files[1] else "exists in one tree only"
             diffs.append(f"file {what}: {name}")
             if what == "differs" and name.endswith(".csv"):
-                report, changes = column_report(files[0][name], files[1][name])
+                report, changes, from_start = column_report(files[0][name], files[1][name])
                 diffs[-1] += "\n" + report
-                for column, change in changes.items():
-                    overall[column] = max(overall.get(column, 0.0), change)
+                for totals, found in ((overall, changes), (overall_start, from_start)):
+                    for column, change in found.items():
+                        totals[column] = max(totals.get(column, 0.0), change)
     for line in diffs:
         print(line)
     if overall:
-        print("max relative change over all CSVs: "
-              + ", ".join(f"{name} {change:.2g}" for name, change in sorted(overall.items())))
+        print("max relative change over all CSVs: " + listing(dict(sorted(overall.items()))))
+    if overall_start:
+        print("max change relative to record 0 over all trace CSVs: "
+              + listing(dict(sorted(overall_start.items()))))
     codes = sorted({code for code, _ in runs[0]})
     print(f"{len(runs[0])} commands (exit codes {codes}), {len(files[0])} files: "
           + ("byte-identical" if not diffs else f"{len(diffs)} differences"))
