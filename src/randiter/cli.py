@@ -206,10 +206,10 @@ def _kernel_spec(args) -> kernel.KernelSpec:
 def _oracle_step(method, X, y, reference, regime, args):
     """One method's oracle quantities (targets, M, theoretical rate),
     computed once for all trials. Returns (rate, solve), where
-    solve(run_config) is the per-trial solver step. M and y^T y are
-    formed first and must be finite, so data that overflows them is a
-    usage error before any closed form or run starts on it. For the row
-    and column methods M is oracle.small_gram(X) + lambda I, lambda 0 for rk and rcd."""
+    solve(run_config) is the per-trial solver step. M, y^T y and the trace
+    of the Gram the method runs on come first and must be finite, so data
+    that overflows them is a usage error before any closed form or run starts
+    on it. M is oracle.small_gram(X) + lambda I (lambda 0 for rk and rcd), or K + lambda I."""
     n, p = X.shape
     lam = 0.0 if method in ("rk", "rcd") else args.lam
     source = method
@@ -224,21 +224,25 @@ def _oracle_step(method, X, y, reference, regime, args):
             M = oracle.small_gram(X) + lam * np.eye(min(n, p))
             name = ("X^T X" if p <= n else "X X^T") + (" + lambda I" if lam else "")
         yy = y @ y
+        # the Gram + lambda I a method runs on is n x n for the dual methods, else p x p
+        size = n if method in _NO_BETA0 else p
+        trace = np.trace(M) + (size - len(M)) * lam  # the rate's denominator, the sampler's total
     if not np.all(np.isfinite(M)):
         raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
     if not np.isfinite(yy):
         raise UsageError("y overflows on this data: y^T y is non-finite")
+    if not np.isfinite(trace):
+        raise UsageError(f"{method} overflows on this data: the trace of its Gram"
+                         f"{' + lambda I' if lam else ''} is non-finite")
 
     # for p > n, the errors rk and rcd measure see only X^T X's positive eigenvalues
     positive_only = method in ("rk", "rcd") and p > n
-    # the rate of the Gram each method runs on: n x n for the dual methods, else p x p
-    rate = oracle.theoretical_rate(M, positive_only, n if method in _NO_BETA0 else p, lam)
+    rate = oracle.theoretical_rate(M, positive_only, size, lam)
     if method in ("rk", "rcd"):
         return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate)
     if method == "rk-krr":
         alpha_star = oracle.krr_alpha_star(X, y, spec, lam, M)
-        return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate,
-                                                energy_matrix=M)
+        return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate)
     beta_rr, alpha_star = oracle.ridge_solution(X, y, lam, M)
     if method == "rk-ridge":
         return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)

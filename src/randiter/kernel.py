@@ -1,12 +1,12 @@
 """Kernel evaluation and matrix-free Kaczmarz for kernel ridge regression.
 
-The solver iterates on the dual system (K + lambda I) alpha = y. It
-takes its steps k at a time as one forward Gauss-Seidel sweep
-(solvers.dual_sweep), with the k rows of K it needs, K[J, :] for the
-drawn rows J, evaluated on the fly in one product, or, where k is too
-small to pay, one kernel column per step; no n x n structure is ever
-allocated. The maintained auxiliary vector is s = K alpha (rather
-than the residual), so y never has to be touched during updates.
+The solver iterates on the dual system (K + lambda I) alpha = y. As
+solvers.dual_advance decides, it takes k steps at a time as one forward
+Gauss-Seidel sweep, with K[J, :] for the drawn rows J from one product,
+or one kernel column per step; its checkpoints apply K tile by tile. No
+n x n structure is ever allocated, from any caller. The maintained
+auxiliary vector is s = K alpha (rather than the residual), so y never
+has to be touched during updates.
 """
 
 from __future__ import annotations
@@ -17,18 +17,14 @@ import numpy as np
 
 from .errors import DimensionError
 from .sampling import build_sampler
-from .solvers import (
-    GRAM_TILE_ELEMS,
-    SWEEP_MIN_STEPS,
-    SWEEP_STEPS,
-    ConvergenceTrace,
-    RunConfig,
-    drive,
-    dual_sweep,
-    sweeps,
-)
+from .solvers import ConvergenceTrace, RunConfig, drive, dual_advance, dual_sweep
 
 _FAMILIES = ("linear", "gaussian", "polynomial")
+
+# A dual sweep's k rows of K, and each tile of K that apply_gram forms,
+# hold at most this many entries (256 KB), more only when a single row
+# is longer.
+GRAM_TILE_ELEMS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -199,21 +195,19 @@ def krr_run(
     config: RunConfig,
     alpha_star: np.ndarray,
     rate: float,
-    energy_matrix: np.ndarray | None = None,
 ) -> ConvergenceTrace:
     """Run the KRR solver from alpha = 0 and trace dual errors.
 
     err_sq is ||alpha - alpha*||^2; energy_err_sq the same in the
-    (K + lambda I) norm. The oracle may pass K + lambda I explicitly as
-    `energy_matrix` (desk scale); otherwise checkpoints apply K with
-    apply_gram, still without materializing it. Steps are taken a dual
-    sweep of k = min(SWEEP_STEPS, GRAM_TILE_ELEMS // n) steps at a time
-    (solvers.dual_sweep), with K[J, :] for the sweep's rows J from one
-    product, or one kernel column per step in a run shorter than
-    SWEEP_MIN_STEPS and throughout where k is (n > 4096). The refresh of
-    s = K alpha every RESIDUAL_REFRESH_EVERY steps waits for the next
-    draw block or checkpoint; a checkpoint shares its apply_gram pass
-    with it. The run stops at the first checkpoint with
+    (K + lambda I) norm, v^T K v + lambda v^T v for v = alpha - alpha*,
+    with K v from apply_gram, so K is never materialized. Steps are
+    taken as solvers.dual_advance decides for rows of n entries and the
+    cap GRAM_TILE_ELEMS: a dual sweep (solvers.dual_sweep) with K[J, :]
+    for the sweep's rows J from one product, or one kernel column per
+    step in a run too short to sweep, and throughout where n > 4096. The
+    refresh of s = K alpha every RESIDUAL_REFRESH_EVERY steps waits for
+    the next draw block or checkpoint; a checkpoint shares its
+    apply_gram pass with it. The run stops at the first checkpoint with
     energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
@@ -228,26 +222,17 @@ def krr_run(
     column = gram.column
     ys = y.tolist()
     alpha, s, col = np.zeros(n), np.zeros(n), np.empty(n)
-    k = min(SWEEP_STEPS, GRAM_TILE_ELEMS // n)
     stale = False  # s awaits its rebuild from alpha
 
-    def products(v=None):
-        """K v, if v is given, from one apply_gram pass that also
-        rebuilds s if it is stale."""
+    def rebuild():
+        """s = K alpha afresh, if a refresh is pending."""
         nonlocal stale
-        if not stale:
-            return None if v is None else apply_gram(spec, data, v)
-        stale = False
-        if v is None:
-            s[:] = apply_gram(spec, data, alpha)
-            return None
-        Kv, s[:] = apply_gram(spec, data, np.array((v, alpha)))
-        return Kv
+        if stale:
+            s[:], stale = apply_gram(spec, data, alpha), False
 
     def steps(rows):
         nonlocal s
-        if stale:
-            products()
+        rebuild()
         # krr_step for each row in turn, with the column written into
         # col and then scaled in place
         for row in rows.tolist():
@@ -256,15 +241,10 @@ def krr_run(
             alpha[row] += delta
             s += np.multiply(col, delta, out=col)
 
-    def advance(rows):
-        if stale:
-            products()
-        for J in sweeps(rows, k):
-            if len(J) < SWEEP_MIN_STEPS:
-                steps(J)
-            else:
-                KJ = gram.block(J)
-                dual_sweep(J, KJ, KJ[:, J], y[J] - s[J], lam, alpha, s)
+    def sweep(J):
+        rebuild()
+        KJ = gram.block(J)
+        dual_sweep(J, KJ, KJ[:, J], y[J] - s[J], lam, alpha, s)
 
     def refresh():
         # deferred to the next block or checkpoint, whose pass it shares
@@ -272,15 +252,17 @@ def krr_run(
         stale = True
 
     def checkpoint():
+        nonlocal stale
         v = alpha - alpha_star
-        if energy_matrix is not None:
-            products()
-            energy = max(float(v @ (energy_matrix @ v)), 0.0)
+        if stale:  # the pending refresh of s shares this pass
+            Kv, s[:] = apply_gram(spec, data, np.array((v, alpha)))
+            stale = False
         else:
-            energy = float(v @ products(v)) + lam * float(v @ v)
+            Kv = apply_gram(spec, data, v)
+        energy = float(v @ Kv) + lam * float(v @ v)
         dual_res = y - s - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
-    loop = advance if k >= SWEEP_MIN_STEPS else steps
+    loop = dual_advance(n, GRAM_TILE_ELEMS, steps, sweep)
     return drive(sampler, config, loop, checkpoint, rate, "energy_err_sq",
                  tol_on="energy_err_sq", plateau=True, refresh=refresh)

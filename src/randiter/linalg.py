@@ -78,7 +78,7 @@ def solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _symmetrized(A: np.ndarray) -> np.ndarray:
     _check_symmetric(A)
     a = np.array(A, dtype=np.float64)
-    return 0.5 * (a + a.T)
+    return 0.5 * a + 0.5 * a.T
 
 
 def sym_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

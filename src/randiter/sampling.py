@@ -28,10 +28,11 @@ class WeightedSampler:
             raise DegenerateWeights("no weights")
         if np.any(w < 0.0):
             raise NegativeWeight("sampling weights must be nonnegative")
-        self.cumulative = np.cumsum(w)
+        with np.errstate(over="ignore"):
+            self.cumulative = np.cumsum(w)
         self.total = float(self.cumulative[-1])
-        if self.total <= 0.0:
-            raise DegenerateWeights("all sampling weights are zero")
+        if not 0.0 < self.total < np.inf:
+            raise DegenerateWeights(f"weights sum to {self.total}, not a finite positive total")
         # the last bin with positive weight
         self._last = int(np.searchsorted(self.cumulative, np.nextafter(self.total, 0.0),
                                          side="right"))

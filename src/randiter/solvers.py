@@ -12,9 +12,9 @@ and records a convergence trace at checkpoints. The row loop, and
 rk-krr's (kernel.py), take a block's steps up to SWEEP_STEPS at a time:
 k steps on drawn rows J are one forward Gauss-Seidel sweep on the J x J
 block of the dual system (`dual_sweep`), a k x k triangular solve and
-two BLAS products in place of 2k vector operations. Runs too short for
-that to pay, fewer than SWEEP_MIN_STEPS steps, are stepped one at a
-time.
+two BLAS products in place of 2k vector operations. `dual_advance`
+alone decides when a row method sweeps: runs too short for that to pay,
+fewer than SWEEP_MIN_STEPS steps, are stepped one at a time.
 """
 
 from __future__ import annotations
@@ -36,10 +36,6 @@ from .sampling import WeightedSampler, build_sampler
 # at its multiples, so they never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
 
-# A dual sweep's k rows of K, and each tile of K that kernel.apply_gram
-# forms, hold at most this many entries (256 KB), more only when a
-# single row is longer.
-GRAM_TILE_ELEMS = 1 << 15
 # A sweep on rows of X also forms X_J X_J^T, k p multiply-adds a step
 # that single steps do not make, so rk and rk-ridge hold k p to this
 # many entries; rk-krr's K[J, J] comes free with K[J, :].
@@ -212,12 +208,26 @@ def drive(
 
 
 def sweeps(indices: np.ndarray, k: int) -> Sequence[np.ndarray]:
-    """A draw block cut, in order, into runs of at most k indices. A run
-    of SWEEP_MIN_STEPS or more is one dual sweep; a shorter one is taken
-    a step at a time."""
+    """A draw block cut, in order, into runs of at most k indices."""
     if len(indices) <= k:
         return (indices,)
     return [indices[start:start + k] for start in range(0, len(indices), k)]
+
+
+def dual_advance(length, cap, steps, sweep):
+    """The `advance` of a row method whose rows hold `length` entries:
+    `sweeps` cuts each draw block into runs of k = min(SWEEP_STEPS,
+    cap // length) rows, sweep(J) takes a run of SWEEP_MIN_STEPS or more
+    and steps(J) a shorter one, or every run where k is below that."""
+    k = min(SWEEP_STEPS, cap // max(length, 1))
+    if k < SWEEP_MIN_STEPS:
+        return steps
+
+    def advance(rows):
+        for J in sweeps(rows, k):
+            (sweep if len(J) >= SWEEP_MIN_STEPS else steps)(J)
+
+    return advance
 
 
 def dual_sweep(J, B, G, b, lam, alpha, w):
@@ -267,18 +277,16 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     Starts from alpha = 0 and beta = config.beta0 (zero if None) and keeps
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
-    alpha_i += delta and beta += delta x_i, taken a dual sweep of
-    k = min(SWEEP_STEPS, ROW_SWEEP_ELEMS // p) steps at a time
-    (`dual_sweep`), or a step at a time in a run shorter than
-    SWEEP_MIN_STEPS and throughout where k is. Runs `drive` with
-    checkpoint measures(beta, alpha) and the stop rule `stop`.
+    alpha_i += delta and beta += delta x_i, taken as `dual_advance`
+    decides for rows of p entries and the cap ROW_SWEEP_ELEMS. Runs
+    `drive` with checkpoint measures(beta, alpha) and the stop rule
+    `stop`.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
     beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
     alpha = np.zeros(X.shape[0])
     scaled = np.empty_like(beta)
-    k = min(SWEEP_STEPS, ROW_SWEEP_ELEMS // max(X.shape[1], 1))
 
     def steps(rows):
         nonlocal beta
@@ -291,15 +299,11 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
             alpha[row] += delta
             beta += np.multiply(xr, delta, out=scaled)
 
-    def advance(rows):
-        for J in sweeps(rows, k):
-            if len(J) < SWEEP_MIN_STEPS:
-                steps(J)
-            else:
-                XJ = X[J]
-                dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
+    def sweep(J):
+        XJ = X[J]
+        dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
 
-    loop = advance if k >= SWEEP_MIN_STEPS else steps
+    loop = dual_advance(X.shape[1], ROW_SWEEP_ELEMS, steps, sweep)
     return drive(sampler, config, loop, lambda: measures(beta, alpha), rate, natural, **stop)
 
 

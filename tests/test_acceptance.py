@@ -241,7 +241,7 @@ def test_criterion_6_krr_matrix_free():
     rate = oracle.theoretical_rate(M)
 
     trace = krr_run(data, y, spec, lam, RunConfig(max_iters=100_000, seed=7, tol=0.0),
-                    alpha_star, rate, energy_matrix=M)
+                    alpha_star, rate)
     assert trace.final().err_sq <= 1e-12  # ||alpha - alpha*|| <= 1e-6
 
     # allocation audit: n = 2000 smoke run, peak auxiliary memory must
@@ -264,7 +264,7 @@ def test_criterion_6_krr_matrix_free():
     for seed in range(200):
         cfg = RunConfig(max_iters=epochs * every, tol=0.0, seed=seed,
                         checkpoint_every=every)
-        tr = krr_run(data, y, spec, lam, cfg, alpha_star, rate, energy_matrix=M)
+        tr = krr_run(data, y, spec, lam, cfg, alpha_star, rate)
         col = tr.column("energy_err_sq")
         sums = col if sums is None else sums + col
     mean = sums / 200

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from randiter import cli, io, linalg, oracle
+from randiter import cli, io, kernel, linalg, oracle, solvers
 
 
 def run_cli(*argv):
@@ -53,6 +53,13 @@ def reference_values_text(values):
 # value whose 17 digits are all significant.
 EDGE_VALUES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
                -1.7976931348623157e308, 1.0 / 3.0, -1.0 / 3.0]
+
+
+@pytest.fixture(scope="module")
+def wide_problem(tmp_path_factory):
+    out = str(tmp_path_factory.mktemp("wide") / "prob")
+    assert run_cli("generate", "underdetermined", "40", "80", "--seed", "1", "--out", out) == 0
+    return out
 
 
 @pytest.fixture
@@ -376,6 +383,25 @@ class TestSolve:
         final_err = float(open(out).read().splitlines()[-1].split(",")[1])
         assert final_err <= 1e-12
 
+    def test_krr_solve_writes_the_library_run(self, tmp_path):
+        # the CLI forms K + lambda I for alpha* and the rate only; the
+        # run, checkpoints included, is kernel.krr_run's, byte for byte
+        prob = str(tmp_path / "u")
+        assert run_cli("generate", "underdetermined", "20", "50", "--seed", "4",
+                       "--out", prob) == 0
+        out = str(tmp_path / "t.csv")
+        assert run_cli("solve", prob, "--method", "rk-krr", "--kernel", "gaussian",
+                       "--gamma", "0.5", "--lambda", "0.1", "--out", out) == 0
+        X = io.read_matrix(os.path.join(prob, "X.mtx"))
+        y = io.read_vector(os.path.join(prob, "y.vec"))
+        spec, lam = kernel.KernelSpec("gaussian", gamma=0.5), 0.1
+        M = oracle.gram_matrix(spec, X) + lam * np.eye(20)
+        rate = oracle.theoretical_rate(M, False, 20, lam)
+        trace = kernel.krr_run(X, y, spec, lam, solvers.RunConfig(max_iters=10000),
+                               oracle.krr_alpha_star(X, y, spec, lam, M), rate)
+        io.write_trace_csv(str(tmp_path / "lib.csv"), trace)
+        assert open(out, "rb").read() == open(tmp_path / "lib.csv", "rb").read()
+
 
 class TestPlateau:
     # K is nearly I in both cases, so a step solves its row and steps
@@ -651,6 +677,36 @@ class TestInputContract:
                     assert "overflows on this data" in err and "non-finite" in err, err
                     assert "Warning" not in err
         assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("lam", ["5e307", "1e308"])
+    @pytest.mark.parametrize("method", ["rk-ridge", "rcd-ridge", "rk-krr"])
+    def test_lambda_that_overflows_the_trace_is_usage_error(self, wide_problem, tmp_path,
+                                                            capsys, method, lam):
+        # n lambda overflows: the trace of the Gram + lambda I, which is
+        # the rate's denominator and the sampler's total, is checked first
+        flags = ["--kernel", "gaussian"] if method == "rk-krr" else []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = run_cli("solve", wide_problem, "--method", method, "--lambda", lam, *flags,
+                           "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"randiter: {method} overflows")
+        assert "non-finite" in err and "Warning" not in err
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    def test_huge_lambda_with_a_finite_trace_runs_without_warnings(self, tmp_path, capsys):
+        # at p = 1, rcd-ridge's Gram + lambda I is 1 x 1, near the
+        # largest float; symmetrizing it for the rate must not overflow
+        prob = str(tmp_path / "c")
+        assert run_cli("generate", "consistent", "2", "1", "--seed", "1", "--out", prob) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = run_cli("solve", prob, "--method", "rcd-ridge", "--lambda", "1e308",
+                           "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
 
     @pytest.mark.parametrize("method", ["rk-ridge", "rcd-ridge"])
     def test_ridge_oracles_need_no_outer_gram_on_tall_data(self, consistent_dir, tmp_path,

@@ -17,12 +17,18 @@ import numpy as np
 import pytest
 
 from randiter import linalg, oracle
-from randiter.errors import DimensionError
-from randiter.kernel import KernelSpec, apply_gram, krr_run, krr_step, krr_weights
+from randiter.errors import DegenerateWeights, DimensionError
+from randiter.kernel import (
+    GRAM_TILE_ELEMS,
+    KernelSpec,
+    apply_gram,
+    krr_run,
+    krr_step,
+    krr_weights,
+)
 from randiter.ridge import rcd_ridge_run, rcd_ridge_step, rk_ridge_run, rk_ridge_step
 from randiter.sampling import build_sampler
 from randiter.solvers import (
-    GRAM_TILE_ELEMS,
     PLATEAU_WINDOW,
     RESIDUAL_REFRESH_EVERY,
     ROW_SWEEP_ELEMS,
@@ -247,8 +253,9 @@ KRR_CASES = [
 
 
 def krr_pair(data, y, spec, lam, config, alpha_star, M=None):
-    """krr_run and its step-loop reference; checkpoints use M = K + lam I
-    if given, else apply_gram."""
+    """krr_run and its step-loop reference. krr_run's checkpoints apply K
+    with apply_gram; the reference's use M = K + lam I if given, else
+    apply_gram too."""
     n = data.shape[0]
     alpha, s = np.zeros(n), np.zeros(n)
 
@@ -267,9 +274,12 @@ def krr_pair(data, y, spec, lam, config, alpha_star, M=None):
     ref = step_loop(krr_weights(spec, data, lam), config, n,
                     lambda i: krr_step(alpha, s, data, y, spec, lam, i), measures,
                     "energy_err_sq", energy_stop(config.tol), refresh, RESIDUAL_REFRESH_EVERY)
-    return krr_run(data, y, spec, lam, config, alpha_star, RATE, energy_matrix=M), ref
+    return krr_run(data, y, spec, lam, config, alpha_star, RATE), ref
 
 
+# krr_run's checkpoints are matrix-free either way; with energy-matrix
+# the reference measures with K + lam I, so that they match it is
+# checked here
 @pytest.mark.parametrize("matrix_free", [False, True], ids=["energy-matrix", "matrix-free"])
 @pytest.mark.parametrize("case", KRR_CASES, ids=lambda c: c[-1])
 def test_krr_run_matches_step_loop(case, matrix_free):
@@ -377,15 +387,26 @@ class TestZeroRow:
 
 
 def test_krr_run_stops_at_first_non_finite_checkpoint():
+    # with y around 1e160, alpha after one epoch is too, and v^T K v
+    # overflows at the first checkpoint after it
     inst = oracle.gen_consistent(30, 10, 1)
-    data, y = inst.X, inst.y
-    spec, lam = KernelSpec("polynomial", degree=200, offset=1000.0), 0.1
+    data, y = inst.X, inst.y * 1e160
+    spec, lam = KernelSpec("gaussian", gamma=0.5), 0.1
     config = RunConfig(max_iters=3000, seed=3)
     with np.errstate(over="ignore", invalid="ignore"):
         trace = krr_run(data, y, spec, lam, config, np.zeros(30), RATE)
     energies = trace.column("energy_err_sq")
     assert trace.final().iter == 30
     assert not np.isfinite(energies[-1]) and np.all(np.isfinite(energies[:-1]))
+
+
+def test_krr_run_rejects_sampling_weights_that_overflow():
+    # at degree 200 and offset 1000 every k(x, x) + lam overflows, so
+    # the sampler has no finite total to draw from
+    inst = oracle.gen_consistent(30, 10, 1)
+    spec = KernelSpec("polynomial", degree=200, offset=1000.0)
+    with np.errstate(over="ignore"), pytest.raises(DegenerateWeights, match="inf"):
+        krr_run(inst.X, inst.y, spec, 0.1, RunConfig(max_iters=3000, seed=3), np.zeros(30), RATE)
 
 
 # Every run entry point on (X, y, config) of a 30 x 10 instance, with

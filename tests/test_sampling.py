@@ -40,6 +40,11 @@ class TestBuild:
             build_sampler([0.0, 0.0])
         with pytest.raises(DegenerateWeights):
             build_sampler([])
+        # a total that overflows, or is NaN, is no distribution either;
+        # summing it warns of nothing
+        for weights in ([1e308, 1e308], [1.0, np.nan]):
+            with pytest.raises(DegenerateWeights):
+                build_sampler(weights)
 
     def test_cumulative_nondecreasing(self):
         s = build_sampler([2.0, 0.0, 1.0])

@@ -1,9 +1,10 @@
 """Dual sweeps: k row steps as one forward Gauss-Seidel sweep.
 
 `solvers.dual_sweep` takes the steps of rk, rk-ridge and rk-krr on the
-rows J of one sweep; `solvers.sweeps` cuts each draw block into runs,
-and a run shorter than SWEEP_MIN_STEPS is taken a step at a time, with
-the bits of the `*_step` functions.
+rows J of one sweep; for all three, `solvers.dual_advance` has
+`solvers.sweeps` cut each draw block into runs, and a run shorter than
+SWEEP_MIN_STEPS is taken a step at a time, with the bits of the `*_step`
+functions.
 """
 
 import numpy as np
@@ -106,7 +107,7 @@ def test_runs_split_at_refresh_and_checkpoint_steps(method, monkeypatch):
         swept.append(len(J))
         dual_sweep(J, *args)
 
-    monkeypatch.setattr(module, "sweeps", cut)
+    monkeypatch.setattr(solvers, "sweeps", cut)
     monkeypatch.setattr(module, "dual_sweep", spy)
     inst = oracle.gen_consistent(30, 10, 3)
     trace = RUNS[method](inst, RunConfig(max_iters=2003, tol=0.0, seed=5, checkpoint_every=45))

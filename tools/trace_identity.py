@@ -9,9 +9,10 @@ thread, in a working directory of its own:
 - `generate` of the four standard instances, and of `u20x50` once more
   as `u20x50-nometa`, whose meta.txt is then removed, so its runs see no
   regime;
-- on each instance, `solve --trials 2` with each of the five methods and
-  one `compare` of all five, at the default checkpoint cadence and at
-  `--checkpoint-every 7`.
+- on each instance, `solve --trials 2` with each of the five methods
+  (rk-krr with the gaussian kernel), with rk-krr on each other kernel
+  family, and one `compare` of all five, at the default checkpoint
+  cadence and at `--checkpoint-every 7`.
 
 Then every command's exit code and stderr, and every file the commands
 wrote, are compared byte for byte. Differences are listed one a line.
@@ -50,6 +51,11 @@ METHOD_FLAGS = {
     "rcd-ridge": ["--lambda", "0.1"],
     "rk-krr": ["--kernel", "gaussian", "--gamma", "0.5", "--lambda", "0.1"],
 }
+# rk-krr's solves on the kernel families other than METHOD_FLAGS's gaussian
+KERNEL_FLAGS = {
+    "linear": ["--kernel", "linear", "--lambda", "0.1"],
+    "poly": ["--kernel", "poly", "--degree", "3", "--offset", "1", "--lambda", "0.1"],
+}
 CADENCES = {"default": [], "every7": ["--checkpoint-every", "7"]}
 
 
@@ -61,6 +67,9 @@ def commands() -> list[list[str]]:
             for method, flags in METHOD_FLAGS.items():
                 cmds.append(["solve", name, "--method", method, *flags, *every, "--trials", "2",
                              "--out", f"{name}/{method}-{cadence}.csv"])
+            for family, flags in KERNEL_FLAGS.items():
+                cmds.append(["solve", name, "--method", "rk-krr", *flags, *every, "--trials", "2",
+                             "--out", f"{name}/rk-krr-{family}-{cadence}.csv"])
             compare = ["compare", name]
             for method in METHOD_FLAGS:
                 compare += ["--method", method]
