@@ -3,10 +3,11 @@
 The solver iterates on the dual system (K + lambda I) alpha = y. As
 solvers.dual_advance decides, it takes k steps at a time as one forward
 Gauss-Seidel sweep, with K[J, :] for the drawn rows J from one product,
-or one kernel column per step; its checkpoints apply K tile by tile. No
-n x n structure is ever allocated, from any caller. The maintained
-auxiliary vector is s = K alpha (rather than the residual), so y never
-has to be touched during updates.
+or one kernel column per step; its checkpoints, and the refresh of s
+about once an epoch, apply K tile by tile. So a step evaluates O(n)
+kernel entries, and no n x n structure is ever allocated, from any
+caller. The maintained auxiliary vector is s = K alpha (rather than the
+residual), so y never has to be touched during updates.
 """
 
 from __future__ import annotations
@@ -201,14 +202,16 @@ def krr_run(
     err_sq is ||alpha - alpha*||^2; energy_err_sq the same in the
     (K + lambda I) norm, v^T K v + lambda v^T v for v = alpha - alpha*,
     with K v from apply_gram, so K is never materialized. Steps are
-    taken as solvers.dual_advance decides for rows of n entries and the
-    cap GRAM_TILE_ELEMS: a dual sweep (solvers.dual_sweep) with K[J, :]
-    for the sweep's rows J from one product, or one kernel column per
-    step in a run too short to sweep, and throughout where n > 4096. The
-    refresh of s = K alpha every RESIDUAL_REFRESH_EVERY steps waits for
-    the next draw block or checkpoint; a checkpoint shares its
-    apply_gram pass with it. The run stops at the first checkpoint with
-    energy_err_sq <= tol^2, at a plateau, or at max_iters.
+    taken as solvers.dual_advance decides for rows of n entries, the cap
+    GRAM_TILE_ELEMS and sweeps of k >= 2 rows: a dual sweep
+    (solvers.dual_sweep) with K[J, :] for the sweep's rows J from one
+    product, and K[J, J] from it for free, or one kernel column per step
+    in a run too short to sweep, and throughout where n > 16384. The
+    refresh of s = K alpha at solvers.drive's period (every 1000 steps up
+    to n = 1000, about once an epoch beyond) waits for the next draw
+    block or checkpoint; a checkpoint shares its apply_gram pass with
+    it. The run stops at the first checkpoint with energy_err_sq <=
+    tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
@@ -263,6 +266,7 @@ def krr_run(
         dual_res = y - s - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
-    loop = dual_advance(n, GRAM_TILE_ELEMS, steps, sweep)
+    # K[J, J] comes free with K[J, :], so a sweep pays from k = 2 on
+    loop = dual_advance(n, GRAM_TILE_ELEMS, 2, steps, sweep)
     return drive(sampler, config, loop, checkpoint, rate, "energy_err_sq",
                  tol_on="energy_err_sq", plateau=True, refresh=refresh)

@@ -13,8 +13,8 @@ rk-krr's (kernel.py), take a block's steps up to SWEEP_STEPS at a time:
 k steps on drawn rows J are one forward Gauss-Seidel sweep on the J x J
 block of the dual system (`dual_sweep`), a k x k triangular solve and
 two BLAS products in place of 2k vector operations. `dual_advance`
-alone decides when a row method sweeps: runs too short for that to pay,
-fewer than SWEEP_MIN_STEPS steps, are stepped one at a time.
+alone decides when a row method sweeps: runs too short for that to pay
+are stepped one at a time.
 """
 
 from __future__ import annotations
@@ -31,9 +31,13 @@ from .errors import DimensionError, ZeroNormColumn, ZeroNormRow
 from .sampling import WeightedSampler, build_sampler
 
 # The column loop maintains r = y - X beta and rk-krr s = K alpha
-# incrementally; rebuilding them this often caps floating-point drift
-# so per-step optimality stays testable. The driver's draw blocks end
-# at its multiples, so they never hold more indices than this.
+# incrementally; rebuilding them caps floating-point drift so per-step
+# optimality stays testable. `drive` rebuilds them every this many
+# steps, or, where an epoch is longer, at multiples of the smallest
+# multiple of this that holds an epoch: a rebuild costs about as much
+# as an epoch of steps (n p multiply-adds for r, n^2 / 2 kernel entries
+# for s). The driver's draw blocks end at multiples of this, so they
+# never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
 
 # A sweep on rows of X also forms X_J X_J^T, k p multiply-adds a step
@@ -42,9 +46,11 @@ RESIDUAL_REFRESH_EVERY = 1000
 ROW_SWEEP_ELEMS = 1 << 12
 # A dual sweep takes at most SWEEP_STEPS steps: its triangular solve
 # grows as the square of k. Runs of fewer than SWEEP_MIN_STEPS, at the
-# end of a draw block or where the entry cap holds k below it, are
-# taken a step at a time: there a sweep's fixed cost outweighs the
-# per-step calls it saves.
+# end of a draw block, are taken a step at a time: there a sweep's
+# fixed cost outweighs the per-step calls it saves. Rows of X also take
+# every step singly where the entry cap holds k below SWEEP_MIN_STEPS;
+# rows of K, whose single steps cost a kernel column each, sweep at
+# every k >= 2 (see dual_advance).
 SWEEP_STEPS = 32
 SWEEP_MIN_STEPS = 8
 
@@ -156,9 +162,12 @@ def drive(
     seed config.seed, in blocks that end at multiples of
     RESIDUAL_REFRESH_EVERY and at checkpoints, and `advance(indices)`
     takes those steps in order. After step t, `refresh()` runs when t is
-    a multiple of RESIDUAL_REFRESH_EVERY; then, when t is a multiple of the
-    checkpoint cadence (config.checkpoint_every, else one epoch of
-    len(sampler) steps) or t = max_iters, a checkpoint is recorded.
+    a multiple of the refresh period, RESIDUAL_REFRESH_EVERY times
+    ceil(epoch / RESIDUAL_REFRESH_EVERY) for an epoch of len(sampler)
+    steps: every 1000 steps up to an epoch of 1000, about once an epoch
+    beyond. Then, when t is a multiple of the checkpoint cadence
+    (config.checkpoint_every, else one epoch) or t = max_iters, a
+    checkpoint is recorded.
     `checkpoint()` returns (err_sq, energy_err_sq, residual_sq) of the
     current iterate, and the record's bound is rate^t times the initial
     value of the `natural` column. The run stops at the first checkpoint
@@ -176,6 +185,7 @@ def drive(
     if every < 1:
         raise ValueError("checkpoint_every must be positive")
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
+    refresh_every = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
     tol_sq = config.tol * config.tol
     rng = np.random.Generator(np.random.PCG64(config.seed))
     trace = ConvergenceTrace(natural=natural)
@@ -196,7 +206,7 @@ def drive(
             k = min(end, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY) - t
             advance(sampler.draw_block(rng, k))
             t += k
-            if refresh is not None and t % RESIDUAL_REFRESH_EVERY == 0:
+            if refresh is not None and t % refresh_every == 0:
                 refresh()
         rec = record(t)
         if tol_on is not None and getattr(rec, tol_on) <= tol_sq:
@@ -214,18 +224,21 @@ def sweeps(indices: np.ndarray, k: int) -> Sequence[np.ndarray]:
     return [indices[start:start + k] for start in range(0, len(indices), k)]
 
 
-def dual_advance(length, cap, steps, sweep):
+def dual_advance(length, cap, min_k, steps, sweep):
     """The `advance` of a row method whose rows hold `length` entries:
     `sweeps` cuts each draw block into runs of k = min(SWEEP_STEPS,
-    cap // length) rows, sweep(J) takes a run of SWEEP_MIN_STEPS or more
-    and steps(J) a shorter one, or every run where k is below that."""
+    cap // length) rows, sweep(J) takes a run of min(k, SWEEP_MIN_STEPS)
+    rows or more and steps(J) a shorter one. Where k is below min_k,
+    the smallest k at which the caller sweeps, steps(J) takes every
+    run."""
     k = min(SWEEP_STEPS, cap // max(length, 1))
-    if k < SWEEP_MIN_STEPS:
+    if k < min_k:
         return steps
+    shortest = min(k, SWEEP_MIN_STEPS)
 
     def advance(rows):
         for J in sweeps(rows, k):
-            (sweep if len(J) >= SWEEP_MIN_STEPS else steps)(J)
+            (sweep if len(J) >= shortest else steps)(J)
 
     return advance
 
@@ -278,9 +291,9 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
     alpha_i += delta and beta += delta x_i, taken as `dual_advance`
-    decides for rows of p entries and the cap ROW_SWEEP_ELEMS. Runs
-    `drive` with checkpoint measures(beta, alpha) and the stop rule
-    `stop`.
+    decides for rows of p entries, the cap ROW_SWEEP_ELEMS and sweeps
+    of SWEEP_MIN_STEPS rows or more. Runs `drive` with checkpoint
+    measures(beta, alpha) and the stop rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
@@ -303,7 +316,7 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         XJ = X[J]
         dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
 
-    loop = dual_advance(X.shape[1], ROW_SWEEP_ELEMS, steps, sweep)
+    loop = dual_advance(X.shape[1], ROW_SWEEP_ELEMS, SWEEP_MIN_STEPS, steps, sweep)
     return drive(sampler, config, loop, lambda: measures(beta, alpha), rate, natural, **stop)
 
 
@@ -312,7 +325,8 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     for lam >= 0: rcd at lam = 0, rcd-ridge at lam > 0.
 
     Starts from beta = config.beta0 (zero if None) and keeps r = y - X beta,
-    rebuilt every RESIDUAL_REFRESH_EVERY steps to cap drift. The step on
+    rebuilt at `drive`'s refresh period (every 1000 steps up to p = 1000,
+    about once an epoch of p steps beyond) to cap drift. The step on
     column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 + lam), then
     beta_c += delta and r -= delta x_c. Runs `drive` with checkpoint
     measures(beta) and the stop rule `stop`.

@@ -17,6 +17,30 @@ def null_space_leakage(X, v, basis=None):
     return float(np.linalg.norm(B.T @ v))
 
 
+def spy_refreshes(monkeypatch, module):
+    """Wrap `drive` as `module` calls it; the returned list gets the
+    number of steps taken at each refresh."""
+    drive, at = module.drive, []
+
+    def spied(sampler, config, advance, *args, refresh=None, **kwargs):
+        done = 0
+
+        def counted(indices):
+            nonlocal done
+            advance(indices)
+            done += len(indices)
+
+        def noted():
+            at.append(done)
+            refresh()
+
+        return drive(sampler, config, counted, *args,
+                     refresh=None if refresh is None else noted, **kwargs)
+
+    monkeypatch.setattr(module, "drive", spied)
+    return at
+
+
 @pytest.fixture
 def assert_stops_at_tol():
     """check(run), where run(tol) returns a trace: with tol = 1e-10 the

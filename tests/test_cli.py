@@ -456,6 +456,29 @@ def test_module_entry_point_matches_main(tmp_path):
     assert (tmp_path / "sub" / "t.csv").read_bytes() == (tmp_path / "main" / "t.csv").read_bytes()
 
 
+@pytest.mark.parametrize("method", [["rk-krr", "--kernel", "gaussian", "--gamma", "0.5",
+                                     "--lambda", "0.1"], ["rcd"]], ids=lambda m: m[0])
+def test_fresh_processes_write_the_same_trace(tmp_path, method):
+    # README's determinism contract: with one numpy, one BLAS build and
+    # one BLAS thread count (here, one environment), a seeded solve
+    # writes the same bytes in every process
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    problem = str(tmp_path / "p")
+    assert run_cli("generate", "inconsistent", "300", "4", "--seed", "2", "--out", problem) == 0
+    traces, codes = [], []
+    for name in ("first.csv", "second.csv"):
+        out = tmp_path / name
+        done = subprocess.run([sys.executable, "-m", "randiter.cli", "solve", problem,
+                               "--method", *method, "--iters", "3000", "--trials", "2",
+                               "--seed", "5", "--out", str(out)],
+                              env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+        assert done.returncode in (0, 3), done.stderr
+        codes.append(done.returncode)
+        traces.append(out.read_bytes())
+    assert codes[0] == codes[1]
+    assert traces[0] == traces[1] and traces[0].count(b"\n") > 2
+
+
 class TestCompare:
     def test_rk_vs_rcd_contraction_below_rate(self, consistent_dir, tmp_path):
         out = str(tmp_path / "cmp.csv")

@@ -2,13 +2,14 @@
 
 Each `*_run` is checked against a reference loop that takes one scalar
 `WeightedSampler.draw` and one `*_step` call per iteration, refreshes
-every 1000 steps, and checks the stop rule at each checkpoint. The
-column methods (rcd, rcd-ridge) must give exactly its trace. The row
-methods (rk, rk-ridge, rk-krr) take their steps as dual sweeps, which
-sum in another order, so theirs must have the same `iter` column and
-every column within SWEEP_RTOL of that column's record-0 value; a run
-too short to sweep steps one row at a time and must again give exactly
-the reference trace.
+every 1000 steps, or every 1000 * ceil(epoch / 1000) steps where an
+epoch is longer, and checks the stop rule at each checkpoint.
+The column methods (rcd, rcd-ridge) must give exactly its trace. The
+row methods (rk, rk-ridge, rk-krr) take their steps as dual sweeps,
+which sum in another order, so theirs must have the same `iter` column
+and every column within SWEEP_RTOL of that column's record-0 value; a
+run too short to sweep steps one row at a time and must again give
+exactly the reference trace.
 """
 
 import math
@@ -16,7 +17,7 @@ import math
 import numpy as np
 import pytest
 
-from randiter import linalg, oracle
+from randiter import kernel, linalg, oracle, solvers
 from randiter.errors import DegenerateWeights, DimensionError
 from randiter.kernel import (
     GRAM_TILE_ELEMS,
@@ -38,12 +39,13 @@ from randiter.solvers import (
     RunConfig,
     TraceRecord,
     _plateaued,
+    dual_sweep,
     rcd_step,
     rk_step,
     run,
 )
 
-from conftest import pcg
+from conftest import pcg, spy_refreshes
 
 RATE = 0.97
 # A sweep's iterate is the step loop's up to rounding: its traces differ
@@ -66,15 +68,16 @@ def assert_matches_step_loop(trace, ref, method):
         assert np.all(np.abs(got - want) <= SWEEP_RTOL * abs(want[0])), name
 
 
-def step_loop(weights, config, epoch, step, measures, natural, stop,
-              refresh=None, refresh_every=None):
-    """One scalar draw and one step per iteration; a checkpoint when t
-    is a multiple of the cadence (config.checkpoint_every, else `epoch`)
-    or t = max_iters; stop(rec, history, window) after each one, where
-    a plateau window spans PLATEAU_WINDOW checkpoints and at least one
-    epoch of steps."""
+def step_loop(weights, config, epoch, step, measures, natural, stop, refresh=None):
+    """One scalar draw and one step per iteration; refresh() when t is a
+    multiple of the smallest multiple of 1000 at or above `epoch`; a
+    checkpoint when t is a multiple of the cadence
+    (config.checkpoint_every, else `epoch`) or t = max_iters;
+    stop(rec, history, window) after each one, where a plateau window
+    spans PLATEAU_WINDOW checkpoints and at least one epoch of steps."""
     every = config.checkpoint_every or epoch
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
+    refresh_every = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
     sampler = build_sampler(weights)
     rng = pcg(config.seed)
     trace, history = ConvergenceTrace(), []
@@ -109,7 +112,9 @@ def energy_stop(tol):
                                          or _plateaued(history, window))
 
 
-def ls_reference(method, X, y, regime, config, reference):
+def ls_reference(method, X, y, regime, config, reference, drifts=None):
+    """The step loop for rk or rcd; rcd's refreshes append to `drifts`,
+    if given, ||r - (y - X beta)|| / ||y - X beta|| just before each."""
     n, p = X.shape
     beta, residual = np.zeros(p), y.copy()
     consistent = regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
@@ -127,11 +132,14 @@ def ls_reference(method, X, y, regime, config, reference):
                          lambda i: rk_step(beta, X, y, i), measures, "err_sq", stop)
 
     def refresh():
-        residual[:] = y - X @ beta
+        fresh = y - X @ beta
+        if drifts is not None:
+            drifts.append(np.linalg.norm(residual - fresh) / np.linalg.norm(fresh))
+        residual[:] = fresh
 
     return step_loop(linalg.col_norms_sq(X), config, p,
                      lambda j: rcd_step(beta, residual, X, j), measures, "energy_err_sq", stop,
-                     refresh, RESIDUAL_REFRESH_EVERY)
+                     refresh)
 
 
 def instance(regime, n, p, seed):
@@ -176,6 +184,22 @@ def test_ls_run_matches_step_loop(method, case):
     check_end(trace, max_iters, every or 1, ends)
     if method == "rcd" and ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
+
+
+def test_rcd_refreshes_once_an_epoch_beyond_1000_columns(monkeypatch):
+    # p = 1001: r = y - X beta is refreshed every 2000 steps, not 1000,
+    # and the trace is still the step loop's, bit for bit. Just before
+    # each refresh, r has drifted from y - X beta by rounding only.
+    refreshes, drifts = spy_refreshes(monkeypatch, solvers), []
+    rng = np.random.default_rng(18)
+    X, y = rng.standard_normal((1100, 1001)), rng.standard_normal(1100)
+    config = RunConfig(max_iters=4500, tol=0.0, seed=19)
+    trace = run("rcd", X, y, Regime.UNKNOWN, config, np.zeros(1001), RATE)
+    ref = ls_reference("rcd", X, y, Regime.UNKNOWN, config, np.zeros(1001), drifts)
+    assert trace.records == ref.records
+    assert trace.column("iter").tolist() == [0, 1001, 2002, 3003, 4004, 4500]
+    assert refreshes == [2000, 4000]
+    assert len(drifts) == 2 and max(drifts) <= 1e-12
 
 
 # (regime, n, p, instance seed, lambda, max_iters, checkpoint_every, tol, how it ends)
@@ -226,7 +250,7 @@ def ridge_pair(method, X, y, lam, config):
 
     ref = step_loop(linalg.col_norms_sq(X) + lam, config, p,
                     lambda j: rcd_ridge_step(beta, residual, X, lam, j), measures,
-                    "energy_err_sq", stop, refresh, RESIDUAL_REFRESH_EVERY)
+                    "energy_err_sq", stop, refresh)
     return rcd_ridge_run(X, y, lam, config, beta_rr, RATE), ref
 
 
@@ -273,7 +297,7 @@ def krr_pair(data, y, spec, lam, config, alpha_star, M=None):
 
     ref = step_loop(krr_weights(spec, data, lam), config, n,
                     lambda i: krr_step(alpha, s, data, y, spec, lam, i), measures,
-                    "energy_err_sq", energy_stop(config.tol), refresh, RESIDUAL_REFRESH_EVERY)
+                    "energy_err_sq", energy_stop(config.tol), refresh)
     return krr_run(data, y, spec, lam, config, alpha_star, RATE), ref
 
 
@@ -297,20 +321,21 @@ def test_krr_run_matches_step_loop(case, matrix_free):
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
 
 
-@pytest.mark.parametrize("method", ["rk", "rk-ridge", "rk-krr"])
-@pytest.mark.parametrize("shape", ["short-blocks", "long-rows"])
-def test_runs_too_short_to_sweep_give_the_step_loop_bits(method, shape):
+TOO_SHORT = [("short-blocks", "rk"), ("short-blocks", "rk-ridge"), ("short-blocks", "rk-krr"),
+             ("long-rows", "rk"), ("long-rows", "rk-ridge")]
+
+
+@pytest.mark.parametrize("shape,method", TOO_SHORT, ids=[f"{s}-{m}" for s, m in TOO_SHORT])
+def test_runs_too_short_to_sweep_give_the_step_loop_bits(shape, method):
     # Checkpoints every 5 steps cut every draw block below
     # SWEEP_MIN_STEPS; rows of p = 600 hold a sweep on X to
-    # ROW_SWEEP_ELEMS // 600 = 6 steps, rows of K at n = 4100 to
-    # GRAM_TILE_ELEMS // 4100 = 7. Either way no run sweeps, and the
-    # trace is the step loop's, bit for bit.
-    assert ROW_SWEEP_ELEMS // 600 < SWEEP_MIN_STEPS and GRAM_TILE_ELEMS // 4100 < SWEEP_MIN_STEPS
+    # ROW_SWEEP_ELEMS // 600 = 6 steps, below the SWEEP_MIN_STEPS that
+    # rows of X sweep at. Either way no run sweeps, and the trace is the
+    # step loop's, bit for bit.
+    assert ROW_SWEEP_ELEMS // 600 < SWEEP_MIN_STEPS
     lam = 0.5
     if shape == "short-blocks":
         n, p, config = 30, 10, RunConfig(max_iters=1500, tol=0.0, seed=16, checkpoint_every=5)
-    elif method == "rk-krr":
-        n, p, config = 4100, 2, RunConfig(max_iters=300, tol=0.0, seed=16, checkpoint_every=150)
     else:
         n, p, config = 40, 600, RunConfig(max_iters=1500, tol=0.0, seed=16)
     inst = (oracle.gen_underdetermined if n < p else oracle.gen_consistent)(n, p, 17)
@@ -324,6 +349,30 @@ def test_runs_too_short_to_sweep_give_the_step_loop_bits(method, shape):
                               np.zeros(n))
     assert len(trace.records) > 2
     assert trace.records == ref.records
+
+
+def test_long_rows_of_k_sweep_in_full_runs_of_k(monkeypatch):
+    # Rows of K at n = 4100 hold a sweep to GRAM_TILE_ELEMS // 4100 = 7
+    # steps, below SWEEP_MIN_STEPS, but K[J, J] comes free with K[J, :],
+    # so rk-krr still sweeps: each 150-step block is 21 sweeps of 7 and
+    # 3 single steps, and the trace is the step loop's up to rounding.
+    # alpha* is any nonzero vector: what is checked is that the two runs
+    # measure the same.
+    assert GRAM_TILE_ELEMS // 4100 == 7
+    swept = []
+
+    def spy(J, *args):
+        swept.append(len(J))
+        dual_sweep(J, *args)
+
+    monkeypatch.setattr(kernel, "dual_sweep", spy)
+    inst = oracle.gen_consistent(4100, 2, 17)
+    config = RunConfig(max_iters=300, tol=0.0, seed=16, checkpoint_every=150)
+    trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), 0.5, config,
+                          np.random.default_rng(20).standard_normal(4100))
+    assert swept == [7] * 42
+    assert trace.column("iter").tolist() == [0, 150, 300]
+    assert_matches_step_loop(trace, ref, "rk-krr")
 
 
 class TestZeroColumn:

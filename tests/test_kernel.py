@@ -17,9 +17,9 @@ from randiter.kernel import (
     krr_weights,
 )
 from randiter.sampling import build_sampler
-from randiter.solvers import RunConfig
+from randiter.solvers import RunConfig, dual_sweep
 
-from conftest import pcg
+from conftest import pcg, spy_refreshes
 
 
 def gaussian_points(n, d, seed):
@@ -206,6 +206,39 @@ class TestKrrRun:
         assert trace.final().iter == 2000
         assert len(passes) == 21
         assert passes.count((2, 100)) == 2
+
+    def test_refresh_once_an_epoch_shares_every_checkpoints_pass(self, monkeypatch):
+        # n = 2000: s = K alpha is refreshed every 2000 steps, once an
+        # epoch, so each refresh rides on a checkpoint's pass and 20000
+        # steps make 11 passes, not 21. Just before each refresh, s has
+        # drifted from K alpha by rounding only.
+        passes, drift, iterate = [], [], []
+
+        def sweep(J, B, G, b, lam, alpha, s):
+            iterate[:] = alpha, s
+            dual_sweep(J, B, G, b, lam, alpha, s)
+
+        def counted(spec, data, v):
+            passes.append(v.shape)
+            out = apply_gram(spec, data, v)
+            if v.ndim == 2:  # the refresh: out[1] = K alpha, s not yet rebuilt
+                alpha, s = iterate
+                assert np.array_equal(v[1], alpha)
+                drift.append(np.linalg.norm(s - out[1]) / np.linalg.norm(out[1]))
+            return out
+
+        monkeypatch.setattr(kernel, "dual_sweep", sweep)
+        monkeypatch.setattr(kernel, "apply_gram", counted)
+        refreshes = spy_refreshes(monkeypatch, kernel)
+        data = gaussian_points(2000, 3, seed=31)
+        y = np.random.default_rng(32).standard_normal(2000)
+        trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1,
+                        RunConfig(max_iters=20000, tol=0.0, seed=33), np.zeros(2000), 0.99)
+        assert trace.final().iter == 20000
+        assert refreshes == list(range(2000, 20001, 2000))
+        assert len(passes) == 11
+        assert passes.count((2, 2000)) == 10
+        assert len(drift) == 10 and max(drift) <= 1e-12
 
     def test_gaussian_sampling_is_uniform(self):
         data = gaussian_points(9, 2, seed=17)

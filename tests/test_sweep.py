@@ -2,9 +2,9 @@
 
 `solvers.dual_sweep` takes the steps of rk, rk-ridge and rk-krr on the
 rows J of one sweep; for all three, `solvers.dual_advance` has
-`solvers.sweeps` cut each draw block into runs, and a run shorter than
-SWEEP_MIN_STEPS is taken a step at a time, with the bits of the `*_step`
-functions.
+`solvers.sweeps` cut each draw block into runs of k rows, and a run
+shorter than min(k, SWEEP_MIN_STEPS) is taken a step at a time, with the
+bits of the `*_step` functions.
 """
 
 import numpy as np
