@@ -1,13 +1,11 @@
 """Kernel evaluation and matrix-free Kaczmarz for kernel ridge regression.
 
-The solver iterates on the dual system (K + lambda I) alpha = y. As
-solvers.dual_advance decides, it takes k steps at a time as one forward
-Gauss-Seidel sweep, with K[J, :] for the drawn rows J from one product,
+The solver iterates on the dual system (K + lambda I) alpha = y, in
+Gauss-Seidel sweeps with K[J, :] for the drawn rows J from one product,
 or one kernel column per step; its checkpoints, and the refresh of s
 about once an epoch, apply K tile by tile. So a step evaluates O(n)
-kernel entries, and no n x n structure is ever allocated, from any
-caller. The maintained auxiliary vector is s = K alpha (rather than the
-residual), so y never has to be touched during updates.
+kernel entries, and no n x n structure is ever allocated. It maintains
+s = K alpha, not the residual, so updates never touch y.
 """
 
 from __future__ import annotations
@@ -203,15 +201,13 @@ def krr_run(
     (K + lambda I) norm, v^T K v + lambda v^T v for v = alpha - alpha*,
     with K v from apply_gram, so K is never materialized. Steps are
     taken as solvers.dual_advance decides for rows of n entries, the cap
-    GRAM_TILE_ELEMS and sweeps of k >= 2 rows: a dual sweep
-    (solvers.dual_sweep) with K[J, :] for the sweep's rows J from one
-    product, and K[J, J] from it for free, or one kernel column per step
-    in a run too short to sweep, and throughout where n > 16384. The
-    refresh of s = K alpha at solvers.drive's period (every 1000 steps up
-    to n = 1000, about once an epoch beyond) waits for the next draw
-    block or checkpoint; a checkpoint shares its apply_gram pass with
-    it. The run stops at the first checkpoint with energy_err_sq <=
-    tol^2, at a plateau, or at max_iters.
+    GRAM_TILE_ELEMS and sweeps of k >= 2 rows (n <= 16384): a sweep
+    with K[J, :] from one product, K[J, J] from it for free, or one
+    kernel column per step. The refresh of s = K alpha at solvers.drive's
+    period (every 1000 steps up to n = 1000, about once an epoch beyond)
+    waits for the next draw block or checkpoint; a checkpoint shares its
+    apply_gram pass with it. The run stops at the first checkpoint with
+    energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")

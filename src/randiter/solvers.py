@@ -2,24 +2,23 @@
 
 A row method is coordinate descent on the dual system
 (X X^T + lam I) alpha = y, a column method on the primal system
-(X^T X + lam I) beta = X^T y. `row_descent` and `column_descent` are
-these two loops for lam >= 0: RK and RCD at lam = 0, rk-ridge and
-rcd-ridge (ridge.py) at lam > 0. A row step costs O(p), a column step
-O(n). The driver that every method's run shares (`drive`) samples
-indices a block at a time, with probability proportional to squared
-row/column norms (plus lam), hands each block to the method's loop,
-and records a convergence trace at checkpoints. The row loop, and
-rk-krr's (kernel.py), take a block's steps up to SWEEP_STEPS at a time:
-k steps on drawn rows J are one forward Gauss-Seidel sweep on the J x J
-block of the dual system (`dual_sweep`), a k x k triangular solve and
-two BLAS products in place of 2k vector operations. `dual_advance`
-alone decides when a row method sweeps: runs too short for that to pay
-are stepped one at a time.
+(X^T X + lam I) beta = X^T y: `row_descent` and `column_descent`, RK
+and RCD at lam = 0, rk-ridge and rcd-ridge (ridge.py) at lam > 0. A row
+step costs O(p), a column step O(n). The driver every run shares
+(`drive`) samples indices a block at a time, with probability
+proportional to squared row/column norms (plus lam), hands each block
+to the method's loop, and records a convergence trace at checkpoints.
+Both loops, and rk-krr's (kernel.py), take up to SWEEP_STEPS steps at a
+time as one forward Gauss-Seidel sweep on the J x J block of their
+system (`dual_sweep`): one LAPACK solve of a k x k triangle and two BLAS
+products in place of 2k vector operations, where `dual_advance` finds
+that this pays.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
@@ -40,19 +39,18 @@ from .sampling import WeightedSampler, build_sampler
 # never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
 
-# A sweep on rows of X also forms X_J X_J^T, k p multiply-adds a step
-# that single steps do not make, so rk and rk-ridge hold k p to this
-# many entries; rk-krr's K[J, J] comes free with K[J, :].
-ROW_SWEEP_ELEMS = 1 << 12
-# A dual sweep takes at most SWEEP_STEPS steps: its triangular solve
-# grows as the square of k. Runs of fewer than SWEEP_MIN_STEPS, at the
-# end of a draw block, are taken a step at a time: there a sweep's
-# fixed cost outweighs the per-step calls it saves. Rows of X also take
-# every step singly where the entry cap holds k below SWEEP_MIN_STEPS;
-# rows of K, whose single steps cost a kernel column each, sweep at
-# every k >= 2 (see dual_advance).
+# A sweep on k rows or columns of X also forms their k x k Gram, k p or
+# k n multiply-adds a step that single steps do not make, so those loops
+# hold k p or k n to this many entries; rk-krr's K[J, J] comes free.
+SWEEP_ELEMS = 1 << 12
+# A sweep takes at most SWEEP_STEPS steps: its solve grows as the cube
+# of k. A run too short for its fixed cost to pay, under SWEEP_MIN_STEPS
+# rows or COLUMN_SWEEP_MIN_STEPS columns (a column step costs less: its
+# norm is cached, beta indexed as a list), is taken a step at a time.
 SWEEP_STEPS = 32
 SWEEP_MIN_STEPS = 8
+COLUMN_SWEEP_MIN_STEPS = 16
+_tri = functools.cache(np.tri)  # the mask of a k x k lower triangle, made once per k
 
 # Plateau detector for regimes with an error floor: stop when the
 # relative err_sq change between consecutive checkpoints stays below
@@ -225,62 +223,61 @@ def sweeps(indices: np.ndarray, k: int) -> Sequence[np.ndarray]:
 
 
 def dual_advance(length, cap, min_k, steps, sweep):
-    """The `advance` of a row method whose rows hold `length` entries:
+    """The `advance` of a loop on rows or columns of `length` entries:
     `sweeps` cuts each draw block into runs of k = min(SWEEP_STEPS,
-    cap // length) rows, sweep(J) takes a run of min(k, SWEEP_MIN_STEPS)
-    rows or more and steps(J) a shorter one. Where k is below min_k,
-    the smallest k at which the caller sweeps, steps(J) takes every
-    run."""
+    cap // length) indices, and sweep(J) takes a run of at least
+    min(k, max(min_k, SWEEP_MIN_STEPS)) indices, steps(J) a shorter one,
+    or every run where k is below min_k, the smallest k at which the
+    caller sweeps (2 for rows of K, whose steps cost a kernel column)."""
     k = min(SWEEP_STEPS, cap // max(length, 1))
     if k < min_k:
         return steps
-    shortest = min(k, SWEEP_MIN_STEPS)
+    shortest = min(k, max(min_k, SWEEP_MIN_STEPS))
 
-    def advance(rows):
-        for J in sweeps(rows, k):
+    def advance(indices):
+        for J in sweeps(indices, k):
             (sweep if len(J) >= shortest else steps)(J)
 
     return advance
 
 
-def dual_sweep(J, B, G, b, lam, alpha, w):
-    """k dual coordinate steps on rows J = (j_1, ..., j_k), in that order
-    and in place, as one forward Gauss-Seidel sweep.
+def dual_sweep(J, B, G, b, lam, alpha, w, coord="row"):
+    """k coordinate steps on indices J = (j_1, ..., j_k) of (M + lam I)
+    alpha = c, in order and in place, as one forward Gauss-Seidel sweep:
+    for rk and rk-ridge M = X X^T, w = beta and B = X_J; for rk-krr M = K,
+    w = s = K alpha and B = K[J, :]; for rcd and rcd-ridge (coord
+    "column") M = X^T X, c = X^T y, beta for alpha, w = r = y - X beta
+    and B = -X_J^T. G is M[J, J] and b = c_J - M_J alpha at the start.
 
-    The dual system is (M + lam I) alpha = y. For rk and rk-ridge M is
-    X X^T, w is beta and B is X_J; for rk-krr M is K, w is s = K alpha
-    and B is K[J, :]. G is M[J, J], and b is y_J - X_J beta or y_J - s_J,
-    both at the sweep's start. Step t, on row j = j_t, is
-    delta_t = (y_j - x_j.beta - lam alpha_j) / (M_jj + lam) (s_j in place
-    of x_j.beta for rk-krr), and sees the sweep's earlier steps u < t
-    only through G[t, u] + lam [j_t = j_u]. So delta solves the lower
-    triangle of G + lam [j_t = j_u] for b - lam alpha_J, by forward
-    substitution. Then alpha_J += delta, a row that repeats in J adding
-    its deltas in order as the steps do, and w += delta B in one
-    product. That is the steps' iterate up to rounding. A pivot <= 0 is
-    a zero-norm row at lam = 0.
+    Step t, on j = j_t, is delta_t = (c_j - M_j alpha - lam alpha_j) /
+    (M_jj + lam), and sees the earlier steps u < t only through
+    G[t, u] + lam [j_t = j_u]: delta solves that lower triangle for
+    b - lam alpha_J, in one LAPACK solve. Then alpha_J += delta (a
+    repeated index adds its deltas in order) and w += delta B: the
+    steps' iterate up to rounding. A pivot <= 0 is a zero-norm row or
+    column at lam = 0. A non-finite triangle gives NaN steps, as forward
+    substitution would; LAPACK would skip the entry next to a zero step,
+    or call the triangle singular.
     """
-    G = G + lam * (J[:, None] == J)
-    delta = []
-    for row, rhs, j in zip(G.tolist(), (b - lam * alpha[J]).tolist(), J.tolist()):
-        pivot = row[len(delta)]
-        if pivot <= 0.0:
-            raise ZeroNormRow(f"row {j} has zero norm")
-        for g, d in zip(row, delta):  # the entries left of the pivot
-            rhs -= g * d
-        delta.append(rhs / pivot)
-    delta = np.array(delta)
+    T = (G + lam * (J[:, None] == J) if lam else G) * _tri(len(J))
+    pivots = T.diagonal()
+    if np.isfinite(T).all() and pivots.min() > 0.0:
+        delta = np.linalg.solve(T, b - lam * alpha[J] if lam else b)
+    else:
+        zero = pivots <= 0.0  # a NaN pivot is no zero norm
+        if zero.any():
+            error = ZeroNormColumn if coord == "column" else ZeroNormRow
+            raise error(f"{coord} {J[zero.argmax()]} has zero norm")
+        delta = np.full(len(J), np.nan)
     np.add.at(alpha, J, delta)
     w += delta @ B
 
 
-# The step loops below, row_descent's for runs too short to sweep and
-# column_descent's, call ndarray.dot, which reaches the same BLAS ddot
-# as the steps' `@` with less call overhead, and scale a row or column
-# into a scratch buffer instead of a new array: the same operations on
-# the same operands, so the same bits as the *_step functions. At
-# lam = 0 the lam terms are exact zeros, so rk and rcd get the bits of
-# rk_step and rcd_step.
+# The step loops below, for runs too short to sweep, call ndarray.dot
+# (the BLAS ddot of the steps' `@`, with less call overhead) and scale
+# into a scratch buffer: the same operations on the same operands, so
+# the bits of the *_step functions, and at lam = 0, where the lam terms
+# are exact zeros, of rk_step and rcd_step.
 
 
 def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
@@ -291,8 +288,8 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
     alpha_i += delta and beta += delta x_i, taken as `dual_advance`
-    decides for rows of p entries, the cap ROW_SWEEP_ELEMS and sweeps
-    of SWEEP_MIN_STEPS rows or more. Runs `drive` with checkpoint
+    decides for rows of p entries, the cap SWEEP_ELEMS and sweeps of
+    SWEEP_MIN_STEPS rows or more. Runs `drive` with checkpoint
     measures(beta, alpha) and the stop rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
@@ -316,7 +313,7 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         XJ = X[J]
         dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
 
-    loop = dual_advance(X.shape[1], ROW_SWEEP_ELEMS, SWEEP_MIN_STEPS, steps, sweep)
+    loop = dual_advance(X.shape[1], SWEEP_ELEMS, SWEEP_MIN_STEPS, steps, sweep)
     return drive(sampler, config, loop, lambda: measures(beta, alpha), rate, natural, **stop)
 
 
@@ -328,7 +325,9 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     rebuilt at `drive`'s refresh period (every 1000 steps up to p = 1000,
     about once an epoch of p steps beyond) to cap drift. The step on
     column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 + lam), then
-    beta_c += delta and r -= delta x_c. Runs `drive` with checkpoint
+    beta_c += delta and r -= delta x_c, taken as `dual_advance` decides
+    for columns of n entries, the cap SWEEP_ELEMS and sweeps of
+    COLUMN_SWEEP_MIN_STEPS columns or more. Runs `drive` with checkpoint
     measures(beta) and the stop rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
@@ -339,7 +338,7 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     norms = [float(xc @ xc) + lam for xc in columns]
     scaled = np.empty_like(residual)
 
-    def advance(cols):
+    def steps(cols):
         nonlocal residual
         coords = beta.tolist()  # a list: faster to index per step
         for col in cols.tolist():
@@ -352,10 +351,15 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
             residual -= np.multiply(xc, delta, out=scaled)
         beta[:] = coords
 
+    def sweep(J):
+        XJ = X.T[J]  # the columns J, as rows
+        dual_sweep(J, -XJ, XJ @ XJ.T, XJ @ residual, lam, beta, residual, "column")
+
     def refresh():
         residual[:] = y - X @ beta
 
-    return drive(sampler, config, advance, lambda: measures(beta), rate, natural,
+    loop = dual_advance(X.shape[0], SWEEP_ELEMS, COLUMN_SWEEP_MIN_STEPS, steps, sweep)
+    return drive(sampler, config, loop, lambda: measures(beta), rate, natural,
                  refresh=refresh, **stop)
 
 

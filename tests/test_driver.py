@@ -4,12 +4,12 @@ Each `*_run` is checked against a reference loop that takes one scalar
 `WeightedSampler.draw` and one `*_step` call per iteration, refreshes
 every 1000 steps, or every 1000 * ceil(epoch / 1000) steps where an
 epoch is longer, and checks the stop rule at each checkpoint.
-The column methods (rcd, rcd-ridge) must give exactly its trace. The
-row methods (rk, rk-ridge, rk-krr) take their steps as dual sweeps,
-which sum in another order, so theirs must have the same `iter` column
-and every column within SWEEP_RTOL of that column's record-0 value; a
-run too short to sweep steps one row at a time and must again give
-exactly the reference trace.
+Every method takes its steps as Gauss-Seidel sweeps where they pay,
+on rows (rk, rk-ridge, rk-krr) or columns (rcd, rcd-ridge), and a sweep
+sums in another order than the steps. So a run's trace must have the
+reference's `iter` column and every column within SWEEP_RTOL of that
+column's record-0 value; a run too short to sweep steps one row or
+column at a time and must give exactly the reference trace.
 """
 
 import math
@@ -32,7 +32,7 @@ from randiter.sampling import build_sampler
 from randiter.solvers import (
     PLATEAU_WINDOW,
     RESIDUAL_REFRESH_EVERY,
-    ROW_SWEEP_ELEMS,
+    SWEEP_ELEMS,
     SWEEP_MIN_STEPS,
     ConvergenceTrace,
     Regime,
@@ -54,13 +54,9 @@ SWEEP_RTOL = 1e-12
 COLUMNS = ("err_sq", "energy_err_sq", "residual_sq", "bound")
 
 
-def assert_matches_step_loop(trace, ref, method):
-    """rcd and rcd-ridge give the step loop's records; the sweep methods
-    its checkpoints and final iteration, and every column within
-    SWEEP_RTOL of its record-0 value."""
-    if method in ("rcd", "rcd-ridge"):
-        assert trace.records == ref.records
-        return
+def assert_matches_step_loop(trace, ref):
+    """The step loop's checkpoints and final iteration, and every column
+    within SWEEP_RTOL of its record-0 value."""
     assert trace.column("iter").tolist() == ref.column("iter").tolist()
     assert trace.final().iter == ref.final().iter
     for name in COLUMNS:
@@ -179,8 +175,7 @@ def test_ls_run_matches_step_loop(method, case):
     X, y = inst.X, inst.y
     config = RunConfig(max_iters=max_iters, tol=tol, seed=11, checkpoint_every=every)
     trace = run(method, X, y, regime, config, inst.reference, RATE)
-    assert_matches_step_loop(trace, ls_reference(method, X, y, regime, config, inst.reference),
-                             method)
+    assert_matches_step_loop(trace, ls_reference(method, X, y, regime, config, inst.reference))
     check_end(trace, max_iters, every or 1, ends)
     if method == "rcd" and ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
@@ -188,7 +183,8 @@ def test_ls_run_matches_step_loop(method, case):
 
 def test_rcd_refreshes_once_an_epoch_beyond_1000_columns(monkeypatch):
     # p = 1001: r = y - X beta is refreshed every 2000 steps, not 1000,
-    # and the trace is still the step loop's, bit for bit. Just before
+    # and the trace is still the step loop's, bit for bit (columns of
+    # n = 1100 are too long to sweep). Just before
     # each refresh, r has drifted from y - X beta by rounding only.
     refreshes, drifts = spy_refreshes(monkeypatch, solvers), []
     rng = np.random.default_rng(18)
@@ -262,10 +258,44 @@ def test_ridge_run_matches_step_loop(method, case):
     inst = instance(regime, n, p, seed)
     config = RunConfig(max_iters=max_iters, tol=tol, seed=12, checkpoint_every=every)
     trace, ref = ridge_pair(method, inst.X, inst.y, lam, config)
-    assert_matches_step_loop(trace, ref, method)
+    assert_matches_step_loop(trace, ref)
     check_end(trace, max_iters, every or 1, ends)
     if method == "rcd-ridge" and ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
+
+
+# The column cases above take their steps in blocks of 7 or 10 columns,
+# too short to sweep; these take them in blocks of 48, as sweeps of 32
+# and 16. (method, max_iters, tol, how it ends)
+SWEPT_COLUMN_CASES = [
+    ("rcd", 1000, 0.0, "max_iters"),
+    ("rcd", 20000, 1e-6, "tol"),
+    ("rcd-ridge", 1000, 0.0, "max_iters"),
+    ("rcd-ridge", 20000, 1e-6, "tol"),
+]
+
+
+@pytest.mark.parametrize("method,max_iters,tol,ends", SWEPT_COLUMN_CASES,
+                         ids=[f"{c[0]}-{c[-1]}" for c in SWEPT_COLUMN_CASES])
+def test_column_sweeps_match_step_loop(method, max_iters, tol, ends, monkeypatch):
+    swept = []
+
+    def spy(J, *args):
+        swept.append(len(J))
+        dual_sweep(J, *args)
+
+    monkeypatch.setattr(solvers, "dual_sweep", spy)
+    regime = Regime.CONSISTENT_UNIQUE
+    inst = instance(regime, 30, 10, 5)
+    config = RunConfig(max_iters=max_iters, tol=tol, seed=11, checkpoint_every=48)
+    if method == "rcd":
+        trace = run("rcd", inst.X, inst.y, regime, config, inst.reference, RATE)
+        ref = ls_reference("rcd", inst.X, inst.y, regime, config, inst.reference)
+    else:
+        trace, ref = ridge_pair("rcd-ridge", inst.X, inst.y, 0.5, config)
+    assert set(swept) == {32, 16}
+    assert_matches_step_loop(trace, ref)
+    check_end(trace, max_iters, 48, ends)
 
 
 # (max_iters, checkpoint_every, tol, how it ends)
@@ -315,35 +345,38 @@ def test_krr_run_matches_step_loop(case, matrix_free):
     alpha_star = np.linalg.solve(M, y)
     config = RunConfig(max_iters=max_iters, tol=tol, seed=13, checkpoint_every=every)
     trace, ref = krr_pair(data, y, spec, lam, config, alpha_star, None if matrix_free else M)
-    assert_matches_step_loop(trace, ref, "rk-krr")
+    assert_matches_step_loop(trace, ref)
     check_end(trace, max_iters, every or 1, ends)
     if ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
 
 
-TOO_SHORT = [("short-blocks", "rk"), ("short-blocks", "rk-ridge"), ("short-blocks", "rk-krr"),
-             ("long-rows", "rk"), ("long-rows", "rk-ridge")]
+TOO_SHORT = [("short-blocks", m) for m in ("rk", "rk-ridge", "rk-krr", "rcd", "rcd-ridge")]
+TOO_SHORT += [("long-rows", "rk"), ("long-rows", "rk-ridge"),
+              ("long-columns", "rcd"), ("long-columns", "rcd-ridge")]
 
 
 @pytest.mark.parametrize("shape,method", TOO_SHORT, ids=[f"{s}-{m}" for s, m in TOO_SHORT])
 def test_runs_too_short_to_sweep_give_the_step_loop_bits(shape, method):
     # Checkpoints every 5 steps cut every draw block below
-    # SWEEP_MIN_STEPS; rows of p = 600 hold a sweep on X to
-    # ROW_SWEEP_ELEMS // 600 = 6 steps, below the SWEEP_MIN_STEPS that
-    # rows of X sweep at. Either way no run sweeps, and the trace is the
-    # step loop's, bit for bit.
-    assert ROW_SWEEP_ELEMS // 600 < SWEEP_MIN_STEPS
+    # SWEEP_MIN_STEPS; rows of p = 600, or columns of n = 600, hold a
+    # sweep on X to SWEEP_ELEMS // 600 = 6 steps, below the
+    # SWEEP_MIN_STEPS that rows and columns of X sweep at. Either way no
+    # run sweeps, and the trace is the step loop's, bit for bit.
+    assert SWEEP_ELEMS // 600 < SWEEP_MIN_STEPS
     lam = 0.5
     if shape == "short-blocks":
         n, p, config = 30, 10, RunConfig(max_iters=1500, tol=0.0, seed=16, checkpoint_every=5)
-    else:
+    elif shape == "long-rows":
         n, p, config = 40, 600, RunConfig(max_iters=1500, tol=0.0, seed=16)
+    else:
+        n, p, config = 600, 10, RunConfig(max_iters=1500, tol=0.0, seed=16)
     inst = (oracle.gen_underdetermined if n < p else oracle.gen_consistent)(n, p, 17)
-    if method == "rk":
-        trace = run("rk", inst.X, inst.y, Regime.UNKNOWN, config, inst.reference, RATE)
-        ref = ls_reference("rk", inst.X, inst.y, Regime.UNKNOWN, config, inst.reference)
-    elif method == "rk-ridge":
-        trace, ref = ridge_pair("rk-ridge", inst.X, inst.y, lam, config)
+    if method in ("rk", "rcd"):
+        trace = run(method, inst.X, inst.y, Regime.UNKNOWN, config, inst.reference, RATE)
+        ref = ls_reference(method, inst.X, inst.y, Regime.UNKNOWN, config, inst.reference)
+    elif method in ("rk-ridge", "rcd-ridge"):
+        trace, ref = ridge_pair(method, inst.X, inst.y, lam, config)
     else:
         trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), lam, config,
                               np.zeros(n))
@@ -372,7 +405,7 @@ def test_long_rows_of_k_sweep_in_full_runs_of_k(monkeypatch):
                           np.random.default_rng(20).standard_normal(4100))
     assert swept == [7] * 42
     assert trace.column("iter").tolist() == [0, 150, 300]
-    assert_matches_step_loop(trace, ref, "rk-krr")
+    assert_matches_step_loop(trace, ref)
 
 
 class TestZeroColumn:
@@ -392,13 +425,13 @@ class TestZeroColumn:
         reference = np.linalg.lstsq(X, y, rcond=None)[0]
         config = RunConfig(max_iters=1500, seed=14, checkpoint_every=13)
         trace = run("rcd", X, y, regime, config, reference, RATE)
-        assert trace.records == ls_reference("rcd", X, y, regime, config, reference).records
+        assert_matches_step_loop(trace, ls_reference("rcd", X, y, regime, config, reference))
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
 
     def test_rcd_ridge(self):
         config = RunConfig(max_iters=1500, tol=0.0, seed=15, checkpoint_every=13)
         trace, ref = ridge_pair("rcd-ridge", self.X, self.y, 0.5, config)
-        assert trace.records == ref.records
+        assert_matches_step_loop(trace, ref)
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
 
 
@@ -421,7 +454,7 @@ class TestZeroRow:
         rows = build_sampler(linalg.row_norms_sq(X)).draw_block(pcg(config.seed), 1500)
         assert 4 not in rows
         trace = run("rk", X, y, regime, config, reference, RATE)
-        assert_matches_step_loop(trace, ls_reference("rk", X, y, regime, config, reference), "rk")
+        assert_matches_step_loop(trace, ls_reference("rk", X, y, regime, config, reference))
 
     def test_rk_ridge(self):
         lam = 0.5
@@ -429,7 +462,7 @@ class TestZeroRow:
         rows = build_sampler(linalg.row_norms_sq(self.X) + lam).draw_block(pcg(config.seed), 3000)
         assert 4 in rows
         trace, ref = ridge_pair("rk-ridge", self.X, self.y, lam, config)
-        assert_matches_step_loop(trace, ref, "rk-ridge")
+        assert_matches_step_loop(trace, ref)
         # energy_err_sq >= lam (alpha_4 - alpha*_4)^2, and alpha*_4 = y_4 / lam
         assert oracle.ridge_alpha_star(self.X, self.y, lam)[4] == pytest.approx(self.y[4] / lam)
         assert trace.final().energy_err_sq < 1e-6 * trace.records[0].energy_err_sq
