@@ -10,21 +10,36 @@ or the run, or an oracle that does not fit in memory, included), 3 the
 run did not reach --tol in its method's own measure (see
 solvers.drive), 4 I/O error. Diagnostics go to stderr (controlled by
 RANDITER_LOG={off,info,debug}); data output never does.
+
+Run as `python -m randiter.cli`, the process switches the cyclic garbage
+collector off before its imports, then freezes the objects they leave
+(about 33,000) and switches it back on just before main() runs. The
+run's own objects are still collected, but no collection walks the
+import-time heap, at interpreter exit included; the import-time garbage
+stays in memory. main() itself never touches the collector: a process
+that calls it, and the installed `randiter` console script, which
+imports this module rather than running it as __main__, keep the
+collector as it is.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import dataclasses
-import logging
-import os
-import sys
+import gc
 
-import numpy as np
+if __name__ == "__main__":
+    gc.disable()
 
-from . import io, kernel, oracle, ridge, solvers
-from .errors import RanditerError
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import dataclasses  # noqa: E402
+import logging  # noqa: E402
+import os  # noqa: E402
+import sys  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from . import io, kernel, oracle, ridge, solvers  # noqa: E402
+from .errors import RanditerError  # noqa: E402
 
 log = logging.getLogger("randiter")
 
@@ -179,7 +194,8 @@ _FLAG_READERS = {
 
 def _check_flags(args, methods, reference):
     """Before any method runs: --tol is finite and >= 0, what each method
-    needs is there, and some method reads each flag given."""
+    needs is there, some method reads each flag given, and KernelSpec
+    takes rk-krr's kernel parameters."""
     if not 0.0 <= args.tol < np.inf:
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     for method in methods:
@@ -195,6 +211,8 @@ def _check_flags(args, methods, reference):
                 not set(readers) & set(methods) or kernel_name not in (None, args.kernel)):
             where = ", ".join(readers) + (f" with --kernel {kernel_name}" if kernel_name else "")
             raise UsageError(f"{flag} is unused here: it is read only by {where}")
+    if "rk-krr" in methods:
+        _kernel_spec(args)
 
 
 def _kernel_spec(args) -> kernel.KernelSpec:
@@ -288,8 +306,8 @@ def _mean_trace(traces) -> solvers.ConvergenceTrace:
     length = min(len(t.records) for t in traces)
     # trials on the last, contiguous axis: a mean along it sums in the
     # order np.mean of one list of values does
-    values = np.stack([[dataclasses.astuple(r)[1:] for r in t.records[:length]]
-                       for t in traces], axis=-1)
+    values = np.stack([[(r.err_sq, r.energy_err_sq, r.residual_sq, r.bound)
+                        for r in t.records[:length]] for t in traces], axis=-1)
     return solvers.ConvergenceTrace([solvers.TraceRecord(r.iter, *m) for r, m in
                                      zip(traces[0].records, values.mean(axis=-1).tolist())])
 
@@ -374,4 +392,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    gc.freeze()
+    gc.enable()
     sys.exit(main())

@@ -38,13 +38,14 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
-        if self.family == "gaussian" and not self.gamma > 0.0:
-            raise ValueError("gaussian kernel requires gamma > 0")
+        if self.family == "gaussian" and not 0.0 < self.gamma < np.inf:
+            raise ValueError(f"gaussian kernel requires a finite gamma > 0, got {self.gamma}")
         if self.family == "polynomial":
             if self.degree < 1:
                 raise ValueError("polynomial kernel requires degree >= 1")
-            if self.offset < 0.0:
-                raise ValueError("polynomial kernel requires offset >= 0")
+            if not 0.0 <= self.offset < np.inf:
+                raise ValueError(f"polynomial kernel requires a finite offset >= 0, "
+                                 f"got {self.offset}")
 
 
 def kernel_column(spec: KernelSpec, data: np.ndarray, x: np.ndarray) -> np.ndarray:

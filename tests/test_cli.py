@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import logging
 import os
@@ -431,6 +432,20 @@ class TestLogging:
         assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
         assert (logging.root.manager.disable, logger.level, logger.handlers) == before
 
+    def test_main_leaves_the_collector_alone(self, tmp_path):
+        # only a process that runs the module as __main__ freezes the
+        # collector's import-time heap (see test_module_run_freezes_its_imports)
+        enabled = gc.isenabled()
+        try:
+            for state in (False, True):
+                (gc.enable if state else gc.disable)()
+                frozen = gc.get_freeze_count()
+                assert run_cli("generate", "consistent", "12", "3",
+                               "--out", str(tmp_path / f"p{state}")) == 0
+                assert (gc.isenabled(), gc.get_freeze_count()) == (state, frozen)
+        finally:
+            (gc.enable if enabled else gc.disable)()
+
     def test_info_goes_to_stderr(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RANDITER_LOG", "info")
         assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
@@ -454,6 +469,25 @@ def test_module_entry_point_matches_main(tmp_path):
     for argv in calls(tmp_path / "main"):
         assert run_cli(*argv) == 0
     assert (tmp_path / "sub" / "t.csv").read_bytes() == (tmp_path / "main" / "t.csv").read_bytes()
+
+
+def test_module_run_freezes_its_imports(tmp_path):
+    # run as __main__, the module freezes what its imports left and runs
+    # main() with the collector back on
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    child = ("import gc, runpy\n"
+             "try:\n"
+             "    runpy.run_module('randiter.cli', run_name='__main__')\n"
+             "except SystemExit as exc:\n"
+             "    print(exc.code, gc.isenabled(), gc.get_freeze_count())\n")
+    done = subprocess.run([sys.executable, "-c", child, "generate", "consistent", "12", "3",
+                           "--out", str(tmp_path / "p")],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, enabled, frozen = done.stdout.split()
+    assert (code, enabled) == ("0", "True")
+    assert int(frozen) > 0
+    assert (tmp_path / "p" / "X.mtx").exists()
 
 
 @pytest.mark.parametrize("method", [["rk-krr", "--kernel", "gaussian", "--gamma", "0.5",
@@ -669,6 +703,22 @@ class TestInputContract:
         err = capsys.readouterr().err
         assert "--kernel poly --degree 200 --offset 1000.0 overflows" in err
         assert "non-finite" in err
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    @pytest.mark.parametrize("flags,message", [
+        (["gaussian", "--gamma", "inf"], "gaussian kernel requires a finite gamma > 0, got inf"),
+        (["poly", "--offset", "nan"], "polynomial kernel requires a finite offset >= 0, got nan"),
+        (["poly", "--offset", "inf"], "polynomial kernel requires a finite offset >= 0, got inf"),
+    ])
+    def test_non_finite_kernel_parameter_is_usage_error(self, tmp_path, capsys, flags, message):
+        # the parameter is named, not the data
+        prob = str(tmp_path / "c")
+        assert run_cli("generate", "consistent", "12", "3", "--out", prob) == 0
+        capsys.readouterr()
+        code = run_cli("solve", prob, "--method", "rk-krr", "--kernel", *flags, "--lambda", "0.1",
+                       "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err == f"randiter: {message}\n"
         assert not os.path.exists(tmp_path / "t.csv")
 
     def test_overflowing_data_is_usage_error_for_every_method(self, tmp_path, capsys):
@@ -942,6 +992,7 @@ class TestComparePrecheck:
         (["--method", "rk-krr"], "rk-krr requires --kernel"),
         (["--method", "rk"], "rk/rcd need a reference.vec"),
         (["--method", "rk-krr", "--kernel", "linear", "--gamma", "2"], "--gamma is unused here"),
+        (["--method", "rk-krr", "--kernel", "gaussian", "--gamma", "inf"], "finite gamma > 0"),
     ])
     def test_exits_before_any_trial(self, consistent_dir, tmp_path, capsys, trials, flags,
                                     message):

@@ -74,6 +74,11 @@ class TestKernelEval:
             KernelSpec("gaussian", gamma=0.0)
         with pytest.raises(ValueError):
             KernelSpec("polynomial", degree=0)
+        with pytest.raises(ValueError, match="finite gamma"):
+            KernelSpec("gaussian", gamma=np.inf)
+        for offset in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite offset"):
+                KernelSpec("polynomial", offset=offset)
 
     def test_column_and_diag_consistent_with_eval(self):
         # kernel_column (the oracle's form) and the solvers' column, the
