@@ -6,10 +6,10 @@ Commands:
     randiter compare PROBLEM_DIR --method rk --method rcd ...
 
 Exit codes: 0 success, 2 usage error (data that overflows the oracle
-or the run, or an oracle that does not fit in memory, included), 3 the
-run did not reach --tol in its method's own measure (see
-solvers.drive), 4 I/O error. Diagnostics go to stderr (controlled by
-RANDITER_LOG={off,info,debug}); data output never does.
+or the run, and an oracle or a generated instance that does not fit in
+memory, included), 3 the run did not reach --tol in its method's own
+measure (see solvers.drive), 4 I/O error. Diagnostics go to stderr
+(controlled by RANDITER_LOG={off,info,debug}); data output never does.
 
 Run as `python -m randiter.cli`, the process switches the cyclic garbage
 collector off before its imports, then freezes the objects they leave
@@ -386,8 +386,10 @@ def main(argv=None) -> int:
             print(f"randiter: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except MemoryError:
-            print("randiter: out of memory: the closed-form oracle does not fit in memory "
-                  "for this problem", file=sys.stderr)
+            what = (f"the {args.n} x {args.p} instance does not fit in memory"
+                    if args.command == "generate"
+                    else "the closed-form oracle does not fit in memory for this problem")
+            print(f"randiter: out of memory: {what}", file=sys.stderr)
             return EXIT_USAGE
 
 

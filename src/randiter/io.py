@@ -5,6 +5,18 @@ All floats are serialized with 17 significant digits so a write/read
 round trip reproduces the exact 64-bit values, and output is LF-only so
 golden-file comparisons are byte-stable.
 
+Matrix and vector files hold the bytes of FLOAT_FORMAT ("%.17g") applied
+to each value, one a line. An array of at most SMALL_ARRAY values is
+formatted that way, WRITE_CHUNK values per string. A longer one is
+formatted in numpy, NUMPY_CHUNK values at a time (_format_lines): each
+value's 17 digits are the exact product of the value and a power of ten,
+rounded half to even as CPython's dtoa rounds, and they are laid out as
+"%.17g" lays them out. Values outside the range where that product is
+exact (zeros, non-finite values, and magnitudes below about 1e-6 or from
+1e17 up) are formatted with FLOAT_FORMAT, one at a time. Both paths give
+the same bytes; the size selection keeps the numpy path's first-use cost
+in peak RSS out of processes that write only small files.
+
 Beside every matrix or vector file it writes, randiter writes a sidecar
 (the file's path plus SIDECAR_SUFFIX): the SHA-256 of the text file's
 bytes, then its values as a flat float64 .npy in file order. A reader
@@ -15,6 +27,7 @@ is derived data and is always safe to delete.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import warnings
@@ -28,10 +41,21 @@ MM_HEADER = "%%MatrixMarket matrix array real general"
 
 FLOAT_FORMAT = "%.17g"
 
-# Values formatted per string. Writes are as fast from 1024 values up,
-# and at 1024 the chunk's Python floats and strings (about 70 kB) do
-# not raise the peak RSS of a process that writes small files.
+# Arrays of at most this many values are formatted with FLOAT_FORMAT;
+# longer ones in numpy. The numpy path's first use (its tables, and
+# numpy code pages no other step touches) costs about 1.5 MB of peak RSS,
+# which a generate of 2000 x 3 data, the largest process of its run,
+# would otherwise pay.
+SMALL_ARRAY = 16384
+# Values formatted per string on the FLOAT_FORMAT path. Writes are as
+# fast from 1024 values up, and at 1024 the chunk's Python floats and
+# strings (about 70 kB) do not raise the peak RSS of a process that
+# writes small files.
 WRITE_CHUNK = 1024
+# Values formatted per numpy pass. 4096 was faster per value than 2048,
+# 8192 and 16384; at 16384 a chunk's float arrays reach malloc's 128 kB
+# mmap threshold, and the peak RSS of a 50000 x 10 generate rose 2.9 MB.
+NUMPY_CHUNK = 4096
 
 SIDECAR_SUFFIX = ".values"
 DIGEST_SIZE = 32  # SHA-256
@@ -46,17 +70,145 @@ def fmt(x: float) -> str:
 
 def _write_values(path: str, head: str, values) -> None:
     """head, then one value per line, formatted a chunk at a time; then
-    path's sidecar, with the digest of the file as written."""
+    path's sidecar, with the digest of the bytes written."""
     values = np.asarray(values, dtype=np.float64).ravel()
-    line = FLOAT_FORMAT + "\n"
-    with open(path, "w", newline="\n") as f:
-        f.write(head)
-        for start in range(0, values.size, WRITE_CHUNK):
-            chunk = values[start:start + WRITE_CHUNK].tolist()
-            f.write((line * len(chunk)) % tuple(chunk))
+    digest = hashlib.sha256()
+    with open(path, "wb") as f:
+        for data in _value_lines(head, values):
+            f.write(data)
+            digest.update(data)
     with open(path + SIDECAR_SUFFIX, "wb") as f:
-        f.write(_file_digest(path))
+        f.write(digest.digest())
         np.save(f, values, allow_pickle=False)
+
+
+def _value_lines(head: str, values: np.ndarray):
+    """The bytes of head, then of the values' lines, a chunk at a time."""
+    yield head.encode()
+    if values.size > SMALL_ARRAY:
+        for start in range(0, values.size, NUMPY_CHUNK):
+            yield _format_lines(values[start:start + NUMPY_CHUNK])
+        return
+    line = FLOAT_FORMAT + "\n"
+    for start in range(0, values.size, WRITE_CHUNK):
+        chunk = values[start:start + WRITE_CHUNK].tolist()
+        yield ((line * len(chunk)) % tuple(chunk)).encode()
+
+
+# _format_lines prints a value x itself when its decimal exponent E is in
+# [-6, 16]: then x * 10**(16 - E) is in [1e16, 1e17), and 10**(16 - E) is a
+# power of ten a float holds exactly (10**0 to 10**22).
+_E_MIN = -6
+_SPLIT = 2.0 ** 27 + 1  # Veltkamp's split into 26-bit halves
+_WORD = np.dtype("<u8")
+
+
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo): hi + lo = a, each with at most 26 significant bits."""
+    t = a * _SPLIT
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _times_pow10(a: np.ndarray, s: np.ndarray, pow10: np.ndarray):
+    """(p, e) with p = fl(a * 10**s) and p + e = a * 10**s exactly
+    (Dekker's TwoProduct), for 0 <= s <= 22 and a between about 1e-6 and
+    1e17; pow10's rows are 10**s and its halves."""
+    b, b_hi, b_lo = pow10[:, s]
+    p = a * b
+    hi, lo = _halves(a)
+    return p, ((hi * b_hi - p) + hi * b_lo + lo * b_hi) + lo * b_lo
+
+
+def _word(text: str) -> int:
+    """text's bytes, NUL-padded to 8, as a little-endian word."""
+    return int.from_bytes(text.encode().ljust(8, b"\0"), "little")
+
+
+@functools.cache
+def _format_tables():
+    """_format_lines's lookup tables, built on first use.
+
+    A value's line is a row of six little-endian words whose non-NUL
+    bytes, in order, are the line. Word 0 holds the sign, the "0.000"
+    prefix of fixed notation below 1, and the first digit; words 1-4 hold
+    the other 16 digits, 4 each; each digit has a slot for a '.' after
+    it. Word 5 holds the exponent of scientific notation and the newline.
+    Tables indexed by k = E - _E_MIN take E from -6 to 16."""
+    pow10 = np.array([float(10 ** s) for s in range(23)])
+    pow10 = np.stack([pow10, *_halves(pow10)])
+    exps = range(_E_MIN, 17)
+    sci = [e < -4 for e in exps]  # and from 1e17 up, which are not printed here
+    # the number of digits before the '.': none below 1 in fixed notation
+    point = np.array([1 if s else max(e + 1, 0) for e, s in zip(exps, sci)])
+    # indexed by 2k, or 2k + 1 for a negative value
+    head = np.array([_word(sign + ("0." + "0" * (-e - 1) if -4 <= e < 0 else ""))
+                     for e in exps for sign in ("", "-")], _WORD)
+    tail = np.array([_word((f"e{e:+03d}" if s else "") + "\n") for e, s in zip(exps, sci)],
+                    _WORD)
+    # 4-digit groups: each digit's byte, then a NUL '.' slot
+    g = np.arange(10000)
+    digits = np.stack([g // 10 ** (3 - j) % 10 for j in range(4)], axis=1)
+    slots = np.zeros((10000, 8), np.uint8)
+    slots[:, ::2] = digits + ord("0")
+    quad = slots.view(_WORD)[:, 0]
+    # ends[i, g]: how many of the 17 digits there are up to the last nonzero
+    # one in g as group i (digits 1 + 4i to 4 + 4i, 0-based); 0 for g = 0
+    nonzero = digits != 0
+    last = 4 - np.argmax(nonzero[:, ::-1], axis=1)
+    ends = np.where(g > 0, last + 1 + 4 * np.arange(4)[:, None], 0).astype(np.uint8)
+    # indexed by (a digit count or a '.' position) - (group's first digit) + 16
+    keep = np.array([(1 << 16 * min(max(j - 16, 0), 4)) - 1 for j in range(33)], _WORD)
+    dot = np.array([ord(".") << 16 * (j - 16) + 8 if 16 <= j < 20 else 0 for j in range(33)],
+                   _WORD)
+    return pow10, point, head, tail, quad, ends, keep, dot
+
+
+def _format_lines(x: np.ndarray) -> bytes:
+    """The bytes of FLOAT_FORMAT + "\n" applied to each value of x."""
+    pow10, point_of, head, tail, quad, ends, keep, dot = _format_tables()
+    ax = np.abs(x)
+    fast = (ax >= 1e-6) & (ax < 1e17)  # not 0, inf or NaN either
+    ax[~fast] = 1.0
+    # s = 16 - E, with E = floor(log10|x|) or one off it near a power of ten
+    s = np.clip(16 - np.floor(np.log10(ax)).astype(np.intp), 0, 22)
+    p, e = _times_pow10(ax, s, pow10)
+    off = (((p < 1e16) | ((p == 1e16) & (e < 0))).astype(np.intp)
+           - ((p > 1e17) | ((p == 1e17) & (e >= 0))))
+    wrong = np.flatnonzero(off)
+    if wrong.size:
+        s[wrong] += off[wrong]
+        fast[wrong[(s[wrong] < 0) | (s[wrong] > 22)]] = False
+        s[wrong] = np.clip(s[wrong], 0, 22)
+        p[wrong], e[wrong] = _times_pow10(ax[wrong], s[wrong], pow10)
+    # p + e is in [1e16, 1e17), so p is an even integer (above 2**53) and
+    # p + rint(e) is p + e rounded half to even: the 17 digits "%.17g"
+    # prints. They never round up to 1e17: below each power of ten from
+    # 1e-5 to 1e17, the largest float times 10**s is more than 8 below 1e17.
+    digits = p.astype(np.int64) + np.rint(e).astype(np.int64)
+    k = 22 - s  # E - _E_MIN
+    rest = digits // 10 ** 8
+    low = digits - rest * 10 ** 8
+    first = rest // 10 ** 8
+    rest -= first * 10 ** 8
+    quads = [rest // 10000, rest % 10000, low // 10000, low % 10000]
+    point = point_of.take(k)
+    end = np.maximum(point, 1)  # digits printed: trailing zeros after the point go
+    for i, q in enumerate(quads):
+        end = np.maximum(end, ends[i].take(q))
+    dot_at = np.where(end > point, point - 1, -1)  # the digit the '.' follows
+    rows = np.empty((x.size, 6), _WORD)
+    rows[:, 0] = (head.take(2 * k + np.signbit(x)) | (first.astype(_WORD) + ord("0")) << 48
+                  | (dot_at == 0) * np.uint64(ord(".") << 56))
+    for i, q in enumerate(quads):
+        at = 15 - 4 * i  # 16 - the group's first digit
+        rows[:, 1 + i] = quad.take(q) & keep.take(end + at) | dot.take(dot_at + at)
+    rows[:, 5] = tail.take(k)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        rows.view("S48")[slow, 0] = [(FLOAT_FORMAT % v + "\n").encode()
+                                      for v in x[slow].tolist()]
+    return rows.tobytes().translate(None, b"\0")
 
 
 def _file_digest(path: str) -> bytes:

@@ -1,12 +1,14 @@
 import gc
 import hashlib
 import logging
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -129,6 +131,96 @@ class TestFileFormats:
         path.write_text("not a matrix\n")
         with pytest.raises(IOError):
             io.read_matrix(str(path))
+
+    def test_only_arrays_above_small_array_are_formatted_in_numpy(self, tmp_path, monkeypatch):
+        chunks, format_lines = [], io._format_lines
+
+        def spy(x):
+            chunks.append(x.size)
+            return format_lines(x)
+
+        monkeypatch.setattr(io, "_format_lines", spy)
+        path = str(tmp_path / "v.vec")
+        for size in (io.SMALL_ARRAY, io.SMALL_ARRAY + 1):
+            v = np.random.default_rng(size).standard_normal(size)
+            io.write_vector(path, v)
+            assert open(path, "rb").read() == reference_values_text(v).encode()
+        sizes = [io.NUMPY_CHUNK] * (io.SMALL_ARRAY // io.NUMPY_CHUNK) + [1]
+        assert chunks == sizes
+
+
+def _float_from_bits(bits):
+    return float(np.array(bits, np.uint64).view(np.float64))
+
+
+def _ten_to(k, steps):
+    """float("1e<k>") moved `steps` floats up (down for steps < 0)."""
+    x = float(f"1e{k}")
+    for _ in range(abs(steps)):
+        x = np.nextafter(x, np.inf if steps > 0 else -np.inf)
+    return float(x)
+
+
+def _ties(s):
+    """Values r / 2**(s + 1), r odd, with 17 digits before the point once
+    multiplied by 10**s, where they end in exactly .5: their 17th digit
+    rounds half to even."""
+    scale = Fraction(2 ** (s + 1))
+    low = math.ceil(scale * Fraction(10) ** (16 - s))
+    high = min(2 ** 53 - 2, math.ceil(scale * Fraction(10) ** (17 - s)) - 2)
+    return st.integers(low, high).map(lambda r: (r | 1) / 2.0 ** (s + 1))
+
+
+# "%g" switches to exponent notation below 1e-4 and from 1e17 up
+G_SWITCHES = [9.9999999999999991e-06, 1e-05, 9.9999999999999991e-05, 1e-04,
+              1.0000000000000001e-04, 9999999999999998.0, 1e16, 99999999999999984.0, 1e17,
+              1.0000000000000002e17]
+FORMAT_VALUES = st.builds(
+    lambda x, negate: -x if negate else x,
+    st.one_of(
+        st.floats(),
+        st.integers(0, 2 ** 64 - 1).map(_float_from_bits),
+        st.builds(_ten_to, st.integers(-330, 308), st.integers(-3, 3)),
+        st.integers(1, 22).flatmap(_ties),
+        st.sampled_from(EDGE_VALUES + G_SWITCHES + [1234567890123456.75, math.inf, math.nan]),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extra=st.integers(1, 2 * io.NUMPY_CHUNK), seed=st.integers(0, 2 ** 32 - 1),
+       placed=st.lists(st.tuples(st.booleans(), st.integers(0, 2 ** 31), FORMAT_VALUES),
+                       max_size=12),
+       matrix=st.booleans())
+def test_numpy_formatting_matches_format_per_value(extra, seed, placed, matrix):
+    """Above SMALL_ARRAY values, each writer's lines are format(x, ".17g")
+    per value, with values placed mid-chunk and at chunk edges, and the
+    sidecar holds the digest of those bytes."""
+    size = io.SMALL_ARRAY + extra
+    values = np.random.default_rng(seed).standard_normal(size)
+    edges = sorted({k + d for k in range(0, size, io.NUMPY_CHUNK) for d in (-1, 0)
+                    if k + d >= 0} | {size - 1})
+    for on_edge, i, x in placed:
+        values[edges[i % len(edges)] if on_edge else i % size] = x
+    with tempfile.TemporaryDirectory() as tmp:
+        if matrix:  # size x 1, so column-major order is the values' own
+            path = os.path.join(tmp, "X.mtx")
+            io.write_matrix(path, values.reshape((size, 1)))
+            head = f"{io.MM_HEADER}\n{size} 1\n"
+        else:
+            path = os.path.join(tmp, "v.vec")
+            io.write_vector(path, values)
+            head = ""
+        with open(path, "rb") as f:
+            data = f.read()
+        with open(sidecar(path), "rb") as f:
+            digest = f.read(32)
+    expected = (head + reference_values_text(values)).encode()
+    same = data == expected  # a bool: pytest's diff of two 400 kB strings takes minutes
+    assert same, next((i, a, b) for i, (a, b) in
+                      enumerate(zip(data.split(b"\n"), expected.split(b"\n"))) if a != b)
+    assert digest == hashlib.sha256(data).digest()
 
 
 class TestSidecar:
@@ -808,6 +900,20 @@ class TestInputContract:
         assert code == cli.EXIT_USAGE
         assert "oracle does not fit in memory" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t.csv")
+
+    def test_generate_out_of_memory_names_the_instance(self, tmp_path, capsys, monkeypatch):
+        # generate has no oracle: what does not fit is the n x p instance
+        def gen_consistent(n, p, seed):
+            raise MemoryError("Unable to allocate an n x p array")
+
+        monkeypatch.setattr(oracle, "gen_consistent", gen_consistent)
+        code = run_cli("generate", "consistent", "100000000", "10000",
+                       "--out", str(tmp_path / "prob"))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "the 100000000 x 10000 instance does not fit in memory" in err
+        assert "oracle" not in err
+        assert not os.path.exists(tmp_path / "prob")
 
     @pytest.mark.parametrize("size_line", ["50", "50 x", "0 20", ""])
     def test_bad_size_line_is_io_error(self, tmp_path, size_line):

@@ -8,8 +8,10 @@ for tools/trace_identity.py. Every command is a fresh
 working directory of each tree's own:
 
 - `generate consistent 30 10`;
-- `solve --method rk` on that instance, 2 trials of 15000 steps with one
-  checkpoint at the cap (the size of an ls-loop call);
+- `generate consistent 50000 10` (the size of the ls-tall set-up call,
+  whose MatrixMarket writes take the numpy formatting path);
+- `solve --method rk` on a 30 x 10 instance, 2 trials of 15000 steps
+  with one checkpoint at the cap (the size of an ls-loop call);
 - `compare` of rk-ridge, rcd-ridge and rk-krr (gaussian, gamma 0.01,
   lambda 10) on `generate underdetermined 40 80 --seed 1`, 10000
   iterations and 2 trials (the size of the dual-oracle call).
@@ -20,11 +22,12 @@ the two trees alternating and the one that goes first alternating from
 run to run, so that a drift in the host's speed moves both trees alike. A child's CPU time
 (user + system) comes from os.wait4, its wall time from the clock around
 its start and that wait, so both cover the interpreter's start-up and
-exit, which an in-process profile of cli.main cannot see. Printed per
-command and tree: the median and quartiles of each, then the change's
-median relative to the parent's and the number of runs in which the
-change took less CPU time. A command that exits other than 0 stops the
-tool with its stderr.
+exit, which an in-process profile of cli.main cannot see, and its peak
+RSS (ru_maxrss) from the same os.wait4. Printed per command and tree:
+the median and quartiles of each, then the change's median relative to
+the parent's, the number of runs in which the change took less CPU time,
+and the change in median peak RSS. A command that exits other than 0
+stops the tool with its stderr.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ SETUP = [
 ]
 COMMANDS = {
     "generate": ["generate", "consistent", "30", "10", "--seed", "2", "--out", "gen"],
+    "gen-tall": ["generate", "consistent", "50000", "10", "--seed", "2", "--out", "tall"],
     "solve": ["solve", "ls", "--method", "rk", "--iters", "15000", "--trials", "2",
               "--checkpoint-every", "15000", "--out", "ls/rk.csv"],
     "compare": ["compare", "dual", "--method", "rk-ridge", "--method", "rcd-ridge",
@@ -56,8 +60,9 @@ def child_env(src: str) -> dict[str, str]:
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", RANDITER_LOG="off")
 
 
-def timed_call(argv: list[str], src: str, workdir: str) -> tuple[float, float]:
-    """(CPU seconds, wall seconds) of one `python -m randiter.cli ARGV`."""
+def timed_call(argv: list[str], src: str, workdir: str) -> tuple[float, float, float]:
+    """(CPU seconds, wall seconds, peak RSS in MB) of one
+    `python -m randiter.cli ARGV`."""
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
         proc = subprocess.Popen([sys.executable, "-m", "randiter.cli", *argv], cwd=workdir,
@@ -70,7 +75,7 @@ def timed_call(argv: list[str], src: str, workdir: str) -> tuple[float, float]:
             err.seek(0)
             raise RuntimeError(f"{src}: exit {proc.returncode} from {' '.join(argv)}\n"
                                + err.read().decode(errors="replace"))
-    return usage.ru_utime + usage.ru_stime, wall
+    return usage.ru_utime + usage.ru_stime, wall, usage.ru_maxrss / 1024  # Linux: kB
 
 
 def summary(values: list[float]) -> str:
@@ -88,8 +93,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.runs < 2:
         parser.error("--runs must be at least 2: quartiles need two values")
     trees = {"parent": args.parent_src, "change": args.change_src}
-    # times[command][tree] = ([cpu_s...], [wall_s...])
-    times = {name: {tree: ([], []) for tree in trees} for name in COMMANDS}
+    # times[command][tree] = ([cpu_s...], [wall_s...], [peak_rss_mb...])
+    times = {name: {tree: ([], [], []) for tree in trees} for name in COMMANDS}
     with tempfile.TemporaryDirectory() as tmp:
         workdirs = {tree: os.path.join(tmp, tree) for tree in trees}
         for tree, src in trees.items():
@@ -100,21 +105,25 @@ def main(argv: list[str] | None = None) -> int:
             order = list(trees) if run % 2 == 0 else list(trees)[::-1]
             for name, command in COMMANDS.items():
                 for tree in order:
-                    cpu, wall = timed_call(command, trees[tree], workdirs[tree])
-                    times[name][tree][0].append(cpu)
-                    times[name][tree][1].append(wall)
+                    for values, value in zip(times[name][tree],
+                                             timed_call(command, trees[tree], workdirs[tree])):
+                        values.append(value)
 
-    print(f"{args.runs} runs per command and tree; ms, median [quartiles]")
-    print(f"{'command':10}{'tree':8}{'cpu':>28}{'wall':>28}")
+    print(f"{args.runs} runs per command and tree; ms, median [quartiles]; "
+          "peak RSS in MB, median [min, max]")
+    print(f"{'command':10}{'tree':8}{'cpu':>28}{'wall':>28}{'peak rss':>26}")
     for name, by_tree in times.items():
-        for tree, (cpu, wall) in by_tree.items():
-            print(f"{name:10}{tree:8}{summary(cpu):>28}{summary(wall):>28}")
-        (cpu0, wall0), (cpu1, wall1) = by_tree.values()
+        for tree, (cpu, wall, rss) in by_tree.items():
+            print(f"{name:10}{tree:8}{summary(cpu):>28}{summary(wall):>28}"
+                  f"{statistics.median(rss):>10.2f} [{min(rss):.2f}, {max(rss):.2f}]")
+        (cpu0, wall0, rss0), (cpu1, wall1, rss1) = by_tree.values()
         cpu_ratio = statistics.median(cpu1) / statistics.median(cpu0)
         wall_ratio = statistics.median(wall1) / statistics.median(wall0)
         wins = sum(b < a for a, b in zip(cpu0, cpu1))
+        rss_change = statistics.median(rss1) - statistics.median(rss0)
         print(f"{'':18}change/parent: cpu {cpu_ratio:.3f}, wall {wall_ratio:.3f}; "
-              f"change took less cpu in {wins} of {args.runs} runs")
+              f"change took less cpu in {wins} of {args.runs} runs; "
+              f"peak rss {rss_change:+.2f} MB")
     return 0
 
 

@@ -9,10 +9,13 @@ thread, in a working directory of its own:
 - `generate` of the four standard instances, and of `u20x50` once more
   as `u20x50-nometa`, whose meta.txt is then removed, so its runs see no
   regime;
-- on each instance, `solve --trials 2` with each of the five methods
-  (rk-krr with the gaussian kernel), with rk-krr on each other kernel
-  family, and one `compare` of all five, at the default checkpoint
-  cadence and at `--checkpoint-every 7`.
+- `generate` of the ls-tall instance, 50000 x 10, with no runs on it:
+  its X.mtx and y.vec are above io.SMALL_ARRAY values, so they are the
+  files formatted in numpy;
+- on each instance but the ls-tall one, `solve --trials 2` with each of
+  the five methods (rk-krr with the gaussian kernel), with rk-krr on each
+  other kernel family, and one `compare` of all five, at the default
+  checkpoint cadence and at `--checkpoint-every 7`.
 
 Then every command's exit code and stderr, and every file the commands
 wrote, are compared byte for byte. Differences are listed one a line.
@@ -42,6 +45,8 @@ INSTANCES = {
     "u40x80": ["underdetermined", "40", "80", "--seed", "1"],
     "u20x50-nometa": ["underdetermined", "20", "50", "--seed", "4"],
 }
+# Instances that are generated and compared, but not solved.
+GENERATE_ONLY = {"c50000x10": ["consistent", "50000", "10", "--seed", "1"]}
 # Instances whose meta.txt is removed right after `generate`.
 UNLABELLED = ("u20x50-nometa",)
 METHOD_FLAGS = {
@@ -61,7 +66,8 @@ CADENCES = {"default": [], "every7": ["--checkpoint-every", "7"]}
 
 def commands() -> list[list[str]]:
     """The argv of every command, in the order they run."""
-    cmds = [["generate", *spec, "--out", name] for name, spec in INSTANCES.items()]
+    cmds = [["generate", *spec, "--out", name]
+            for name, spec in {**INSTANCES, **GENERATE_ONLY}.items()]
     for name in INSTANCES:
         for cadence, every in CADENCES.items():
             for method, flags in METHOD_FLAGS.items():
