@@ -2,10 +2,10 @@
 
 The solver iterates on the dual system (K + lambda I) alpha = y, in
 Gauss-Seidel sweeps with K[J, :] for the drawn rows J from one product,
-or one kernel column per step; its checkpoints, and the refresh of s
-about once an epoch, apply K tile by tile. So a step evaluates O(n)
-kernel entries, and no n x n structure is ever allocated. It maintains
-s = K alpha, not the residual, so updates never touch y.
+or one kernel column per step; its checkpoints apply K tile by tile, and
+about once an epoch a checkpoint's pass also rebuilds s. So a step
+evaluates O(n) kernel entries, and no n x n structure is ever allocated.
+It maintains s = K alpha, not the residual, so updates never touch y.
 """
 
 from __future__ import annotations
@@ -204,11 +204,11 @@ def krr_run(
     taken as solvers.dual_advance decides for rows of n entries, the cap
     GRAM_TILE_ELEMS and sweeps of k >= 2 rows (n <= 16384): a sweep
     with K[J, :] from one product, K[J, J] from it for free, or one
-    kernel column per step. The refresh of s = K alpha at solvers.drive's
-    period (every 1000 steps up to n = 1000, about once an epoch beyond)
-    waits for the next draw block or checkpoint; a checkpoint shares its
-    apply_gram pass with it. The run stops at the first checkpoint with
-    energy_err_sq <= tol^2, at a plateau, or at max_iters.
+    kernel column per step. s = K alpha is rebuilt at the checkpoints
+    that solvers.drive asks to (the first at or after every 1000 steps up
+    to n = 1000, about once an epoch beyond), from the same apply_gram
+    pass as the checkpoint's K v. The run stops at the first checkpoint
+    with energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
@@ -222,17 +222,9 @@ def krr_run(
     column = gram.column
     ys = y.tolist()
     alpha, s, col = np.zeros(n), np.zeros(n), np.empty(n)
-    stale = False  # s awaits its rebuild from alpha
-
-    def rebuild():
-        """s = K alpha afresh, if a refresh is pending."""
-        nonlocal stale
-        if stale:
-            s[:], stale = apply_gram(spec, data, alpha), False
 
     def steps(rows):
         nonlocal s
-        rebuild()
         # krr_step for each row in turn, with the column written into
         # col and then scaled in place
         for row in rows.tolist():
@@ -242,21 +234,13 @@ def krr_run(
             s += np.multiply(col, delta, out=col)
 
     def sweep(J):
-        rebuild()
         KJ = gram.block(J)
         dual_sweep(J, KJ, KJ[:, J], y[J] - s[J], lam, alpha, s)
 
-    def refresh():
-        # deferred to the next block or checkpoint, whose pass it shares
-        nonlocal stale
-        stale = True
-
-    def checkpoint():
-        nonlocal stale
+    def checkpoint(refresh):
         v = alpha - alpha_star
-        if stale:  # the pending refresh of s shares this pass
+        if refresh:  # the rebuild of s shares this pass
             Kv, s[:] = apply_gram(spec, data, np.array((v, alpha)))
-            stale = False
         else:
             Kv = apply_gram(spec, data, v)
         energy = float(v @ Kv) + lam * float(v @ v)
@@ -266,4 +250,4 @@ def krr_run(
     # K[J, J] comes free with K[J, :], so a sweep pays from k = 2 on
     loop = dual_advance(n, GRAM_TILE_ELEMS, 2, steps, sweep)
     return drive(sampler, config, loop, checkpoint, rate, "energy_err_sq",
-                 tol_on="energy_err_sq", plateau=True, refresh=refresh)
+                 tol_on="energy_err_sq", plateau=True)

@@ -31,12 +31,12 @@ from .sampling import WeightedSampler, build_sampler
 
 # The column loop maintains r = y - X beta and rk-krr s = K alpha
 # incrementally; rebuilding them caps floating-point drift so per-step
-# optimality stays testable. `drive` rebuilds them every this many
-# steps, or, where an epoch is longer, at multiples of the smallest
-# multiple of this that holds an epoch: a rebuild costs about as much
-# as an epoch of steps (n p multiply-adds for r, n^2 / 2 kernel entries
-# for s). The driver's draw blocks end at multiples of this, so they
-# never hold more indices than this.
+# optimality stays testable. `drive` has them rebuilt at the first
+# checkpoint at or after each multiple of this, or, where an epoch is
+# longer, of the smallest multiple of this that holds an epoch: a
+# rebuild costs about as much as an epoch of steps (n p multiply-adds
+# for r, n^2 / 2 kernel entries for s). The driver's draw blocks end at
+# multiples of this, so they never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
 
 # A sweep on k rows or columns of X also forms their k x k Gram, k p or
@@ -147,34 +147,33 @@ def drive(
     sampler: WeightedSampler,
     config: RunConfig,
     advance: Callable[[np.ndarray], None],
-    checkpoint: Callable[[], tuple[float, float, float]],
+    checkpoint: Callable[[bool], tuple[float, float, float]],
     rate: float,
     natural: str,
     tol_on: str | None,
     plateau: bool,
-    refresh: Callable[[], None] | None = None,
 ) -> ConvergenceTrace:
     """The checkpoint and stop loop that every method's run shares.
 
     Steps t = 1..max_iters (>= 1) draw their indices from `sampler` with the
     seed config.seed, in blocks that end at multiples of
     RESIDUAL_REFRESH_EVERY and at checkpoints, and `advance(indices)`
-    takes those steps in order. After step t, `refresh()` runs when t is
-    a multiple of the refresh period, RESIDUAL_REFRESH_EVERY times
-    ceil(epoch / RESIDUAL_REFRESH_EVERY) for an epoch of len(sampler)
-    steps: every 1000 steps up to an epoch of 1000, about once an epoch
-    beyond. Then, when t is a multiple of the checkpoint cadence
-    (config.checkpoint_every, else one epoch) or t = max_iters, a
-    checkpoint is recorded.
-    `checkpoint()` returns (err_sq, energy_err_sq, residual_sq) of the
-    current iterate, and the record's bound is rate^t times the initial
-    value of the `natural` column. The run stops at the first checkpoint
-    where the natural column is not finite, where the `tol_on` column is
-    <= tol^2 (if tol_on is given) or, with `plateau`, where the natural
-    column has plateaued over the last PLATEAU_WINDOW checkpoints, or the
-    last PLATEAU_WINDOW epochs if those hold more. The trace records
-    `natural` and whether the run converged: it did if tol_on is None,
-    else if its final tol_on column is <= tol^2.
+    takes those steps in order. When t is a multiple of the checkpoint
+    cadence (config.checkpoint_every, else one epoch) or t = max_iters,
+    `checkpoint(refresh)` rebuilds the vector the loop maintains, if any,
+    when `refresh`, then returns (err_sq, energy_err_sq, residual_sq) of the
+    current iterate for a record. `refresh` is true at the first
+    checkpoint at or after each multiple of the refresh period,
+    RESIDUAL_REFRESH_EVERY times ceil(epoch / RESIDUAL_REFRESH_EVERY) for
+    an epoch of len(sampler) steps: every 1000 steps up to an epoch of
+    1000, about once an epoch beyond. The record's bound is rate^t times
+    the initial value of the `natural` column. The run stops at the first
+    checkpoint where the natural column is not finite, where the `tol_on`
+    column is <= tol^2 (if tol_on is given) or, with `plateau`, where the
+    natural column has plateaued over the last PLATEAU_WINDOW checkpoints,
+    or the last PLATEAU_WINDOW epochs if those hold more. The trace
+    records `natural` and whether the run converged: it did if tol_on is
+    None, else if its final tol_on column is <= tol^2.
     """
     if config.max_iters < 1:
         raise ValueError("max_iters must be positive")
@@ -183,30 +182,29 @@ def drive(
     if every < 1:
         raise ValueError("checkpoint_every must be positive")
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
-    refresh_every = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
+    period = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
     tol_sq = config.tol * config.tol
     rng = np.random.Generator(np.random.PCG64(config.seed))
     trace = ConvergenceTrace(natural=natural)
     history: list[float] = []
 
-    def record(t: int) -> TraceRecord:
-        rec = TraceRecord(t, *checkpoint(), 0.0)
+    def record(t: int, refresh: bool) -> TraceRecord:
+        rec = TraceRecord(t, *checkpoint(refresh), 0.0)
         history.append(getattr(rec, natural))
         rec.bound = (rate ** t) * history[0]
         trace.append(rec)
         return rec
 
-    record(0)
+    record(0, False)
     t = 0
     while t < config.max_iters and math.isfinite(history[-1]):
+        start = t
         end = min(config.max_iters, t - t % every + every)
         while t < end:
             k = min(end, t - t % RESIDUAL_REFRESH_EVERY + RESIDUAL_REFRESH_EVERY) - t
             advance(sampler.draw_block(rng, k))
             t += k
-            if refresh is not None and t % refresh_every == 0:
-                refresh()
-        rec = record(t)
+        rec = record(t, t // period > start // period)
         if tol_on is not None and getattr(rec, tol_on) <= tol_sq:
             break
         if plateau and _plateaued(history, window):
@@ -314,7 +312,7 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
 
     loop = dual_advance(X.shape[1], SWEEP_ELEMS, SWEEP_MIN_STEPS, steps, sweep)
-    return drive(sampler, config, loop, lambda: measures(beta, alpha), rate, natural, **stop)
+    return drive(sampler, config, loop, lambda _: measures(beta, alpha), rate, natural, **stop)
 
 
 def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
@@ -322,11 +320,11 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     for lam >= 0: rcd at lam = 0, rcd-ridge at lam > 0.
 
     Starts from beta = config.beta0 (zero if None) and keeps r = y - X beta,
-    rebuilt at `drive`'s refresh period (every 1000 steps up to p = 1000,
-    about once an epoch of p steps beyond) to cap drift. The step on
-    column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 + lam), then
-    beta_c += delta and r -= delta x_c, taken as `dual_advance` decides
-    for columns of n entries, the cap SWEEP_ELEMS and sweeps of
+    rebuilt to cap drift at the checkpoints `drive` asks to (the first at
+    or after every 1000 steps up to p = 1000, about once an epoch beyond).
+    The step on column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 +
+    lam), then beta_c += delta and r -= delta x_c, taken as `dual_advance`
+    decides for columns of n entries, the cap SWEEP_ELEMS and sweeps of
     COLUMN_SWEEP_MIN_STEPS columns or more. Runs `drive` with checkpoint
     measures(beta) and the stop rule `stop`.
     """
@@ -355,12 +353,13 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         XJ = X.T[J]  # the columns J, as rows
         dual_sweep(J, -XJ, XJ @ XJ.T, XJ @ residual, lam, beta, residual, "column")
 
-    def refresh():
-        residual[:] = y - X @ beta
+    def checkpoint(refresh):
+        if refresh:
+            residual[:] = y - X @ beta
+        return measures(beta)
 
     loop = dual_advance(X.shape[0], SWEEP_ELEMS, COLUMN_SWEEP_MIN_STEPS, steps, sweep)
-    return drive(sampler, config, loop, lambda: measures(beta), rate, natural,
-                 refresh=refresh, **stop)
+    return drive(sampler, config, loop, checkpoint, rate, natural, **stop)
 
 
 def run(

@@ -19,10 +19,10 @@ def null_space_leakage(X, v, basis=None):
 
 def spy_refreshes(monkeypatch, module):
     """Wrap `drive` as `module` calls it; the returned list gets the
-    number of steps taken at each refresh."""
+    number of steps taken at each checkpoint that refreshes."""
     drive, at = module.drive, []
 
-    def spied(sampler, config, advance, *args, refresh=None, **kwargs):
+    def spied(sampler, config, advance, checkpoint, *args, **kwargs):
         done = 0
 
         def counted(indices):
@@ -30,12 +30,12 @@ def spy_refreshes(monkeypatch, module):
             advance(indices)
             done += len(indices)
 
-        def noted():
-            at.append(done)
-            refresh()
+        def noted(refresh):
+            if refresh:
+                at.append(done)
+            return checkpoint(refresh)
 
-        return drive(sampler, config, counted, *args,
-                     refresh=None if refresh is None else noted, **kwargs)
+        return drive(sampler, config, counted, noted, *args, **kwargs)
 
     monkeypatch.setattr(module, "drive", spied)
     return at

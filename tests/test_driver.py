@@ -2,8 +2,9 @@
 
 Each `*_run` is checked against a reference loop that takes one scalar
 `WeightedSampler.draw` and one `*_step` call per iteration, refreshes
-every 1000 steps, or every 1000 * ceil(epoch / 1000) steps where an
-epoch is longer, and checks the stop rule at each checkpoint.
+at the first checkpoint at or after every 1000 steps, or every
+1000 * ceil(epoch / 1000) steps where an epoch is longer, and checks the
+stop rule at each checkpoint.
 Every method takes its steps as Gauss-Seidel sweeps where they pay,
 on rows (rk, rk-ridge, rk-krr) or columns (rcd, rcd-ridge), and a sweep
 sums in another order than the steps. So a run's trace must have the
@@ -65,15 +66,16 @@ def assert_matches_step_loop(trace, ref):
 
 
 def step_loop(weights, config, epoch, step, measures, natural, stop, refresh=None):
-    """One scalar draw and one step per iteration; refresh() when t is a
-    multiple of the smallest multiple of 1000 at or above `epoch`; a
-    checkpoint when t is a multiple of the cadence
-    (config.checkpoint_every, else `epoch`) or t = max_iters;
-    stop(rec, history, window) after each one, where a plateau window
-    spans PLATEAU_WINDOW checkpoints and at least one epoch of steps."""
+    """One scalar draw and one step per iteration; a checkpoint when t is
+    a multiple of the cadence (config.checkpoint_every, else `epoch`) or
+    t = max_iters, which first calls refresh() if a multiple of the
+    smallest multiple of 1000 at or above `epoch` falls after the
+    previous checkpoint and at or before t; stop(rec, history, window)
+    after each one, where a plateau window spans PLATEAU_WINDOW
+    checkpoints and at least one epoch of steps."""
     every = config.checkpoint_every or epoch
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
-    refresh_every = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
+    period = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
     sampler = build_sampler(weights)
     rng = pcg(config.seed)
     trace, history = ConvergenceTrace(), []
@@ -86,11 +88,13 @@ def step_loop(weights, config, epoch, step, measures, natural, stop, refresh=Non
         return rec
 
     record(0)
+    last = 0
     for t in range(1, config.max_iters + 1):
         step(sampler.draw(rng))
-        if refresh is not None and t % refresh_every == 0:
-            refresh()
         if t % every == 0 or t == config.max_iters:
+            if refresh is not None and t // period > last // period:
+                refresh()
+            last = t
             if stop(record(t), history, window):
                 break
     return trace
@@ -182,10 +186,11 @@ def test_ls_run_matches_step_loop(method, case):
 
 
 def test_rcd_refreshes_once_an_epoch_beyond_1000_columns(monkeypatch):
-    # p = 1001: r = y - X beta is refreshed every 2000 steps, not 1000,
-    # and the trace is still the step loop's, bit for bit (columns of
-    # n = 1100 are too long to sweep). Just before
-    # each refresh, r has drifted from y - X beta by rounding only.
+    # p = 1001: r = y - X beta is refreshed at the first checkpoint at
+    # or after every 2000 steps, not 1000, and the trace is still the
+    # step loop's, bit for bit (columns of n = 1100 are too long to
+    # sweep). Just before each refresh, r has drifted from y - X beta by
+    # rounding only.
     refreshes, drifts = spy_refreshes(monkeypatch, solvers), []
     rng = np.random.default_rng(18)
     X, y = rng.standard_normal((1100, 1001)), rng.standard_normal(1100)
@@ -194,7 +199,7 @@ def test_rcd_refreshes_once_an_epoch_beyond_1000_columns(monkeypatch):
     ref = ls_reference("rcd", X, y, Regime.UNKNOWN, config, np.zeros(1001), drifts)
     assert trace.records == ref.records
     assert trace.column("iter").tolist() == [0, 1001, 2002, 3003, 4004, 4500]
-    assert refreshes == [2000, 4000]
+    assert refreshes == [2002, 4004]
     assert len(drifts) == 2 and max(drifts) <= 1e-12
 
 

@@ -212,11 +212,19 @@ class TestKrrRun:
         assert len(passes) == 21
         assert passes.count((2, 100)) == 2
 
-    def test_refresh_once_an_epoch_shares_every_checkpoints_pass(self, monkeypatch):
-        # n = 2000: s = K alpha is refreshed every 2000 steps, once an
-        # epoch, so each refresh rides on a checkpoint's pass and 20000
-        # steps make 11 passes, not 21. Just before each refresh, s has
-        # drifted from K alpha by rounding only.
+    # n = 2000: s = K alpha is due a refresh every 2000 steps, once an
+    # epoch, and each falls on a checkpoint. n = 1500: due every 2000
+    # steps, the refresh waits for the first checkpoint at or after that
+    # step (3000, 4500, 6000, 9000, ...). Either way each refresh rides
+    # on a checkpoint's pass, so 10 epochs make 11 passes, one for each
+    # checkpoint. Just before each refresh, s has drifted from K alpha
+    # by rounding only.
+    @pytest.mark.parametrize("n,refreshed", [
+        (1500, [3000, 4500, 6000, 9000, 10500, 12000, 15000]),
+        (2000, list(range(2000, 20001, 2000))),
+    ], ids=["1500", "2000"])
+    def test_refresh_once_an_epoch_shares_every_checkpoints_pass(self, n, refreshed,
+                                                                 monkeypatch):
         passes, drift, iterate = [], [], []
 
         def sweep(J, B, G, b, lam, alpha, s):
@@ -235,15 +243,15 @@ class TestKrrRun:
         monkeypatch.setattr(kernel, "dual_sweep", sweep)
         monkeypatch.setattr(kernel, "apply_gram", counted)
         refreshes = spy_refreshes(monkeypatch, kernel)
-        data = gaussian_points(2000, 3, seed=31)
-        y = np.random.default_rng(32).standard_normal(2000)
+        data = gaussian_points(n, 3, seed=31)
+        y = np.random.default_rng(32).standard_normal(n)
         trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1,
-                        RunConfig(max_iters=20000, tol=0.0, seed=33), np.zeros(2000), 0.99)
-        assert trace.final().iter == 20000
-        assert refreshes == list(range(2000, 20001, 2000))
+                        RunConfig(max_iters=10 * n, tol=0.0, seed=33), np.zeros(n), 0.99)
+        assert trace.final().iter == 10 * n
+        assert refreshes == refreshed
         assert len(passes) == 11
-        assert passes.count((2, 2000)) == 10
-        assert len(drift) == 10 and max(drift) <= 1e-12
+        assert passes.count((2, n)) == len(refreshed)
+        assert len(drift) == len(refreshed) and max(drift) <= 1e-12
 
     def test_gaussian_sampling_is_uniform(self):
         data = gaussian_points(9, 2, seed=17)

@@ -118,11 +118,12 @@ RUNS = {
 
 @pytest.mark.parametrize("method", list(RUNS))
 def test_runs_split_at_refresh_and_checkpoint_steps(method, monkeypatch):
-    # a checkpoint every 45 steps and a refresh every 1000: no run spans
-    # one, each block between them is cut into runs of SWEEP_STEPS and
-    # a shorter rest (30 x 10 rows, columns and rows of K all hold that
-    # many under their caps), and only the runs of SWEEP_MIN_STEPS or
-    # more are sweeps, COLUMN_SWEEP_MIN_STEPS or more on columns
+    # a checkpoint every 45 steps and a block end at every multiple of
+    # RESIDUAL_REFRESH_EVERY: no run spans one, each block between them
+    # is cut into runs of SWEEP_STEPS and a shorter rest (30 x 10 rows,
+    # columns and rows of K all hold that many under their caps), and
+    # only the runs of SWEEP_MIN_STEPS or more are sweeps,
+    # COLUMN_SWEEP_MIN_STEPS or more on columns
     module = kernel if method == "rk-krr" else solvers
     shortest = COLUMN_SWEEP_MIN_STEPS if method.startswith("rcd") else SWEEP_MIN_STEPS
     runs, swept = [], []

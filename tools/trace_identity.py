@@ -9,6 +9,10 @@ thread, in a working directory of its own:
 - `generate` of the four standard instances, and of `u20x50` once more
   as `u20x50-nometa`, whose meta.txt is then removed, so its runs see no
   regime;
+- `generate` of `u20x1200`, whose epoch of columns is over 1000: rcd and
+  rcd-ridge there rebuild r about once an epoch, at the first checkpoint
+  at or after every 2000 steps, and rk, on rows of 1200 entries, takes
+  single steps;
 - `generate` of the ls-tall instance, 50000 x 10, with no runs on it:
   its X.mtx and y.vec are above io.SMALL_ARRAY values, so they are the
   files formatted in numpy;
@@ -44,6 +48,7 @@ INSTANCES = {
     "u20x50": ["underdetermined", "20", "50", "--seed", "4"],
     "u40x80": ["underdetermined", "40", "80", "--seed", "1"],
     "u20x50-nometa": ["underdetermined", "20", "50", "--seed", "4"],
+    "u20x1200": ["underdetermined", "20", "1200", "--seed", "2"],
 }
 # Instances that are generated and compared, but not solved.
 GENERATE_ONLY = {"c50000x10": ["consistent", "50000", "10", "--seed", "1"]}
