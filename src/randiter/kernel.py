@@ -1,29 +1,34 @@
 """Kernel evaluation and matrix-free Kaczmarz for kernel ridge regression.
 
 The solver iterates on the dual system (K + lambda I) alpha = y, in
-Gauss-Seidel sweeps with K[J, :] for the drawn rows J from one product,
-or one kernel column per step; its checkpoints apply K tile by tile, and
-about once an epoch a checkpoint's pass also rebuilds s. So a step
-evaluates O(n) kernel entries, and no n x n structure is ever allocated.
-It maintains s = K alpha, not the residual, so updates never touch y.
+Gauss-Seidel sweeps. Its checkpoints apply K tile by tile, to alpha as
+well as to the error, and about once an epoch the run rebases on that K
+alpha. A sweep on rows J then forms only K[J, U], the columns of the
+rows U stepped since the rebase: (K alpha)_J is the rebase's value plus
+K[J, U] times the steps taken on U, and K[J, J] is part of the block.
+So a step evaluates at most n kernel entries, and no n x n structure is
+ever allocated.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import solvers
 from .errors import DimensionError
 from .sampling import build_sampler
-from .solvers import ConvergenceTrace, RunConfig, drive, dual_advance, dual_sweep
+from .solvers import ConvergenceTrace, RunConfig, drive, dual_sweep
 
 _FAMILIES = ("linear", "gaussian", "polynomial")
 
-# A dual sweep's k rows of K, and each tile of K that apply_gram forms,
-# hold at most this many entries (256 KB), more only when a single row
-# is longer.
+# A dual sweep's k x |U| block of K, and each tile of K that apply_gram
+# forms, hold at most this many entries (256 KB), more only when a
+# single row is longer.
 GRAM_TILE_ELEMS = 1 << 15
+_arange = functools.cache(np.arange)  # the diagonal of a sweep's k rows, made once per k
 
 
 @dataclass(frozen=True)
@@ -123,10 +128,13 @@ class _Gram:
         self._map(out, i)
         return out
 
-    def block(self, J: np.ndarray) -> np.ndarray:
-        """K[J, :], the rows of K at indices J, from one product."""
-        out = self.points[J] @ self.rows.T
-        self._map(out, (np.arange(len(J)), J))
+    def block(self, J: np.ndarray, rows: np.ndarray, at: np.ndarray, buf=None) -> np.ndarray:
+        """K[J, U] from one product, for rows = self.rows[U] and U[at] = J,
+        written into the start of buf if given; K[J, :] is
+        block(J, self.rows, J)."""
+        out = None if buf is None else buf[:len(J) * len(rows)].reshape(len(J), len(rows))
+        out = np.matmul(self.points[J], rows.T, out=out)
+        self._map(out, (_arange(len(J)), at))
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -142,7 +150,7 @@ class _Gram:
         live = [(u, out) for u, out in zip(v.reshape(-1, n), res.reshape(-1, n)) if u.any()]
         if not live:
             return res
-        buf = np.empty(max(GRAM_TILE_ELEMS, n))
+        buf = np.empty(min(max(GRAM_TILE_ELEMS, n), n * n))
         start = 0
         while start < n:
             # a tile takes the columns from its first row on, so it
@@ -155,7 +163,8 @@ class _Gram:
             self._map(tile, (diag, diag))
             for u, out in live:
                 out[start:stop] += tile @ u[start:]
-                out[stop:] += u[start:stop] @ tile[:, stop - start:]
+                if stop < n:
+                    out[stop:] += u[start:stop] @ tile[:, stop - start:]
             start = stop
         return res
 
@@ -171,20 +180,21 @@ def krr_step(
 ) -> None:
     """One dual row action, in place, using a single on-the-fly kernel
     column; s = K alpha before and after. The single-step reference for
-    krr_run's sweeps, and, with the same column, for its step loop."""
+    krr_run's sweeps."""
     col = _Gram(spec, data).column(row, np.empty(data.shape[0]))
     delta = (y[row] - s[row] - lam * alpha[row]) / (float(col[row]) + lam)
     alpha[row] += delta
     s += delta * col
 
 
-def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray) -> np.ndarray:
+def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray, gram=None) -> np.ndarray:
     """K v without forming K, for a vector v or for each row of a stack
     of them (see _Gram.apply): tiles of at most GRAM_TILE_ELEMS entries
     (more only when one row of K is longer), one BLAS product each,
     that cover about half of K, by symmetry. Extra memory is
-    O(GRAM_TILE_ELEMS + n p)."""
-    return _Gram(spec, data).apply(v)
+    O(GRAM_TILE_ELEMS + n p). A caller that holds _Gram(spec, data) can
+    pass it as gram, which skips preparing the data again."""
+    return (_Gram(spec, data) if gram is None else gram).apply(v)
 
 
 def krr_run(
@@ -199,16 +209,21 @@ def krr_run(
     """Run the KRR solver from alpha = 0 and trace dual errors.
 
     err_sq is ||alpha - alpha*||^2; energy_err_sq the same in the
-    (K + lambda I) norm, v^T K v + lambda v^T v for v = alpha - alpha*,
-    with K v from apply_gram, so K is never materialized. Steps are
-    taken as solvers.dual_advance decides for rows of n entries, the cap
-    GRAM_TILE_ELEMS and sweeps of k >= 2 rows (n <= 16384): a sweep
-    with K[J, :] from one product, K[J, J] from it for free, or one
-    kernel column per step. s = K alpha is rebuilt at the checkpoints
-    that solvers.drive asks to (the first at or after every 1000 steps up
-    to n = 1000, about once an epoch beyond), from the same apply_gram
-    pass as the checkpoint's K v. The run stops at the first checkpoint
-    with energy_err_sq <= tol^2, at a plateau, or at max_iters.
+    (K + lambda I) norm, v^T K v + lambda v^T v for v = alpha - alpha*;
+    residual_sq is ||y - K alpha - lambda alpha||^2. Each checkpoint
+    takes K v and K alpha from one apply_gram pass, so K is never
+    materialized. The checkpoints that solvers.drive has refresh (the
+    first at or after every 1000 steps up to n = 1000, about once an
+    epoch beyond) also rebase: they keep y - K alpha and empty U, the
+    rows stepped since the last rebase. Every run of steps is one sweep
+    (solvers.dual_sweep): on rows J it adds J's new rows to U, forms
+    K[J, U] in one product, takes K[J, J] from it, and reads (K alpha)_J
+    as the rebase's value plus K[J, U] times the sum of the steps taken
+    on U since. Each draw block is cut into sweeps of k = min(SWEEP_STEPS,
+    GRAM_TILE_ELEMS // min(n, |U| + the block's length)) rows, at least
+    1, so a block of K holds at most GRAM_TILE_ELEMS entries unless one
+    row of K is longer. The run stops at the first checkpoint with
+    energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
@@ -219,35 +234,49 @@ def krr_run(
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
     gram = _Gram(spec, data)
-    column = gram.column
-    ys = y.tolist()
-    alpha, s, col = np.zeros(n), np.zeros(n), np.empty(n)
+    alpha, y_s = np.zeros(n), y.copy()  # y_s = y - K alpha at the last rebase
+    # U in first-touch order: slot[i] is row i's place in it (-1 outside),
+    # u_rows[:m] the rows' prepared data, moved[:m] the steps taken on them
+    slot = np.full(n, -1)
+    u_rows = np.empty((gram.rows.shape[1], n)).T  # column-major, as gram.rows
+    moved = np.zeros(n)
+    m = 0
 
-    def steps(rows):
-        nonlocal s
-        # krr_step for each row in turn, with the column written into
-        # col and then scaled in place
-        for row in rows.tolist():
-            column(row, col)
-            delta = (ys[row] - s[row] - lam * alpha[row]) / (col[row] + lam)
-            alpha[row] += delta
-            s += np.multiply(col, delta, out=col)
+    def advance(indices):
+        nonlocal m
+        width = min(n, m + len(indices))  # the most columns K[J, U] has in this block
+        k = min(solvers.SWEEP_STEPS, max(1, GRAM_TILE_ELEMS // width))
+        # one buffer for the block's K[J, U], whose width grows sweep by
+        # sweep: a new array each would be mapped and faulted in afresh
+        buf = np.empty(k * width)
+        for J in solvers.sweeps(indices, k):
+            at = slot[J]
+            if m < n and min(at.tolist()) < 0:
+                # rows new to U take the next slots, a repeat its first
+                fresh = []
+                for j in J[at < 0].tolist():
+                    if slot[j] < 0:
+                        slot[j] = m + len(fresh)
+                        fresh.append(j)
+                u_rows[m:m + len(fresh)] = gram.rows[fresh]
+                m += len(fresh)
+                at = slot[J]
+            KJ = gram.block(J, u_rows[:m], at, buf)
+            delta = dual_sweep(J, KJ[:, at], y_s[J] - KJ @ moved[:m], lam, alpha)
+            np.add.at(moved, at, delta)
 
-    def sweep(J):
-        KJ = gram.block(J)
-        dual_sweep(J, KJ, KJ[:, J], y[J] - s[J], lam, alpha, s)
-
-    def checkpoint(refresh):
+    def checkpoint(rebase):
+        nonlocal m
         v = alpha - alpha_star
-        if refresh:  # the rebuild of s shares this pass
-            Kv, s[:] = apply_gram(spec, data, np.array((v, alpha)))
-        else:
-            Kv = apply_gram(spec, data, v)
+        Kv, Ka = apply_gram(spec, data, np.array((v, alpha)), gram)
+        if rebase:
+            np.subtract(y, Ka, out=y_s)
+            slot.fill(-1)
+            moved[:m] = 0.0
+            m = 0
         energy = float(v @ Kv) + lam * float(v @ v)
-        dual_res = y - s - lam * alpha
+        dual_res = y - Ka - lam * alpha
         return float(v @ v), energy, float(dual_res @ dual_res)
 
-    # K[J, J] comes free with K[J, :], so a sweep pays from k = 2 on
-    loop = dual_advance(n, GRAM_TILE_ELEMS, 2, steps, sweep)
-    return drive(sampler, config, loop, checkpoint, rate, "energy_err_sq",
+    return drive(sampler, config, advance, checkpoint, rate, "energy_err_sq",
                  tol_on="energy_err_sq", plateau=True)

@@ -12,7 +12,7 @@ Both loops, and rk-krr's (kernel.py), take up to SWEEP_STEPS steps at a
 time as one forward Gauss-Seidel sweep on the J x J block of their
 system (`dual_sweep`): one LAPACK solve of a k x k triangle and two BLAS
 products in place of 2k vector operations, where `dual_advance` finds
-that this pays.
+that this pays (rk-krr sweeps every run).
 """
 
 from __future__ import annotations
@@ -29,19 +29,21 @@ from . import linalg
 from .errors import DimensionError, ZeroNormColumn, ZeroNormRow
 from .sampling import WeightedSampler, build_sampler
 
-# The column loop maintains r = y - X beta and rk-krr s = K alpha
-# incrementally; rebuilding them caps floating-point drift so per-step
-# optimality stays testable. `drive` has them rebuilt at the first
-# checkpoint at or after each multiple of this, or, where an epoch is
-# longer, of the smallest multiple of this that holds an epoch: a
-# rebuild costs about as much as an epoch of steps (n p multiply-adds
-# for r, n^2 / 2 kernel entries for s). The driver's draw blocks end at
-# multiples of this, so they never hold more indices than this.
+# The column loop maintains r = y - X beta incrementally; rebuilding it
+# caps floating-point drift so per-step optimality stays testable.
+# rk-krr rebases on the K alpha of the checkpoint's pass, which empties
+# U, the rows whose columns of K its sweeps form. `drive` has both done
+# at the first checkpoint at or after each multiple of this, or, where
+# an epoch is longer, of the smallest multiple of this that holds an
+# epoch: a rebuild costs n p multiply-adds, about as much as an epoch of
+# steps. The driver's draw blocks end at multiples of this, so they
+# never hold more indices than this.
 RESIDUAL_REFRESH_EVERY = 1000
 
 # A sweep on k rows or columns of X also forms their k x k Gram, k p or
 # k n multiply-adds a step that single steps do not make, so those loops
-# hold k p or k n to this many entries; rk-krr's K[J, J] comes free.
+# hold k p or k n to this many entries (rk-krr's K[J, J] comes free, and
+# kernel.GRAM_TILE_ELEMS caps its blocks).
 SWEEP_ELEMS = 1 << 12
 # A sweep takes at most SWEEP_STEPS steps: its solve grows as the cube
 # of k. A run too short for its fixed cost to pay, under SWEEP_MIN_STEPS
@@ -160,9 +162,10 @@ def drive(
     RESIDUAL_REFRESH_EVERY and at checkpoints, and `advance(indices)`
     takes those steps in order. When t is a multiple of the checkpoint
     cadence (config.checkpoint_every, else one epoch) or t = max_iters,
-    `checkpoint(refresh)` rebuilds the vector the loop maintains, if any,
-    when `refresh`, then returns (err_sq, energy_err_sq, residual_sq) of the
-    current iterate for a record. `refresh` is true at the first
+    `checkpoint(refresh)` returns (err_sq, energy_err_sq, residual_sq) of
+    the current iterate for a record; when `refresh`, the column loop
+    first rebuilds the r it maintains, and rk-krr rebases on the K alpha
+    of the checkpoint's pass. `refresh` is true at the first
     checkpoint at or after each multiple of the refresh period,
     RESIDUAL_REFRESH_EVERY times ceil(epoch / RESIDUAL_REFRESH_EVERY) for
     an epoch of len(sampler) steps: every 1000 steps up to an epoch of
@@ -220,42 +223,42 @@ def sweeps(indices: np.ndarray, k: int) -> Sequence[np.ndarray]:
     return [indices[start:start + k] for start in range(0, len(indices), k)]
 
 
-def dual_advance(length, cap, min_k, steps, sweep):
-    """The `advance` of a loop on rows or columns of `length` entries:
-    `sweeps` cuts each draw block into runs of k = min(SWEEP_STEPS,
-    cap // length) indices, and sweep(J) takes a run of at least
-    min(k, max(min_k, SWEEP_MIN_STEPS)) indices, steps(J) a shorter one,
-    or every run where k is below min_k, the smallest k at which the
-    caller sweeps (2 for rows of K, whose steps cost a kernel column)."""
-    k = min(SWEEP_STEPS, cap // max(length, 1))
+def dual_advance(length, min_k, steps, sweep):
+    """The `advance` of a loop on rows or columns of X of `length`
+    entries: `sweeps` cuts each draw block into runs of k =
+    min(SWEEP_STEPS, SWEEP_ELEMS // length) indices, and sweep(J) takes
+    a run of at least min_k indices (SWEEP_MIN_STEPS rows or
+    COLUMN_SWEEP_MIN_STEPS columns), steps(J) a shorter one, or every run
+    where k is below min_k."""
+    k = min(SWEEP_STEPS, SWEEP_ELEMS // max(length, 1))
     if k < min_k:
         return steps
-    shortest = min(k, max(min_k, SWEEP_MIN_STEPS))
 
     def advance(indices):
         for J in sweeps(indices, k):
-            (sweep if len(J) >= shortest else steps)(J)
+            (sweep if len(J) >= min_k else steps)(J)
 
     return advance
 
 
-def dual_sweep(J, B, G, b, lam, alpha, w, coord="row"):
+def dual_sweep(J, G, b, lam, alpha, coord="row"):
     """k coordinate steps on indices J = (j_1, ..., j_k) of (M + lam I)
-    alpha = c, in order and in place, as one forward Gauss-Seidel sweep:
-    for rk and rk-ridge M = X X^T, w = beta and B = X_J; for rk-krr M = K,
-    w = s = K alpha and B = K[J, :]; for rcd and rcd-ridge (coord
-    "column") M = X^T X, c = X^T y, beta for alpha, w = r = y - X beta
-    and B = -X_J^T. G is M[J, J] and b = c_J - M_J alpha at the start.
+    alpha = c, in order and in place, as one forward Gauss-Seidel sweep,
+    returning the steps delta: for rk and rk-ridge M = X X^T, for rk-krr
+    M = K, and for rcd and rcd-ridge (coord "column") M = X^T X, c = X^T y
+    and beta for alpha. G is M[J, J] and b = c_J - M_J alpha at the start.
 
     Step t, on j = j_t, is delta_t = (c_j - M_j alpha - lam alpha_j) /
     (M_jj + lam), and sees the earlier steps u < t only through
     G[t, u] + lam [j_t = j_u]: delta solves that lower triangle for
     b - lam alpha_J, in one LAPACK solve. Then alpha_J += delta (a
-    repeated index adds its deltas in order) and w += delta B: the
-    steps' iterate up to rounding. A pivot <= 0 is a zero-norm row or
-    column at lam = 0. A non-finite triangle gives NaN steps, as forward
-    substitution would; LAPACK would skip the entry next to a zero step,
-    or call the triangle singular.
+    repeated index adds its deltas in order), and the caller updates the
+    vector its loop keeps from delta: beta += delta X_J for rows of X,
+    r -= delta X_J^T for columns, the rows of K it has stepped for
+    rk-krr. That is the steps' iterate up to rounding. A pivot <= 0 is a
+    zero-norm row or column at lam = 0. A non-finite triangle gives NaN
+    steps, as forward substitution would; LAPACK would skip the entry
+    next to a zero step, or call the triangle singular.
     """
     T = (G + lam * (J[:, None] == J) if lam else G) * _tri(len(J))
     pivots = T.diagonal()
@@ -268,7 +271,7 @@ def dual_sweep(J, B, G, b, lam, alpha, w, coord="row"):
             raise error(f"{coord} {J[zero.argmax()]} has zero norm")
         delta = np.full(len(J), np.nan)
     np.add.at(alpha, J, delta)
-    w += delta @ B
+    return delta
 
 
 # The step loops below, for runs too short to sweep, call ndarray.dot
@@ -286,21 +289,25 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
     alpha_i += delta and beta += delta x_i, taken as `dual_advance`
-    decides for rows of p entries, the cap SWEEP_ELEMS and sweeps of
-    SWEEP_MIN_STEPS rows or more. Runs `drive` with checkpoint
-    measures(beta, alpha) and the stop rule `stop`.
+    decides for rows of p entries and sweeps of SWEEP_MIN_STEPS rows or
+    more; a row stepped singly keeps its ||x_i||^2 + lam from its first
+    step. Runs `drive` with checkpoint measures(beta, alpha) and the stop
+    rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
     beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
     alpha = np.zeros(X.shape[0])
     scaled = np.empty_like(beta)
+    norms = {}  # ||x_i||^2 + lam of each row stepped singly, from its first step
 
     def steps(rows):
         nonlocal beta
         for row in rows.tolist():
             xr = X[row]
-            nrm = xr.dot(xr) + lam
+            nrm = norms.get(row)
+            if nrm is None:
+                nrm = norms[row] = xr.dot(xr) + lam
             if nrm <= 0.0:
                 raise ZeroNormRow(f"row {row} has zero norm")
             delta = (y[row] - xr.dot(beta) - lam * alpha[row]) / nrm
@@ -308,10 +315,11 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
             beta += np.multiply(xr, delta, out=scaled)
 
     def sweep(J):
+        nonlocal beta
         XJ = X[J]
-        dual_sweep(J, XJ, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha, beta)
+        beta += dual_sweep(J, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha) @ XJ
 
-    loop = dual_advance(X.shape[1], SWEEP_ELEMS, SWEEP_MIN_STEPS, steps, sweep)
+    loop = dual_advance(X.shape[1], SWEEP_MIN_STEPS, steps, sweep)
     return drive(sampler, config, loop, lambda _: measures(beta, alpha), rate, natural, **stop)
 
 
@@ -324,8 +332,8 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     or after every 1000 steps up to p = 1000, about once an epoch beyond).
     The step on column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 +
     lam), then beta_c += delta and r -= delta x_c, taken as `dual_advance`
-    decides for columns of n entries, the cap SWEEP_ELEMS and sweeps of
-    COLUMN_SWEEP_MIN_STEPS columns or more. Runs `drive` with checkpoint
+    decides for columns of n entries and sweeps of COLUMN_SWEEP_MIN_STEPS
+    columns or more. Runs `drive` with checkpoint
     measures(beta) and the stop rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
@@ -350,15 +358,16 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         beta[:] = coords
 
     def sweep(J):
+        nonlocal residual
         XJ = X.T[J]  # the columns J, as rows
-        dual_sweep(J, -XJ, XJ @ XJ.T, XJ @ residual, lam, beta, residual, "column")
+        residual -= dual_sweep(J, XJ @ XJ.T, XJ @ residual, lam, beta, "column") @ XJ
 
     def checkpoint(refresh):
         if refresh:
             residual[:] = y - X @ beta
         return measures(beta)
 
-    loop = dual_advance(X.shape[0], SWEEP_ELEMS, COLUMN_SWEEP_MIN_STEPS, steps, sweep)
+    loop = dual_advance(X.shape[0], COLUMN_SWEEP_MIN_STEPS, steps, sweep)
     return drive(sampler, config, loop, checkpoint, rate, natural, **stop)
 
 

@@ -9,8 +9,12 @@ Every method takes its steps as Gauss-Seidel sweeps where they pay,
 on rows (rk, rk-ridge, rk-krr) or columns (rcd, rcd-ridge), and a sweep
 sums in another order than the steps. So a run's trace must have the
 reference's `iter` column and every column within SWEEP_RTOL of that
-column's record-0 value; a run too short to sweep steps one row or
-column at a time and must give exactly the reference trace.
+column's record-0 value; a run on X too short to sweep steps one row or
+column at a time and must give exactly the reference trace. rk-krr
+sweeps every run, and reads K alpha from its last rebase and the rows
+it has stepped since, not from a maintained s; where its plateau falls
+at the rounding floor, it may fall at another checkpoint than the
+reference's.
 """
 
 import math
@@ -35,6 +39,7 @@ from randiter.solvers import (
     RESIDUAL_REFRESH_EVERY,
     SWEEP_ELEMS,
     SWEEP_MIN_STEPS,
+    SWEEP_STEPS,
     ConvergenceTrace,
     Regime,
     RunConfig,
@@ -63,6 +68,22 @@ def assert_matches_step_loop(trace, ref):
     for name in COLUMNS:
         got, want = trace.column(name), ref.column(name)
         assert np.all(np.abs(got - want) <= SWEEP_RTOL * abs(want[0])), name
+
+
+def assert_plateaus_with_step_loop(trace, ref, max_iters):
+    """Both runs stop before max_iters on a plateau at the rounding floor:
+    the checkpoints both have match as in assert_matches_step_loop, and
+    in each run energy_err_sq is at most 1e-20 of its start over the
+    last PLATEAU_WINDOW + 1 checkpoints."""
+    shared = min(len(trace.records), len(ref.records))
+    assert trace.column("iter")[:shared].tolist() == ref.column("iter")[:shared].tolist()
+    for name in COLUMNS:
+        got, want = trace.column(name)[:shared], ref.column(name)[:shared]
+        assert np.all(np.abs(got - want) <= SWEEP_RTOL * abs(want[0])), name
+    for run_trace in (trace, ref):
+        energy = run_trace.column("energy_err_sq")
+        assert run_trace.final().iter < max_iters
+        assert np.all(energy[-PLATEAU_WINDOW - 1:] <= 1e-20 * energy[0])
 
 
 def step_loop(weights, config, epoch, step, measures, natural, stop, refresh=None):
@@ -287,7 +308,7 @@ def test_column_sweeps_match_step_loop(method, max_iters, tol, ends, monkeypatch
 
     def spy(J, *args):
         swept.append(len(J))
-        dual_sweep(J, *args)
+        return dual_sweep(J, *args)
 
     monkeypatch.setattr(solvers, "dual_sweep", spy)
     regime = Regime.CONSISTENT_UNIQUE
@@ -338,7 +359,8 @@ def krr_pair(data, y, spec, lam, config, alpha_star, M=None):
 
 # krr_run's checkpoints are matrix-free either way; with energy-matrix
 # the reference measures with K + lam I, so that they match it is
-# checked here
+# checked here. The plateau is reached at the rounding floor, where
+# the checkpoint it stops at follows the last bits.
 @pytest.mark.parametrize("matrix_free", [False, True], ids=["energy-matrix", "matrix-free"])
 @pytest.mark.parametrize("case", KRR_CASES, ids=lambda c: c[-1])
 def test_krr_run_matches_step_loop(case, matrix_free):
@@ -350,13 +372,16 @@ def test_krr_run_matches_step_loop(case, matrix_free):
     alpha_star = np.linalg.solve(M, y)
     config = RunConfig(max_iters=max_iters, tol=tol, seed=13, checkpoint_every=every)
     trace, ref = krr_pair(data, y, spec, lam, config, alpha_star, None if matrix_free else M)
-    assert_matches_step_loop(trace, ref)
+    if ends == "plateau":
+        assert_plateaus_with_step_loop(trace, ref, max_iters)
+    else:
+        assert_matches_step_loop(trace, ref)
     check_end(trace, max_iters, every or 1, ends)
     if ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
 
 
-TOO_SHORT = [("short-blocks", m) for m in ("rk", "rk-ridge", "rk-krr", "rcd", "rcd-ridge")]
+TOO_SHORT = [("short-blocks", m) for m in ("rk", "rk-ridge", "rcd", "rcd-ridge")]
 TOO_SHORT += [("long-rows", "rk"), ("long-rows", "rk-ridge"),
               ("long-columns", "rcd"), ("long-columns", "rcd-ridge")]
 
@@ -380,36 +405,80 @@ def test_runs_too_short_to_sweep_give_the_step_loop_bits(shape, method):
     if method in ("rk", "rcd"):
         trace = run(method, inst.X, inst.y, Regime.UNKNOWN, config, inst.reference, RATE)
         ref = ls_reference(method, inst.X, inst.y, Regime.UNKNOWN, config, inst.reference)
-    elif method in ("rk-ridge", "rcd-ridge"):
-        trace, ref = ridge_pair(method, inst.X, inst.y, lam, config)
     else:
-        trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), lam, config,
-                              np.zeros(n))
+        trace, ref = ridge_pair(method, inst.X, inst.y, lam, config)
     assert len(trace.records) > 2
     assert trace.records == ref.records
 
 
-def test_long_rows_of_k_sweep_in_full_runs_of_k(monkeypatch):
-    # Rows of K at n = 4100 hold a sweep to GRAM_TILE_ELEMS // 4100 = 7
-    # steps, below SWEEP_MIN_STEPS, but K[J, J] comes free with K[J, :],
-    # so rk-krr still sweeps: each 150-step block is 21 sweeps of 7 and
-    # 3 single steps, and the trace is the step loop's up to rounding.
-    # alpha* is any nonzero vector: what is checked is that the two runs
-    # measure the same.
-    assert GRAM_TILE_ELEMS // 4100 == 7
-    swept = []
+def spy_krr_sweeps(monkeypatch):
+    """Lists that get each rk-krr sweep's length and the shape of each
+    block of K it forms."""
+    swept, blocks, block = [], [], kernel._Gram.block
 
     def spy(J, *args):
         swept.append(len(J))
-        dual_sweep(J, *args)
+        return dual_sweep(J, *args)
+
+    def formed(self, *args):
+        out = block(self, *args)
+        blocks.append(out.shape)
+        return out
 
     monkeypatch.setattr(kernel, "dual_sweep", spy)
+    monkeypatch.setattr(kernel._Gram, "block", formed)
+    return swept, blocks
+
+
+def test_short_krr_runs_sweep(monkeypatch):
+    # Checkpoints every 5 steps cut every draw block to 5 rows, and each
+    # is one sweep of 5, on the columns of the rows stepped since the
+    # last rebase (at most the 30 rows of K); the trace, short of the
+    # rounding floor, is the step loop's up to rounding.
+    swept, blocks = spy_krr_sweeps(monkeypatch)
+    inst = oracle.gen_consistent(30, 10, 17)
+    config = RunConfig(max_iters=300, tol=0.0, seed=16, checkpoint_every=5)
+    trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), 0.5, config,
+                          np.random.default_rng(20).standard_normal(30))
+    assert trace.final().iter == 300
+    assert swept == [5] * 60
+    assert all(k == 5 and 0 < width <= 30 for k, width in blocks)
+    assert_matches_step_loop(trace, ref)
+
+
+def test_long_rows_of_k_sweep_on_the_rows_stepped(monkeypatch):
+    # At n = 4100, K[J, :] would hold a sweep to GRAM_TILE_ELEMS // 4100
+    # = 7 rows, but a sweep forms only K[J, U] for the at most 300 rows U
+    # stepped since the run began, so each 150-step block is 4 sweeps of
+    # SWEEP_STEPS and one of 22, and each block of K holds at most
+    # GRAM_TILE_ELEMS entries; the trace is the step loop's up to
+    # rounding. alpha* is any nonzero vector: what is checked is that
+    # the two runs measure the same.
+    assert GRAM_TILE_ELEMS // 300 > SWEEP_STEPS == 32
+    swept, blocks = spy_krr_sweeps(monkeypatch)
     inst = oracle.gen_consistent(4100, 2, 17)
     config = RunConfig(max_iters=300, tol=0.0, seed=16, checkpoint_every=150)
     trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), 0.5, config,
                           np.random.default_rng(20).standard_normal(4100))
-    assert swept == [7] * 42
+    assert swept == [32, 32, 32, 32, 22] * 2
+    assert all(k * width <= GRAM_TILE_ELEMS and width <= 300 for k, width in blocks)
     assert trace.column("iter").tolist() == [0, 150, 300]
+    assert_matches_step_loop(trace, ref)
+
+
+def test_krr_sweeps_of_one_row(monkeypatch):
+    # With a cap of 30 entries, rows of K at n = 30 hold a sweep to one
+    # row: every step is a sweep of k = 1, and the trace is still the
+    # step loop's up to rounding.
+    monkeypatch.setattr(kernel, "GRAM_TILE_ELEMS", 30)
+    swept, blocks = spy_krr_sweeps(monkeypatch)
+    inst = oracle.gen_consistent(30, 10, 17)
+    config = RunConfig(max_iters=300, tol=0.0, seed=16, checkpoint_every=45)
+    trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), 0.5, config,
+                          np.random.default_rng(20).standard_normal(30))
+    assert trace.final().iter == 300
+    assert swept == [1] * 300
+    assert all(k == 1 and width <= 30 for k, width in blocks)
     assert_matches_step_loop(trace, ref)
 
 

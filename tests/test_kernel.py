@@ -17,7 +17,7 @@ from randiter.kernel import (
     krr_weights,
 )
 from randiter.sampling import build_sampler
-from randiter.solvers import RunConfig, dual_sweep
+from randiter.solvers import SWEEP_STEPS, RunConfig, dual_sweep
 
 from conftest import pcg, spy_refreshes
 
@@ -156,6 +156,10 @@ class TestKrrStep:
         assert np.max(np.abs(rebuilt - s)) <= 1e-9 * (1.0 + np.max(np.abs(y)))
 
 
+SPECS = (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.5),
+         KernelSpec("polynomial", degree=3, offset=1.0))
+
+
 class TestKrrRun:
     def test_two_point_trace_decreases_to_zero(self):
         data = linalg.dense_matrix([[2.0, 0.0], [0.0, 2.0]])
@@ -194,14 +198,14 @@ class TestKrrRun:
         assert peak < 1 << 20
 
     def test_refresh_on_a_checkpoint_shares_its_pass(self, monkeypatch):
-        # n = 100, checkpoints every 100 steps, refreshes at 1000 and
-        # 2000: both refreshes ride on a checkpoint's pass, so 2000
-        # steps make 21 passes, not 23, and the refreshed s is exact
+        # n = 100, checkpoints every 100 steps: each makes one pass, for
+        # both alpha - alpha* and alpha, and the rebases at 1000 and 2000
+        # take K alpha from it, so 2000 steps make 21 passes, not 23
         passes = []
 
-        def counted(spec, data, v):
+        def counted(spec, data, v, gram=None):
             passes.append(v.shape)
-            return apply_gram(spec, data, v)
+            return apply_gram(spec, data, v, gram)
 
         monkeypatch.setattr(kernel, "apply_gram", counted)
         data = gaussian_points(100, 3, seed=28)
@@ -209,58 +213,108 @@ class TestKrrRun:
         trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1,
                         RunConfig(max_iters=2000, tol=0.0, seed=30), np.zeros(100), 0.99)
         assert trace.final().iter == 2000
-        assert len(passes) == 21
-        assert passes.count((2, 100)) == 2
+        assert passes == [(2, 100)] * 21
 
-    # n = 2000: s = K alpha is due a refresh every 2000 steps, once an
-    # epoch, and each falls on a checkpoint. n = 1500: due every 2000
-    # steps, the refresh waits for the first checkpoint at or after that
-    # step (3000, 4500, 6000, 9000, ...). Either way each refresh rides
-    # on a checkpoint's pass, so 10 epochs make 11 passes, one for each
-    # checkpoint. Just before each refresh, s has drifted from K alpha
-    # by rounding only.
+    # n = 2000: the run rebases on K alpha every 2000 steps, once an
+    # epoch, and each rebase falls on a checkpoint. n = 1500: due every
+    # 2000 steps, the rebase waits for the first checkpoint at or after
+    # that step (3000, 4500, 6000, 9000, ...). Either way each rebase
+    # rides on a checkpoint's pass, so 10 epochs make 11 passes, one for
+    # each checkpoint. At every sweep, the K alpha the sweep reads on
+    # its rows (from the last rebase and the rows stepped since) is
+    # that of the iterate, up to rounding.
     @pytest.mark.parametrize("n,refreshed", [
         (1500, [3000, 4500, 6000, 9000, 10500, 12000, 15000]),
         (2000, list(range(2000, 20001, 2000))),
     ], ids=["1500", "2000"])
     def test_refresh_once_an_epoch_shares_every_checkpoints_pass(self, n, refreshed,
                                                                  monkeypatch):
-        passes, drift, iterate = [], [], []
+        passes, drift = [], []
+        data = gaussian_points(n, 3, seed=31)
+        y = np.random.default_rng(32).standard_normal(n)
+        gram = _Gram(KernelSpec("gaussian", gamma=0.5), data)
 
-        def sweep(J, B, G, b, lam, alpha, s):
-            iterate[:] = alpha, s
-            dual_sweep(J, B, G, b, lam, alpha, s)
+        def sweep(J, G, b, lam, alpha):
+            want = gram.block(J, gram.rows, J) @ alpha  # K[J, :] alpha
+            drift.append(np.linalg.norm(y[J] - b - want) / np.linalg.norm(want)
+                         if want.any() else np.linalg.norm(y[J] - b))
+            return dual_sweep(J, G, b, lam, alpha)
 
-        def counted(spec, data, v):
+        def counted(spec, data, v, gram=None):
             passes.append(v.shape)
-            out = apply_gram(spec, data, v)
-            if v.ndim == 2:  # the refresh: out[1] = K alpha, s not yet rebuilt
-                alpha, s = iterate
-                assert np.array_equal(v[1], alpha)
-                drift.append(np.linalg.norm(s - out[1]) / np.linalg.norm(out[1]))
-            return out
+            return apply_gram(spec, data, v, gram)
 
         monkeypatch.setattr(kernel, "dual_sweep", sweep)
         monkeypatch.setattr(kernel, "apply_gram", counted)
         refreshes = spy_refreshes(monkeypatch, kernel)
-        data = gaussian_points(n, 3, seed=31)
-        y = np.random.default_rng(32).standard_normal(n)
         trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1,
                         RunConfig(max_iters=10 * n, tol=0.0, seed=33), np.zeros(n), 0.99)
         assert trace.final().iter == 10 * n
         assert refreshes == refreshed
-        assert len(passes) == 11
-        assert passes.count((2, n)) == len(refreshed)
-        assert len(drift) == len(refreshed) and max(drift) <= 1e-12
+        assert passes == [(2, n)] * 11
+        assert len(drift) > 10 * n / SWEEP_STEPS and max(drift) <= 1e-12
+
+    def test_sweeps_form_under_half_the_rows_of_k(self, monkeypatch):
+        # n = 2000, 10 epochs at the default cadence: a sweep on rows J
+        # forms K[J, U] for the rows U stepped since the last rebase, in
+        # all at most half the k n entries of K[J, :]
+        formed, block = [], _Gram.block
+
+        def counted(self, *args):
+            out = block(self, *args)
+            formed.append(out.size)
+            return out
+
+        monkeypatch.setattr(_Gram, "block", counted)
+        data = gaussian_points(2000, 3, seed=34)
+        y = np.random.default_rng(35).standard_normal(2000)
+        trace = krr_run(data, y, KernelSpec("gaussian", gamma=0.5), 0.1,
+                        RunConfig(max_iters=20000, tol=0.0, seed=36), np.zeros(2000), 0.99)
+        assert trace.final().iter == 20000
+        assert max(formed) <= GRAM_TILE_ELEMS
+        assert 0 < sum(formed) <= 0.5 * 20000 * 2000
+
+    @pytest.mark.parametrize("spec", SPECS, ids=lambda spec: spec.family)
+    def test_repeats_first_touched_inside_a_sweep(self, spec, monkeypatch):
+        # scripted draws: the first sweep touches rows 3, 5, 7 and 1 for
+        # the first time and repeats 3, 5 and 7; the second, after a
+        # checkpoint that does not rebase, repeats rows from the first
+        # and touches 9 and 2 inside it. The run's alpha at each
+        # checkpoint is the step loop's up to rounding.
+        rows = [3, 5, 3, 7, 5, 3, 1, 7, 5, 9, 9, 3, 2, 9]
+        data = gaussian_points(12, 3, seed=37)
+        y = np.random.default_rng(38).standard_normal(12)
+        lam, blocks, iterates = 0.3, [], []
+
+        class Scripted:
+            def __len__(self):
+                return 12
+
+            def draw_block(self, rng, k):
+                drawn = np.array(rows[sum(blocks):sum(blocks) + k])
+                blocks.append(k)
+                return drawn
+
+        def counted(spec, data, v, gram=None):
+            iterates.append(v[1].copy())
+            return apply_gram(spec, data, v, gram)
+
+        monkeypatch.setattr(kernel, "build_sampler", lambda weights: Scripted())
+        monkeypatch.setattr(kernel, "apply_gram", counted)
+        krr_run(data, y, spec, lam, RunConfig(max_iters=14, tol=0.0, checkpoint_every=8),
+                np.zeros(12), 0.99)
+        assert blocks == [8, 6]
+        alpha, s = np.zeros(12), np.zeros(12)
+        for t, row in enumerate(rows, 1):
+            krr_step(alpha, s, data, y, spec, lam, row)
+            if t in (8, 14):
+                got = iterates[1 if t == 8 else 2]
+                assert np.max(np.abs(got - alpha)) <= 1e-12 * np.max(np.abs(alpha))
 
     def test_gaussian_sampling_is_uniform(self):
         data = gaussian_points(9, 2, seed=17)
         w = krr_weights(KernelSpec("gaussian", gamma=0.8), data, 0.5)
         assert np.allclose(w, w[0])
-
-
-SPECS = (KernelSpec("linear"), KernelSpec("gaussian", gamma=0.5),
-         KernelSpec("polynomial", degree=3, offset=1.0))
 
 
 # name: (n, nonzero count of v or None for about 70%, data offset). At

@@ -14,9 +14,10 @@ thread before numpy is imported. A case is a name from CASES or
 METHOD:NxP, say rcd:341x10.
 
 By default a run records one checkpoint, at its end, so its draw blocks
-are 1000 steps long and the time is the step loop's; `--every N`
-records a checkpoint every N steps instead, which cuts every block to N
-steps (and adds the checkpoints' cost). `--set` overrides module
+are 1000 steps long and the time is the step loop's; `--every N`, or a
+case that names its own cadence, records a checkpoint every N steps
+instead, which cuts every block to N steps (and adds the checkpoints'
+cost). `--every` overrides a case's own cadence. `--set` overrides module
 constants of randiter.solvers, for example SWEEP_STEPS=64. Each
 `--against` adds a setting, overrides on top of `--set`, timed in turn
 with the first, run by run, so that a drift in the host's speed moves
@@ -43,27 +44,30 @@ from randiter import kernel, oracle, ridge, solvers  # noqa: E402
 LAM = 0.1
 GAUSSIAN = kernel.KernelSpec("gaussian", gamma=0.5)
 STEPS = 20000  # per run; rk-krr's runs take 8000
+# name: (method, n, p, checkpoint cadence or None for one checkpoint)
 CASES = {
-    "rk-30x10": ("rk", 30, 10),
-    "rcd-30x10": ("rcd", 30, 10),
-    "rk-40x80": ("rk", 40, 80),
-    "rk-ridge-40x80": ("rk-ridge", 40, 80),
-    "rcd-ridge-40x80": ("rcd-ridge", 40, 80),
-    "rcd-500x10": ("rcd", 500, 10),  # columns past the sweep cap
-    "rk-krr-2000x3": ("rk-krr", 2000, 3),
+    "rk-30x10": ("rk", 30, 10, None),
+    "rcd-30x10": ("rcd", 30, 10, None),
+    "rk-40x80": ("rk", 40, 80, None),
+    "rk-ridge-40x80": ("rk-ridge", 40, 80, None),
+    "rcd-ridge-40x80": ("rcd-ridge", 40, 80, None),
+    "rcd-500x10": ("rcd", 500, 10, None),  # columns past the sweep cap
+    "rk-krr-2000x3": ("rk-krr", 2000, 3, None),
+    # short runs: a checkpoint, and its K v pass, every 7 steps
+    "rk-krr-40x80-every7": ("rk-krr", 40, 80, 7),
 }
 METHODS = ("rk", "rcd", "rk-ridge", "rcd-ridge", "rk-krr")
 
 
 def parse_case(text):
-    """(method, n, p) of a case name or METHOD:NxP."""
+    """(method, n, p, cadence) of a case name or METHOD:NxP."""
     if text in CASES:
         return CASES[text]
     method, _, shape = text.partition(":")
     n, _, p = shape.partition("x")
     if method not in METHODS or not (n.isdigit() and p.isdigit()):
         raise argparse.ArgumentTypeError(f"{text!r} is no case name or METHOD:NxP")
-    return method, int(n), int(p)
+    return method, int(n), int(p), None
 
 
 def parse_setting(text):
@@ -113,16 +117,17 @@ def main(argv=None) -> int:
     settings = [args.set] + [{**args.set, **s} for s in args.against]
     names = ["base"] + [",".join(f"{k}={v}" for k, v in s.items()) for s in args.against]
     widths = [max(12, len(name) + 2) for name in names]
-    print("case".ljust(20) + "".join(name.rjust(w) for name, w in zip(names, widths)))
-    for method, n, p in args.case or CASES.values():
-        run = runner(method, n, p, args.every)
+    print("case".ljust(24) + "".join(name.rjust(w) for name, w in zip(names, widths)))
+    for method, n, p, every in args.case or CASES.values():
+        run = runner(method, n, p, args.every or every)
         times = [[] for _ in settings]
         for _ in range(args.repeats):
             for setting, column in zip(settings, times):
                 for name, value in {**defaults, **setting}.items():
                     setattr(solvers, name, value)
                 column.append(us_per_step(run))
-        print(f"{method}:{n}x{p}".ljust(20)
+        label = f"{method}:{n}x{p}" + (f"/{args.every or every}" if args.every or every else "")
+        print(label.ljust(24)
               + "".join(f"{statistics.median(c):.3f}".rjust(w) for c, w in zip(times, widths)))
     return 0
 

@@ -16,6 +16,11 @@ thread, in a working directory of its own:
 - `generate` of the ls-tall instance, 50000 x 10, with no runs on it:
   its X.mtx and y.vec are above io.SMALL_ARRAY values, so they are the
   files formatted in numpy;
+- `generate` of `i1500x3`, solved by rk-krr (gaussian kernel) alone,
+  `solve --trials 2` at each cadence: its epoch of 1500 rows is no
+  multiple of 1000, so rk-krr rebases on K alpha at the first checkpoint
+  at or after every 2000 steps, and its sweeps form blocks of K up to
+  GRAM_TILE_ELEMS entries;
 - on each instance but the ls-tall one, `solve --trials 2` with each of
   the five methods (rk-krr with the gaussian kernel), with rk-krr on each
   other kernel family, and one `compare` of all five, at the default
@@ -52,6 +57,8 @@ INSTANCES = {
 }
 # Instances that are generated and compared, but not solved.
 GENERATE_ONLY = {"c50000x10": ["consistent", "50000", "10", "--seed", "1"]}
+# Instances that only rk-krr, with METHOD_FLAGS's gaussian kernel, solves.
+KRR_ONLY = {"i1500x3": ["inconsistent", "1500", "3", "--seed", "3"]}
 # Instances whose meta.txt is removed right after `generate`.
 UNLABELLED = ("u20x50-nometa",)
 METHOD_FLAGS = {
@@ -72,7 +79,7 @@ CADENCES = {"default": [], "every7": ["--checkpoint-every", "7"]}
 def commands() -> list[list[str]]:
     """The argv of every command, in the order they run."""
     cmds = [["generate", *spec, "--out", name]
-            for name, spec in {**INSTANCES, **GENERATE_ONLY}.items()]
+            for name, spec in {**INSTANCES, **GENERATE_ONLY, **KRR_ONLY}.items()]
     for name in INSTANCES:
         for cadence, every in CADENCES.items():
             for method, flags in METHOD_FLAGS.items():
@@ -86,6 +93,10 @@ def commands() -> list[list[str]]:
                 compare += ["--method", method]
             cmds.append(compare + METHOD_FLAGS["rk-krr"] + every
                         + ["--out", f"{name}/compare-{cadence}.csv"])
+    for name in KRR_ONLY:
+        for cadence, every in CADENCES.items():
+            cmds.append(["solve", name, "--method", "rk-krr", *METHOD_FLAGS["rk-krr"], *every,
+                         "--trials", "2", "--out", f"{name}/rk-krr-{cadence}.csv"])
     return cmds
 
 
