@@ -4,15 +4,14 @@ The solver iterates on the dual system (K + lambda I) alpha = y, in
 Gauss-Seidel sweeps. Its checkpoints apply K tile by tile, to alpha as
 well as to the error, and about once an epoch the run rebases on that K
 alpha. A sweep on rows J then forms only K[J, U], the columns of the
-rows U stepped since the rebase: (K alpha)_J is the rebase's value plus
-K[J, U] times the steps taken on U, and K[J, J] is part of the block.
-So a step evaluates at most n kernel entries, and no n x n structure is
-ever allocated.
+rows U stepped since the rebase, and keeps y - K alpha on U from that
+block: a row entering U gets the rebase's value less K[j, U] times the
+steps taken on U, and K[J, J] is part of the block. So a step evaluates
+at most n kernel entries, and no n x n structure is ever allocated.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +27,9 @@ _FAMILIES = ("linear", "gaussian", "polynomial")
 # forms, hold at most this many entries (256 KB), more only when a
 # single row is longer.
 GRAM_TILE_ELEMS = 1 << 15
-_arange = functools.cache(np.arange)  # the diagonal of a sweep's k rows, made once per k
+# A block of K[J, U] this small (32 KB) costs less as a new array than
+# written into a buffer: at 32 x 40, 9.5 us against 11.2 for the product
+SMALL_BLOCK = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -128,13 +129,17 @@ class _Gram:
         self._map(out, i)
         return out
 
-    def block(self, J: np.ndarray, rows: np.ndarray, at: np.ndarray, buf=None) -> np.ndarray:
-        """K[J, U] from one product, for rows = self.rows[U] and U[at] = J,
-        written into the start of buf if given; K[J, :] is
-        block(J, self.rows, J)."""
-        out = None if buf is None else buf[:len(J) * len(rows)].reshape(len(J), len(rows))
+    def block(self, J: np.ndarray, rows: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """K[J, U] from one product, for rows = self.rows[U] and U[at] = J;
+        K[J, :] is block(J, self.rows, J, buf). A block of more than
+        SMALL_BLOCK entries is written into the start of buf, which the
+        caller keeps: a new array would be mapped and faulted in afresh,
+        or left in the heap. A smaller one is a new array, which costs
+        less than matmul's out=."""
+        size = len(J) * len(rows)
+        out = buf[:size].reshape(len(J), len(rows)) if size > SMALL_BLOCK else None
         out = np.matmul(self.points[J], rows.T, out=out)
-        self._map(out, (_arange(len(J)), at))
+        self._map(out, (np.arange(len(J)), at))
         return out
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -215,15 +220,20 @@ def krr_run(
     materialized. The checkpoints that solvers.drive has refresh (the
     first at or after every 1000 steps up to n = 1000, about once an
     epoch beyond) also rebase: they keep y - K alpha and empty U, the
-    rows stepped since the last rebase. Every run of steps is one sweep
-    (solvers.dual_sweep): on rows J it adds J's new rows to U, forms
-    K[J, U] in one product, takes K[J, J] from it, and reads (K alpha)_J
-    as the rebase's value plus K[J, U] times the sum of the steps taken
-    on U since. Each draw block is cut into sweeps of k = min(SWEEP_STEPS,
-    GRAM_TILE_ELEMS // min(n, |U| + the block's length)) rows, at least
-    1, so a block of K holds at most GRAM_TILE_ELEMS entries unless one
-    row of K is longer. The run stops at the first checkpoint with
-    energy_err_sq <= tol^2, at a plateau, or at max_iters.
+    rows stepped since the last rebase. The run keeps y - K alpha only
+    on U. A draw block's rows new to U take the next places in U in the
+    order of their first draws, and their prepared rows are copied into
+    a buffer of n (p + 2) values at most. A run of rows J adds J's new
+    rows to U, forms K[J, U] in one product, and gives each new row the
+    rebase's value less K[j, U] times the steps taken on U since;
+    K[J, J] is part of the block. A run of two or more rows is one sweep
+    (solvers.dual_sweep), a run of one row a single step without its
+    solve, and each step then subtracts its multiple of its row of
+    K[J, U] on U. Each draw block is cut into runs of k =
+    min(SWEEP_STEPS, GRAM_TILE_ELEMS // |U at the block's end|) rows, at
+    least 1, so a block of K holds at most GRAM_TILE_ELEMS entries
+    unless one row of K is longer. The run stops at the first checkpoint
+    with energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
@@ -236,34 +246,50 @@ def krr_run(
     gram = _Gram(spec, data)
     alpha, y_s = np.zeros(n), y.copy()  # y_s = y - K alpha at the last rebase
     # U in first-touch order: slot[i] is row i's place in it (-1 outside),
-    # u_rows[:m] the rows' prepared data, moved[:m] the steps taken on them
+    # u_rows[:m] the rows' prepared data, moved[:m] the steps taken on
+    # them since the rebase and res[:m] their y - K alpha, which each
+    # sweep updates from its block of K
     slot = np.full(n, -1)
     u_rows = np.empty((gram.rows.shape[1], n)).T  # column-major, as gram.rows
-    moved = np.zeros(n)
+    moved, res = np.zeros(n), np.empty(n)
     m = 0
 
     def advance(indices):
         nonlocal m
-        width = min(n, m + len(indices))  # the most columns K[J, U] has in this block
-        k = min(solvers.SWEEP_STEPS, max(1, GRAM_TILE_ELEMS // width))
-        # one buffer for the block's K[J, U], whose width grows sweep by
-        # sweep: a new array each would be mapped and faulted in afresh
-        buf = np.empty(k * width)
+        top = m
+        if m < n:
+            # the block's rows new to U take the next slots in the order
+            # of their first draws (a repeat keeps its first), and each
+            # joins U with the sweep that first steps it
+            fresh = []
+            for j in indices[slot[indices] < 0].tolist():
+                if slot[j] < 0:
+                    slot[j] = top
+                    top += 1
+                    fresh.append(j)
+            u_rows[m:top] = gram.rows[fresh]
+        # top is the most columns K[J, U] has in this block
+        k = min(solvers.SWEEP_STEPS, max(1, GRAM_TILE_ELEMS // top))
+        buf = np.empty(k * top)  # for the block's large blocks of K[J, U]
         for J in solvers.sweeps(indices, k):
             at = slot[J]
-            if m < n and min(at.tolist()) < 0:
-                # rows new to U take the next slots, a repeat its first
-                fresh = []
-                for j in J[at < 0].tolist():
-                    if slot[j] < 0:
-                        slot[j] = m + len(fresh)
-                        fresh.append(j)
-                u_rows[m:m + len(fresh)] = gram.rows[fresh]
-                m += len(fresh)
-                at = slot[J]
-            KJ = gram.block(J, u_rows[:m], at, buf)
-            delta = dual_sweep(J, KJ[:, at], y_s[J] - KJ @ moved[:m], lam, alpha)
-            np.add.at(moved, at, delta)
+            # J's new rows hold slots m, ..., end - 1
+            end = max(m, int(at.max()) + 1) if top > m else m
+            KJ = gram.block(J, u_rows[:end], at, buf)
+            if end > m:  # the new rows' y - K alpha; moved is 0 on their slots
+                into = at >= m
+                res[at[into]] = y_s[J[into]] - (KJ @ moved[:end])[into]
+                m = end
+            if len(J) > 1:
+                delta = dual_sweep(J, KJ[:, at], res[at], lam, alpha)
+                res[:m] -= delta @ KJ
+            else:  # one step, without the triangle's solve
+                j, a = int(J[0]), int(at[0])
+                delta = (res[a] - lam * alpha[j]) / (KJ[0, a] + lam)
+                alpha[j] += delta
+                res[:m] -= np.multiply(KJ[0], delta, out=KJ[0])
+            if m < n:  # only rows entering U read moved; once U is full, none can
+                np.add.at(moved, at, delta)
 
     def checkpoint(rebase):
         nonlocal m

@@ -12,7 +12,7 @@ Both loops, and rk-krr's (kernel.py), take up to SWEEP_STEPS steps at a
 time as one forward Gauss-Seidel sweep on the J x J block of their
 system (`dual_sweep`): one LAPACK solve of a k x k triangle and two BLAS
 products in place of 2k vector operations, where `dual_advance` finds
-that this pays (rk-krr sweeps every run).
+that this pays (rk-krr sweeps every run of two or more rows).
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ def dual_sweep(J, G, b, lam, alpha, coord="row"):
     b - lam alpha_J, in one LAPACK solve. Then alpha_J += delta (a
     repeated index adds its deltas in order), and the caller updates the
     vector its loop keeps from delta: beta += delta X_J for rows of X,
-    r -= delta X_J^T for columns, the rows of K it has stepped for
-    rk-krr. That is the steps' iterate up to rounding. A pivot <= 0 is a
+    r -= delta X_J^T for columns, y - K alpha on the rows it has stepped
+    for rk-krr. That is the steps' iterate up to rounding. A pivot <= 0 is a
     zero-norm row or column at lam = 0. A non-finite triangle gives NaN
     steps, as forward substitution would; LAPACK would skip the entry
     next to a zero step, or call the triangle singular.

@@ -11,10 +11,9 @@ sums in another order than the steps. So a run's trace must have the
 reference's `iter` column and every column within SWEEP_RTOL of that
 column's record-0 value; a run on X too short to sweep steps one row or
 column at a time and must give exactly the reference trace. rk-krr
-sweeps every run, and reads K alpha from its last rebase and the rows
-it has stepped since, not from a maintained s; where its plateau falls
-at the rounding floor, it may fall at another checkpoint than the
-reference's.
+keeps y - K alpha only on the rows it has stepped since its last
+rebase, not a maintained s on every row, so its short runs are the
+reference's up to rounding too.
 """
 
 import math
@@ -68,22 +67,6 @@ def assert_matches_step_loop(trace, ref):
     for name in COLUMNS:
         got, want = trace.column(name), ref.column(name)
         assert np.all(np.abs(got - want) <= SWEEP_RTOL * abs(want[0])), name
-
-
-def assert_plateaus_with_step_loop(trace, ref, max_iters):
-    """Both runs stop before max_iters on a plateau at the rounding floor:
-    the checkpoints both have match as in assert_matches_step_loop, and
-    in each run energy_err_sq is at most 1e-20 of its start over the
-    last PLATEAU_WINDOW + 1 checkpoints."""
-    shared = min(len(trace.records), len(ref.records))
-    assert trace.column("iter")[:shared].tolist() == ref.column("iter")[:shared].tolist()
-    for name in COLUMNS:
-        got, want = trace.column(name)[:shared], ref.column(name)[:shared]
-        assert np.all(np.abs(got - want) <= SWEEP_RTOL * abs(want[0])), name
-    for run_trace in (trace, ref):
-        energy = run_trace.column("energy_err_sq")
-        assert run_trace.final().iter < max_iters
-        assert np.all(energy[-PLATEAU_WINDOW - 1:] <= 1e-20 * energy[0])
 
 
 def step_loop(weights, config, epoch, step, measures, natural, stop, refresh=None):
@@ -359,8 +342,7 @@ def krr_pair(data, y, spec, lam, config, alpha_star, M=None):
 
 # krr_run's checkpoints are matrix-free either way; with energy-matrix
 # the reference measures with K + lam I, so that they match it is
-# checked here. The plateau is reached at the rounding floor, where
-# the checkpoint it stops at follows the last bits.
+# checked here
 @pytest.mark.parametrize("matrix_free", [False, True], ids=["energy-matrix", "matrix-free"])
 @pytest.mark.parametrize("case", KRR_CASES, ids=lambda c: c[-1])
 def test_krr_run_matches_step_loop(case, matrix_free):
@@ -372,10 +354,7 @@ def test_krr_run_matches_step_loop(case, matrix_free):
     alpha_star = np.linalg.solve(M, y)
     config = RunConfig(max_iters=max_iters, tol=tol, seed=13, checkpoint_every=every)
     trace, ref = krr_pair(data, y, spec, lam, config, alpha_star, None if matrix_free else M)
-    if ends == "plateau":
-        assert_plateaus_with_step_loop(trace, ref, max_iters)
-    else:
-        assert_matches_step_loop(trace, ref)
+    assert_matches_step_loop(trace, ref)
     check_end(trace, max_iters, every or 1, ends)
     if ends != "tol":
         assert trace.final().iter >= RESIDUAL_REFRESH_EVERY
@@ -466,10 +445,11 @@ def test_long_rows_of_k_sweep_on_the_rows_stepped(monkeypatch):
     assert_matches_step_loop(trace, ref)
 
 
-def test_krr_sweeps_of_one_row(monkeypatch):
-    # With a cap of 30 entries, rows of K at n = 30 hold a sweep to one
-    # row: every step is a sweep of k = 1, and the trace is still the
-    # step loop's up to rounding.
+def test_krr_runs_of_one_row_step_without_a_solve(monkeypatch):
+    # With a cap of 30 entries, rows of K at n = 30 hold a run to one
+    # row: every step forms one row of K[J, U] and takes its step
+    # without dual_sweep's solve, and the trace is still the step
+    # loop's up to rounding.
     monkeypatch.setattr(kernel, "GRAM_TILE_ELEMS", 30)
     swept, blocks = spy_krr_sweeps(monkeypatch)
     inst = oracle.gen_consistent(30, 10, 17)
@@ -477,8 +457,8 @@ def test_krr_sweeps_of_one_row(monkeypatch):
     trace, ref = krr_pair(inst.X, inst.y, KernelSpec("gaussian", gamma=0.5), 0.5, config,
                           np.random.default_rng(20).standard_normal(30))
     assert trace.final().iter == 300
-    assert swept == [1] * 300
-    assert all(k == 1 and width <= 30 for k, width in blocks)
+    assert swept == []
+    assert len(blocks) == 300 and all(k == 1 and width <= 30 for k, width in blocks)
     assert_matches_step_loop(trace, ref)
 
 

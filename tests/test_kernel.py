@@ -220,8 +220,8 @@ class TestKrrRun:
     # 2000 steps, the rebase waits for the first checkpoint at or after
     # that step (3000, 4500, 6000, 9000, ...). Either way each rebase
     # rides on a checkpoint's pass, so 10 epochs make 11 passes, one for
-    # each checkpoint. At every sweep, the K alpha the sweep reads on
-    # its rows (from the last rebase and the rows stepped since) is
+    # each checkpoint. At every sweep, the y - K alpha the sweep reads
+    # on its rows (kept on the rows stepped since the last rebase) is
     # that of the iterate, up to rounding.
     @pytest.mark.parametrize("n,refreshed", [
         (1500, [3000, 4500, 6000, 9000, 10500, 12000, 15000]),
@@ -235,7 +235,7 @@ class TestKrrRun:
         gram = _Gram(KernelSpec("gaussian", gamma=0.5), data)
 
         def sweep(J, G, b, lam, alpha):
-            want = gram.block(J, gram.rows, J) @ alpha  # K[J, :] alpha
+            want = gram.block(J, gram.rows, J, np.empty(len(J) * n)) @ alpha  # K[J, :] alpha
             drift.append(np.linalg.norm(y[J] - b - want) / np.linalg.norm(want)
                          if want.any() else np.linalg.norm(y[J] - b))
             return dual_sweep(J, G, b, lam, alpha)

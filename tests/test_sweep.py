@@ -7,7 +7,7 @@ and returns them for the caller's own update. For all five
 four methods on X, `solvers.dual_advance` takes a run shorter than
 min(k, SWEEP_MIN_STEPS) rows, or COLUMN_SWEEP_MIN_STEPS columns, a step
 at a time, with the bits of the `*_step` functions; rk-krr sweeps every
-run.
+run of two or more rows and steps a run of one without the solve.
 """
 
 import numpy as np
@@ -94,7 +94,7 @@ def test_repeated_rows_match_krr_steps(spec):
     ref_alpha, ref_s = alpha.copy(), s.copy()
     for row in REPEATS:
         krr_step(ref_alpha, ref_s, data, y, spec, lam, row)
-    KJ = gram.block(REPEATS, gram.rows, REPEATS)
+    KJ = gram.block(REPEATS, gram.rows, REPEATS, np.empty(len(REPEATS) * 10))
     s += dual_sweep(REPEATS, KJ[:, REPEATS], y[REPEATS] - s[REPEATS], lam, alpha) @ KJ
     assert close(alpha, ref_alpha) and close(s, ref_s)
 
@@ -125,10 +125,11 @@ def test_runs_split_at_refresh_and_checkpoint_steps(method, monkeypatch):
     # is cut into runs of SWEEP_STEPS and a shorter rest (30 x 10 rows,
     # columns and rows of K all hold that many under their caps), and
     # only the runs of SWEEP_MIN_STEPS or more are sweeps,
-    # COLUMN_SWEEP_MIN_STEPS or more on columns, every run on rows of K
+    # COLUMN_SWEEP_MIN_STEPS or more on columns, every run of two or
+    # more on rows of K
     module = kernel if method == "rk-krr" else solvers
     shortest = COLUMN_SWEEP_MIN_STEPS if method.startswith("rcd") else SWEEP_MIN_STEPS
-    shortest = 1 if method == "rk-krr" else shortest
+    shortest = 2 if method == "rk-krr" else shortest
     runs, swept = [], []
 
     def cut(indices, k):
