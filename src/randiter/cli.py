@@ -164,7 +164,10 @@ def _load_problem(problem_dir):
     """(X, y, reference or None, regime) from a problem directory; the
     regime is UNKNOWN when meta.txt is missing or names none."""
     paths = io.problem_paths(problem_dir)
-    X = io.read_matrix(paths["X"])
+    try:
+        X = io.read_matrix(paths["X"])
+    except MemoryError:  # the data, not the oracle, which has not run
+        raise UsageError(f"out of memory: {paths['X']} does not fit in memory") from None
     y = io.read_vector(paths["y"])
     reference = io.read_vector(paths["reference"]) if os.path.exists(paths["reference"]) else None
     meta = io.read_meta(paths["meta"]) if os.path.exists(paths["meta"]) else {}

@@ -260,7 +260,8 @@ def write_matrix(path: str, X: np.ndarray) -> None:
 def read_matrix(path: str) -> np.ndarray:
     """A dense MatrixMarket array matrix. Malformed content (another
     MatrixMarket format, a bad size line, a missing or non-numeric value,
-    a line with more than one value) raises IOError naming the file."""
+    a line with more than one value) raises IOError naming the file. X is
+    the sidecar's or the parser's array itself, already column-major."""
     with open(path) as f:
         try:
             banner = f.readline().split()

@@ -17,9 +17,10 @@ SYMMETRY_TOL = 1e-10
 def dense_matrix(values) -> np.ndarray:
     """Validate and return a 2-D float64 array in column-major order.
 
-    Rejects empty matrices and non-finite entries.
+    Rejects empty matrices and non-finite entries. Returns a column-major
+    float64 ndarray itself, shared with the caller, and copies anything else.
     """
-    a = np.array(values, dtype=np.float64, order="F")
+    a = np.asarray(values, dtype=np.float64, order="F")
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:

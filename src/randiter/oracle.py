@@ -22,6 +22,7 @@ RANK_TOL = 1e-8  # minimum singular value for generated instances
 POSITIVE_EIG_REL_TOL = 1e-10  # sigma_min^+ cutoff relative to ||M||_F
 NOISE_SCALE_DEFAULT = 0.5
 MAX_GENERATION_RETRIES = 10
+DRAW_BLOCK = 1 << 15
 
 
 @dataclass
@@ -143,10 +144,16 @@ def null_space_basis(X: np.ndarray) -> np.ndarray:
 
 
 def _full_rank_matrix(n: int, p: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
-    """A full-rank n x p X, and the generator that draws the rest of the instance."""
+    """A full-rank n x p X, and the generator that draws the rest of the instance.
+    X is one standard_normal((n, p)) draw, taken in row blocks of at most
+    DRAW_BLOCK values into column-major storage: only X and a block are held."""
+    rows = max(1, DRAW_BLOCK // max(p, 1))
     for attempt in range(MAX_GENERATION_RETRIES):
         rng = np.random.Generator(np.random.PCG64(seed + attempt))
-        X = linalg.dense_matrix(rng.standard_normal((n, p)))
+        X = np.empty((n, p), order="F")
+        for start in range(0, n, rows):
+            X[start:start + rows] = rng.standard_normal((min(rows, n - start), p))
+        X = linalg.dense_matrix(X)
         if linalg.sym_eigs(small_gram(X))[0] > RANK_TOL * RANK_TOL:  # sigma_min(X)^2
             return X, np.random.Generator(np.random.PCG64(seed + 1_000_003))
     raise GenerationFailure(f"no full-rank {n}x{p} matrix after {MAX_GENERATION_RETRIES} tries")

@@ -65,12 +65,13 @@ def rk_ridge_run(
         raise ValueError("rk_ridge starts from alpha = 0 and takes no beta0")
     sampler = build_sampler(linalg.row_norms_sq(X) + lam)
 
-    def measures(beta, alpha):
+    def measures(beta, alpha):  # one n-vector: v, then y - X beta
         dbeta = beta - reference_beta
         v = alpha - alpha_star
         xtv = X.T @ v
-        res = y - X @ beta
-        return float(dbeta @ dbeta), float(xtv @ xtv) + lam * float(v @ v), float(res @ res)
+        energy = float(xtv @ xtv) + lam * float(v @ v)
+        res = np.subtract(y, np.matmul(X, beta, out=v), out=v)
+        return float(dbeta @ dbeta), energy, float(res @ res)
 
     return row_descent(X, y, lam, sampler, config, measures, rate, "energy_err_sq",
                        tol_on="energy_err_sq", plateau=True)
@@ -90,11 +91,12 @@ def rcd_ridge_run(
     _check_lambda(lam)
     sampler = build_sampler(linalg.col_norms_sq(X) + lam)
 
-    def measures(beta):
+    def measures(beta):  # one n-vector: X v, then y - X beta
         v = beta - reference_beta
         xv = X @ v
-        res = y - X @ beta
-        return float(v @ v), float(xv @ xv) + lam * float(v @ v), float(res @ res)
+        energy = float(xv @ xv) + lam * float(v @ v)
+        res = np.subtract(y, np.matmul(X, beta, out=xv), out=xv)
+        return float(v @ v), energy, float(res @ res)
 
     return column_descent(X, y, lam, sampler, config, measures, rate,
                           "energy_err_sq", tol_on="energy_err_sq", plateau=True)

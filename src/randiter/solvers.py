@@ -363,8 +363,8 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         residual -= dual_sweep(J, XJ @ XJ.T, XJ @ residual, lam, beta, "column") @ XJ
 
     def checkpoint(refresh):
-        if refresh:
-            residual[:] = y - X @ beta
+        if refresh:  # y - X beta, with no temporary
+            np.subtract(y, np.matmul(X, beta, out=residual), out=residual)
         return measures(beta)
 
     loop = dual_advance(X.shape[0], COLUMN_SWEEP_MIN_STEPS, steps, sweep)
@@ -393,20 +393,20 @@ def run(
     ones at a plateau; UNKNOWN ones run to max_iters, counted as converged.
     """
     if method == "rk":
-        weights, descent, natural = linalg.row_norms_sq(X), row_descent, "err_sq"
+        norms, descent, natural = linalg.row_norms_sq, row_descent, "err_sq"
     elif method == "rcd":
-        weights, descent, natural = linalg.col_norms_sq(X), column_descent, "energy_err_sq"
+        norms, descent, natural = linalg.col_norms_sq, column_descent, "energy_err_sq"
     else:
         raise ValueError(f"unknown method {method!r}: expected 'rk' or 'rcd'")
-    sampler = build_sampler(weights)
-
+    sampler = build_sampler(norms(X))  # unnamed: only their cumulative sums stay
     consistent = regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
 
-    def measures(beta, *_):
+    def measures(beta, *_):  # one n-vector: X (beta - reference), then y - X beta
         diff = beta - reference
         fitted = X @ diff
-        res = y - X @ beta
-        return float(diff @ diff), float(fitted @ fitted), float(res @ res)
+        energy = float(fitted @ fitted)
+        res = np.subtract(y, np.matmul(X, beta, out=fitted), out=fitted)
+        return float(diff @ diff), energy, float(res @ res)
 
     return descent(X, y, 0.0, sampler, config, measures, rate, natural,
                    tol_on="residual_sq" if consistent else None,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,17 @@ from randiter import oracle
 def pcg(seed):
     """The random stream `drive` draws from for a run with this seed."""
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def traced_peak(fn, *args):
+    """(fn(*args), the peak bytes numpy and Python allocated during the call)."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def null_space_leakage(X, v, basis=None):

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from randiter import cli, io, kernel, linalg, oracle, solvers
 
+from conftest import traced_peak
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -279,6 +281,16 @@ class TestSidecar:
         expected = X.copy()
         expected[5, 0] = 2.5
         assert io.read_matrix(path).tobytes() == expected.tobytes()
+
+    def test_read_holds_the_matrix_once(self, tmp_path):
+        # the sidecar's array is X: no column-major copy of it
+        n, p = 20000, 10
+        X = linalg.dense_matrix(np.random.default_rng(4).standard_normal((n, p)))
+        path = str(tmp_path / "X.mtx")
+        io.write_matrix(path, X)
+        back, peak = traced_peak(io.read_matrix, path)
+        assert back.flags["F_CONTIGUOUS"] and back.tobytes() == X.tobytes()
+        assert peak < 1.5 * 8 * n * p
 
     def test_sidecar_write_failure_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "prob"
@@ -899,6 +911,20 @@ class TestInputContract:
                        "--lambda", "0.1", "--out", str(tmp_path / "t.csv"))
         assert code == cli.EXIT_USAGE
         assert "oracle does not fit in memory" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t.csv")
+
+    def test_problem_out_of_memory_names_its_data(self, consistent_dir, tmp_path, capsys,
+                                                  monkeypatch):
+        # an X.mtx too large to load: the oracle has not run
+        def read_matrix(path):
+            raise MemoryError("Unable to allocate an n x p array")
+
+        monkeypatch.setattr(io, "read_matrix", read_matrix)
+        code = run_cli("solve", consistent_dir, "--method", "rk", "--out", str(tmp_path / "t.csv"))
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "X.mtx does not fit in memory" in err
+        assert "oracle" not in err
         assert not os.path.exists(tmp_path / "t.csv")
 
     def test_generate_out_of_memory_names_the_instance(self, tmp_path, capsys, monkeypatch):

@@ -23,6 +23,15 @@ class TestConstruction:
         assert X.flags["F_CONTIGUOUS"]
         assert X.dtype == np.float64
 
+    def test_column_major_float64_input_is_returned_without_a_copy(self):
+        a = np.asfortranarray(np.arange(6.0).reshape(3, 2))
+        assert linalg.dense_matrix(a) is a
+        rows = np.ascontiguousarray(a)
+        assert not np.shares_memory(linalg.dense_matrix(rows), rows)  # row-major: copied
+        a[2, 1] = np.inf
+        with pytest.raises(ValueError):
+            linalg.dense_matrix(a)
+
     def test_rejects_nan(self):
         with pytest.raises(ValueError):
             linalg.dense_matrix([[1.0, np.nan]])

@@ -12,7 +12,7 @@ from randiter.errors import DegenerateMatrix, NotPositiveDefinite, OracleInconsi
 from randiter.kernel import KernelSpec
 from randiter.solvers import Regime
 
-from conftest import null_space_leakage
+from conftest import null_space_leakage, pcg, traced_peak
 
 
 class TestLsSolution:
@@ -278,6 +278,21 @@ class TestGenerators:
         X, y, ref = inst.X, inst.y, inst.reference
         assert np.max(np.abs(X @ ref - y)) <= 1e-10
         assert null_space_leakage(X, ref, oracle.null_space_basis(X)) <= 1e-9
+
+    def test_x_is_one_row_major_draw(self):
+        # p = 1200: X is drawn in row blocks of 27 rows, which read the
+        # stream as one standard_normal((n, p)) does
+        X = oracle.gen_underdetermined(40, 1200, seed=6).X
+        assert X.flags["F_CONTIGUOUS"]
+        assert X.tobytes() == pcg(6).standard_normal((40, 1200)).tobytes()
+
+    def test_tall_instance_holds_x_once(self):
+        # drawn straight into column-major storage: X, one draw block and
+        # O(n) vectors, not a row-major draw and its column-major copy
+        n, p = 20000, 10
+        inst, peak = traced_peak(oracle.gen_consistent, n, p, 3)
+        assert inst.X.shape == (n, p)
+        assert peak < 1.8 * 8 * n * p
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from randiter.ridge import rcd_ridge_run, rcd_ridge_step, rk_ridge_run, rk_ridge
 from randiter.sampling import build_sampler
 from randiter.solvers import RunConfig
 
-from conftest import pcg
+from conftest import pcg, traced_peak
 
 
 def scaled_instance(n, p, seed):
@@ -158,6 +158,18 @@ class TestRidgeRuns:
                              beta_rr, alpha_star, rate)
         energy = trace.column("energy_err_sq")
         assert energy[-1] < 1e-6 * energy[0]
+
+    @pytest.mark.parametrize("run", [rk_ridge_run, rcd_ridge_run])
+    def test_run_holds_three_n_vectors(self, run):
+        # rk-ridge: alpha, the sampler's cumulative sums and a checkpoint's
+        # one n-vector; rcd-ridge: r, its step buffer and that n-vector
+        n, p, lam = 20000, 10, 0.1
+        X, y = scaled_instance(n, p, seed=16)
+        config = RunConfig(max_iters=2000, tol=0.0, seed=17, checkpoint_every=1000)
+        targets = (np.zeros(p), np.zeros(n)) if run is rk_ridge_run else (np.zeros(p),)
+        trace, peak = traced_peak(run, X, y, lam, config, *targets, 0.9)
+        assert trace.final().iter == 2000
+        assert peak < 4 * 8 * n
 
 
 class TestRidgeStopsAtTol:

@@ -14,7 +14,7 @@ from randiter.solvers import (
     run,
 )
 
-from conftest import null_space_leakage, pcg
+from conftest import null_space_leakage, pcg, traced_peak
 
 
 class TestRkStep:
@@ -177,6 +177,18 @@ class TestRun:
         final = trace.final()
         assert final.residual_sq <= 1e-12
         assert final.err_sq > 0.01 ** 2
+
+    @pytest.mark.parametrize("method", ["rk", "rcd"])
+    def test_run_holds_three_n_vectors(self, method):
+        # rk: alpha, the sampler's cumulative sums and a checkpoint's one
+        # n-vector; rcd: r, its step buffer and that n-vector
+        n, p = 20000, 10
+        inst = oracle.gen_consistent(n, p, seed=12)
+        config = RunConfig(max_iters=2000, seed=13)  # UNKNOWN: runs to max_iters
+        trace, peak = traced_peak(run, method, inst.X, inst.y, Regime.UNKNOWN, config,
+                                  inst.reference, 0.9)
+        assert trace.final().iter == 2000
+        assert peak < 4 * 8 * n
 
     def test_trace_record_rejects_nonincreasing_iter(self):
         trace = ConvergenceTrace()

@@ -12,6 +12,9 @@ working directory of each tree's own:
   whose MatrixMarket writes take the numpy formatting path);
 - `solve --method rk` on a 30 x 10 instance, 2 trials of 15000 steps
   with one checkpoint at the cap (the size of an ls-loop call);
+- `solve --method rk --iters 20000` and `solve --method rcd` on
+  `generate consistent 50000 10 --seed 1` (the ls-tall solves, which
+  read X from its sidecar, and whose peak RSS is the workload's);
 - `compare` of rk-ridge, rcd-ridge and rk-krr (gaussian, gamma 0.01,
   lambda 10) on `generate underdetermined 40 80 --seed 1`, 10000
   iterations and 2 trials (the size of the dual-oracle call).
@@ -43,12 +46,15 @@ import time
 SETUP = [
     ["generate", "consistent", "30", "10", "--seed", "1", "--out", "ls"],
     ["generate", "underdetermined", "40", "80", "--seed", "1", "--out", "dual"],
+    ["generate", "consistent", "50000", "10", "--seed", "1", "--out", "tall"],
 ]
 COMMANDS = {
     "generate": ["generate", "consistent", "30", "10", "--seed", "2", "--out", "gen"],
-    "gen-tall": ["generate", "consistent", "50000", "10", "--seed", "2", "--out", "tall"],
+    "gen-tall": ["generate", "consistent", "50000", "10", "--seed", "2", "--out", "gen-tall"],
     "solve": ["solve", "ls", "--method", "rk", "--iters", "15000", "--trials", "2",
               "--checkpoint-every", "15000", "--out", "ls/rk.csv"],
+    "rk-tall": ["solve", "tall", "--method", "rk", "--iters", "20000", "--out", "tall/rk.csv"],
+    "rcd-tall": ["solve", "tall", "--method", "rcd", "--out", "tall/rcd.csv"],
     "compare": ["compare", "dual", "--method", "rk-ridge", "--method", "rcd-ridge",
                 "--method", "rk-krr", "--kernel", "gaussian", "--gamma", "0.01",
                 "--lambda", "10", "--iters", "10000", "--trials", "2", "--out", "dual/cmp.csv"],
