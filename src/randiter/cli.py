@@ -10,10 +10,12 @@ or the run, and an oracle or a generated instance that does not fit in
 memory, included), 3 the run did not reach --tol in its method's own
 measure (see solvers.drive), 4 I/O error. Diagnostics go to stderr
 (controlled by RANDITER_LOG={off,info,debug}); data output never does.
+A call imports only what its command runs: logging only for RANDITER_LOG,
+and solvers, kernel and ridge only for the methods that run on them.
 
 Run as `python -m randiter.cli`, the process switches the cyclic garbage
 collector off before its imports, then freezes the objects they leave
-(about 33,000) and switches it back on just before main() runs. The
+(about 32,000) and switches it back on just before main() runs. The
 run's own objects are still collected, but no collection walks the
 import-time heap, at interpreter exit included; the import-time garbage
 stays in memory. main() itself never touches the collector: a process
@@ -32,16 +34,13 @@ if __name__ == "__main__":
 import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
-import logging  # noqa: E402
 import os  # noqa: E402
 import sys  # noqa: E402
 
 import numpy as np  # noqa: E402
 
-from . import io, kernel, oracle, ridge, solvers  # noqa: E402
+from . import Regime, io, oracle  # noqa: E402
 from .errors import RanditerError  # noqa: E402
-
-log = logging.getLogger("randiter")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -55,6 +54,14 @@ class UsageError(Exception):
     pass
 
 
+def _info(msg: str, *args) -> None:
+    """Log msg % args at INFO on the randiter logger if the process has
+    imported logging: if it has not, no handler could print the record."""
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("randiter").info(msg, *args)
+
+
 @contextlib.contextmanager
 def _stderr_logging():
     """While one command runs, send the randiter logger's records to
@@ -65,6 +72,8 @@ def _stderr_logging():
     if setting == "off":
         yield
         return
+    import logging
+    log = logging.getLogger("randiter")
     handler = logging.StreamHandler(sys.stderr)
     handler.setFormatter(logging.Formatter("randiter: %(message)s"))
     saved = log.level, log.propagate
@@ -156,7 +165,7 @@ def cmd_generate(args) -> int:
         meta["noise_scale"] = noise
         meta["norm_z"] = float(np.linalg.norm(inst.z))
     io.write_meta(paths["meta"], meta)
-    log.info("wrote %s instance to %s", args.regime, args.out)
+    _info("wrote %s instance to %s", args.regime, args.out)
     return EXIT_OK
 
 
@@ -178,9 +187,9 @@ def _load_problem(problem_dir):
             f"{paths['reference']}: {reference.shape[0]} values for the {X.shape[1]} columns of X"
         )
     try:
-        regime = solvers.Regime(meta.get("regime"))
+        regime = Regime(meta.get("regime"))
     except ValueError:
-        regime = solvers.Regime.UNKNOWN
+        regime = Regime.UNKNOWN
     return X, y, reference, regime
 
 
@@ -218,10 +227,11 @@ def _check_flags(args, methods, reference):
         _kernel_spec(args)
 
 
-def _kernel_spec(args) -> kernel.KernelSpec:
+def _kernel_spec(args):
+    from .kernel import KernelSpec
     family = {"linear": "linear", "gaussian": "gaussian", "poly": "polynomial"}[args.kernel]
     params = {name: getattr(args, name) for name in ("gamma", "degree", "offset")}
-    return kernel.KernelSpec(family, **{k: v for k, v in params.items() if v is not None})
+    return KernelSpec(family, **{k: v for k, v in params.items() if v is not None})
 
 
 def _oracle_step(method, X, y, reference, regime, args):
@@ -260,10 +270,13 @@ def _oracle_step(method, X, y, reference, regime, args):
     positive_only = method in ("rk", "rcd") and p > n
     rate = oracle.theoretical_rate(M, positive_only, size, lam)
     if method in ("rk", "rcd"):
+        from . import solvers
         return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate)
     if method == "rk-krr":
+        from . import kernel
         alpha_star = oracle.krr_alpha_star(X, y, spec, lam, M)
         return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate)
+    from . import ridge
     beta_rr, alpha_star = oracle.ridge_solution(X, y, lam, M)
     if method == "rk-ridge":
         return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)
@@ -293,6 +306,7 @@ def _runs(args, methods):
     """Load the problem and check every method's flags and --beta0; then
     yield (method, traces, theoretical_rate) per method from its oracle
     step and one run per trial, with seeds args.seed, args.seed + 1, ..."""
+    from . import solvers
     X, y, reference, regime = _load_problem(args.problem_dir)
     beta0 = _read_beta0(args, methods, X.shape[1])
     _check_flags(args, methods, reference)
@@ -304,15 +318,16 @@ def _runs(args, methods):
                        for trial in range(args.trials)], rate
 
 
-def _mean_trace(traces) -> solvers.ConvergenceTrace:
+def _mean_trace(traces):
     """Entrywise mean over the checkpoint prefix common to all trials."""
+    from .solvers import ConvergenceTrace, TraceRecord
     length = min(len(t.records) for t in traces)
     # trials on the last, contiguous axis: a mean along it sums in the
     # order np.mean of one list of values does
     values = np.stack([[(r.err_sq, r.energy_err_sq, r.residual_sq, r.bound)
                         for r in t.records[:length]] for t in traces], axis=-1)
-    return solvers.ConvergenceTrace([solvers.TraceRecord(r.iter, *m) for r, m in
-                                     zip(traces[0].records, values.mean(axis=-1).tolist())])
+    return ConvergenceTrace([TraceRecord(r.iter, *m) for r, m in
+                             zip(traces[0].records, values.mean(axis=-1).tolist())])
 
 
 def cmd_solve(args) -> int:
@@ -320,10 +335,10 @@ def cmd_solve(args) -> int:
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
         io.write_trace_csv(args.out + ".mean.csv", _mean_trace(traces))
-    log.info("solve %s: final err_sq=%.3e", args.method, traces[0].final().err_sq)
+    _info("solve %s: final err_sq=%.3e", args.method, traces[0].final().err_sq)
 
     if not traces[0].converged:
-        log.info("did not converge within %d iterations", args.iters)
+        _info("did not converge within %d iterations", args.iters)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 

@@ -25,17 +25,19 @@ def dense_matrix(values) -> np.ndarray:
         raise DimensionError(f"expected a 2-D matrix, got ndim={a.ndim}")
     if a.size == 0:
         raise DimensionError("empty matrix")
-    if not np.all(np.isfinite(a)):
+    if not (np.isfinite(a.min()) and np.isfinite(a.max())):  # NaN and inf show there
         raise ValueError("matrix contains NaN or Inf")
     return a
 
 
 def dense_vector(values) -> np.ndarray:
-    """Validate and return a 1-D float64 array with finite entries."""
-    v = np.array(values, dtype=np.float64).reshape(-1)
+    """Validate and return a 1-D float64 array with finite entries: a 1-D
+    float64 ndarray itself, shared with the caller, else a flat copy."""
+    v = np.asarray(values, dtype=np.float64)
+    v = v if v.ndim == 1 else v.flatten()
     if v.size == 0:
         raise DimensionError("empty vector")
-    if not np.all(np.isfinite(v)):
+    if not (np.isfinite(v.min()) and np.isfinite(v.max())):
         raise ValueError("vector contains NaN or Inf")
     return v
 

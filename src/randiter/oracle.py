@@ -9,13 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import kernel as kern
-from . import linalg
+from . import Regime, linalg
 from .errors import DegenerateMatrix, GenerationFailure, OracleInconsistency
-from .solvers import Regime
+
+if TYPE_CHECKING:  # the kernel module is loaded by the first gram_matrix call
+    from .kernel import KernelSpec
 
 RIDGE_FORM_TOL = 1e-8
 RANK_TOL = 1e-8  # minimum singular value for generated instances
@@ -89,16 +91,17 @@ def ridge_alpha_star(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     return ridge_solution(X, y, lam)[1]
 
 
-def gram_matrix(spec: kern.KernelSpec, data: np.ndarray) -> np.ndarray:
+def gram_matrix(spec: KernelSpec, data: np.ndarray) -> np.ndarray:
     """Explicit kernel gram matrix K (desk scale only)."""
+    from .kernel import kernel_column
     n = data.shape[0]
     K = np.empty((n, n))
     for j in range(n):
-        K[:, j] = kern.kernel_column(spec, data, data[j])
+        K[:, j] = kernel_column(spec, data, data[j])
     return 0.5 * (K + K.T)
 
 
-def krr_alpha_star(data: np.ndarray, y: np.ndarray, spec: kern.KernelSpec, lam: float,
+def krr_alpha_star(data: np.ndarray, y: np.ndarray, spec: KernelSpec, lam: float,
                    A: np.ndarray | None = None) -> np.ndarray:
     """alpha* = (K + lambda I)^-1 y from one solve with A = K + lambda I,
     K formed explicitly, unless the caller passes A."""

@@ -17,7 +17,6 @@ that this pays (rk-krr sweeps every run of two or more rows).
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from collections.abc import Callable, Sequence
@@ -25,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import Regime, linalg
 from .errors import DimensionError, ZeroNormColumn, ZeroNormRow
 from .sampling import WeightedSampler, build_sampler
 
@@ -61,13 +60,6 @@ _tri = functools.cache(np.tri)  # the mask of a k x k lower triangle, made once 
 # epoch: a few steps that revisit already solved rows change nothing.
 PLATEAU_REL_CHANGE = 1e-6
 PLATEAU_WINDOW = 5
-
-
-class Regime(enum.Enum):
-    CONSISTENT_UNIQUE = "consistent"
-    INCONSISTENT = "inconsistent"
-    UNDERDETERMINED = "underdetermined"
-    UNKNOWN = "unknown"
 
 
 @dataclass
@@ -252,11 +244,11 @@ def dual_sweep(J, G, b, lam, alpha, coord="row"):
     (M_jj + lam), and sees the earlier steps u < t only through
     G[t, u] + lam [j_t = j_u]: delta solves that lower triangle for
     b - lam alpha_J, in one LAPACK solve. Then alpha_J += delta (a
-    repeated index adds its deltas in order), and the caller updates the
-    vector its loop keeps from delta: beta += delta X_J for rows of X,
-    r -= delta X_J^T for columns, y - K alpha on the rows it has stepped
-    for rk-krr. That is the steps' iterate up to rounding. A pivot <= 0 is a
-    zero-norm row or column at lam = 0. A non-finite triangle gives NaN
+    repeated index adds its deltas in order; rk's alpha is None at lam = 0),
+    and the caller updates the vector its loop keeps from delta: beta +=
+    delta X_J for rows of X, r -= delta X_J^T for columns, y - K alpha on
+    the rows it has stepped for rk-krr. That is the steps' iterate up to
+    rounding. A pivot <= 0 is a zero-norm row or column at lam = 0. A non-finite triangle gives NaN
     steps, as forward substitution would; LAPACK would skip the entry
     next to a zero step, or call the triangle singular.
     """
@@ -270,7 +262,8 @@ def dual_sweep(J, G, b, lam, alpha, coord="row"):
             error = ZeroNormColumn if coord == "column" else ZeroNormRow
             raise error(f"{coord} {J[zero.argmax()]} has zero norm")
         delta = np.full(len(J), np.nan)
-    np.add.at(alpha, J, delta)
+    if alpha is not None:
+        np.add.at(alpha, J, delta)
     return delta
 
 
@@ -292,12 +285,12 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     decides for rows of p entries and sweeps of SWEEP_MIN_STEPS rows or
     more; a row stepped singly keeps its ||x_i||^2 + lam from its first
     step. Runs `drive` with checkpoint measures(beta, alpha) and the stop
-    rule `stop`.
+    rule `stop`; alpha is None at lam = 0, where nothing reads it.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
     beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
-    alpha = np.zeros(X.shape[0])
+    alpha = np.zeros(X.shape[0]) if lam else None
     scaled = np.empty_like(beta)
     norms = {}  # ||x_i||^2 + lam of each row stepped singly, from its first step
 
@@ -310,8 +303,9 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
                 nrm = norms[row] = xr.dot(xr) + lam
             if nrm <= 0.0:
                 raise ZeroNormRow(f"row {row} has zero norm")
-            delta = (y[row] - xr.dot(beta) - lam * alpha[row]) / nrm
-            alpha[row] += delta
+            delta = (y[row] - xr.dot(beta) - (lam * alpha[row] if lam else 0.0)) / nrm
+            if lam:
+                alpha[row] += delta
             beta += np.multiply(xr, delta, out=scaled)
 
     def sweep(J):

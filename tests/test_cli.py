@@ -19,6 +19,8 @@ from randiter import cli, io, kernel, linalg, oracle, solvers
 
 from conftest import traced_peak
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
 
 def run_cli(*argv):
     return cli.main(list(argv))
@@ -292,6 +294,17 @@ class TestSidecar:
         assert back.flags["F_CONTIGUOUS"] and back.tobytes() == X.tobytes()
         assert peak < 1.5 * 8 * n * p
 
+    def test_read_holds_the_vector_once(self, tmp_path):
+        # the sidecar's array is y: no copy of it (and n large enough that
+        # the copy would outweigh io.HASH_BLOCK)
+        n = 200000
+        y = np.random.default_rng(5).standard_normal(n)
+        path = str(tmp_path / "y.vec")
+        io.write_vector(path, y)
+        back, peak = traced_peak(io.read_vector, path)
+        assert back.tobytes() == y.tobytes()
+        assert peak < 1.5 * 8 * n
+
     def test_sidecar_write_failure_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "prob"
         os.makedirs(out / ("y.vec" + io.SIDECAR_SUFFIX))
@@ -556,11 +569,75 @@ class TestLogging:
         assert "randiter: wrote consistent instance" in capsys.readouterr().err
         assert not logging.getLogger("randiter").handlers
 
+    def test_records_reach_a_handler_the_host_attached(self, tmp_path, monkeypatch, caplog):
+        # this process has imported logging, so the records go out with
+        # RANDITER_LOG unset, as they did when the cli imported it itself
+        monkeypatch.delenv("RANDITER_LOG", raising=False)
+        with caplog.at_level(logging.INFO, logger="randiter"):
+            assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
+        assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+            ("randiter", "INFO", f"wrote consistent instance to {tmp_path / 'p'}")]
+
+
+def fresh_imports(args, cwd, **env):
+    """(exit code, the modules imported, the other stderr lines) of a fresh
+    `python -X importtime ARGS`, which lists every import on stderr, with
+    RANDITER_LOG unset unless given in env."""
+    base = {k: v for k, v in os.environ.items() if k != "RANDITER_LOG"}
+    done = subprocess.run([sys.executable, "-X", "importtime", *args], cwd=cwd,
+                          env=dict(base, PYTHONPATH=SRC, **env), capture_output=True, text=True)
+    modules, lines = set(), []
+    for line in done.stderr.splitlines():
+        if line.startswith("import time:"):
+            modules.add(line.rsplit("|", 1)[1].strip())
+        else:
+            lines.append(line)
+    return done.returncode, modules, lines
+
+
+class TestImportsPerCommand:
+    # with no bytecode written, a CLI process compiles every module it
+    # imports: each loads only the modules its command runs, and logging
+    # only under RANDITER_LOG
+    CLI = ["-m", "randiter.cli"]
+
+    def test_generate_loads_no_solver_and_no_logging(self, tmp_path):
+        code, modules, _ = fresh_imports([*self.CLI, "generate", "consistent", "30", "10",
+                                          "--out", "p"], tmp_path)
+        assert code == 0 and "randiter.oracle" in modules
+        assert not modules & {"logging", "randiter.solvers", "randiter.sampling",
+                              "randiter.kernel", "randiter.ridge"}
+
+    def test_rk_solve_loads_no_kernel_ridge_or_logging(self, tmp_path):
+        assert run_cli("generate", "consistent", "30", "10", "--out", str(tmp_path / "p")) == 0
+        code, modules, _ = fresh_imports([*self.CLI, "solve", "p", "--method", "rk",
+                                          "--out", "t.csv"], tmp_path)
+        assert code == 0 and {"randiter.solvers", "randiter.sampling"} <= modules
+        assert not modules & {"logging", "randiter.kernel", "randiter.ridge"}
+
+    def test_library_solvers_load_no_oracle_or_cli(self, tmp_path):
+        code, modules, _ = fresh_imports(["-c", "from randiter import io, kernel, solvers"],
+                                         tmp_path)
+        assert code == 0 and "randiter.kernel" in modules
+        assert not modules & {"randiter.oracle", "randiter.cli"}
+
+    def test_rk_krr_under_randiter_log_prints_its_lines(self, tmp_path):
+        # compare logs no line of its own; generate and solve do
+        krr = ["--method", "rk-krr", "--kernel", "gaussian", "--lambda", "0.1"]
+        calls = [["generate", "underdetermined", "20", "40", "--seed", "1", "--out", "u"],
+                 ["compare", "u", *krr, "--out", "c.csv"],
+                 ["solve", "u", *krr, "--out", "t.csv"]]
+        outputs = [fresh_imports([*self.CLI, *argv], tmp_path, RANDITER_LOG="debug")
+                   for argv in calls]
+        assert all(code == 0 and "logging" in modules for code, modules, _ in outputs)
+        assert outputs[0][2] == ["randiter: wrote underdetermined instance to u"]
+        [line] = outputs[2][2]
+        assert line.startswith("randiter: solve rk-krr: final err_sq=")
+
 
 def test_module_entry_point_matches_main(tmp_path):
     # the CLI started as the randiter script and the benchmark start it:
     # a fresh interpreter that imports randiter.cli by itself
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
     def calls(root):
         return (["generate", "consistent", "12", "4", "--seed", "1", "--out", str(root / "p")],
@@ -568,7 +645,7 @@ def test_module_entry_point_matches_main(tmp_path):
 
     for argv in calls(tmp_path / "sub"):
         done = subprocess.run([sys.executable, "-m", "randiter.cli", *argv],
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
         assert done.returncode == 0, done.stderr
     for argv in calls(tmp_path / "main"):
         assert run_cli(*argv) == 0
@@ -578,7 +655,6 @@ def test_module_entry_point_matches_main(tmp_path):
 def test_module_run_freezes_its_imports(tmp_path):
     # run as __main__, the module freezes what its imports left and runs
     # main() with the collector back on
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     child = ("import gc, runpy\n"
              "try:\n"
              "    runpy.run_module('randiter.cli', run_name='__main__')\n"
@@ -586,7 +662,7 @@ def test_module_run_freezes_its_imports(tmp_path):
              "    print(exc.code, gc.isenabled(), gc.get_freeze_count())\n")
     done = subprocess.run([sys.executable, "-c", child, "generate", "consistent", "12", "3",
                            "--out", str(tmp_path / "p")],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
     code, enabled, frozen = done.stdout.split()
     assert (code, enabled) == ("0", "True")
@@ -600,7 +676,6 @@ def test_fresh_processes_write_the_same_trace(tmp_path, method):
     # README's determinism contract: with one numpy, one BLAS build and
     # one BLAS thread count (here, one environment), a seeded solve
     # writes the same bytes in every process
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     problem = str(tmp_path / "p")
     assert run_cli("generate", "inconsistent", "300", "4", "--seed", "2", "--out", problem) == 0
     traces, codes = [], []
@@ -609,7 +684,7 @@ def test_fresh_processes_write_the_same_trace(tmp_path, method):
         done = subprocess.run([sys.executable, "-m", "randiter.cli", "solve", problem,
                                "--method", *method, "--iters", "3000", "--trials", "2",
                                "--seed", "5", "--out", str(out)],
-                              env=dict(os.environ, PYTHONPATH=src), capture_output=True)
+                              env=dict(os.environ, PYTHONPATH=SRC), capture_output=True)
         assert done.returncode in (0, 3), done.stderr
         codes.append(done.returncode)
         traces.append(out.read_bytes())

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from randiter import linalg
 from randiter.errors import DimensionError, NotPositiveDefinite, NotSymmetric
 
+from conftest import traced_peak
+
 
 def brute_force_row_norms(X):
     """Independent oracle: entry-by-entry summation."""
@@ -37,6 +39,32 @@ class TestConstruction:
             linalg.dense_matrix([[1.0, np.nan]])
         with pytest.raises(ValueError):
             linalg.dense_vector([np.inf])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("at", [0, -1], ids=["first", "last"])
+    def test_rejects_a_non_finite_first_or_last_entry(self, bad, at):
+        a = np.asfortranarray(np.arange(12.0).reshape(4, 3))
+        a.T.flat[at] = bad  # the first or last entry in storage order
+        with pytest.raises(ValueError):
+            linalg.dense_matrix(a)
+        v = np.arange(5.0)
+        v[at] = bad
+        with pytest.raises(ValueError):
+            linalg.dense_vector(v)
+
+    def test_finiteness_check_makes_no_temporary(self):
+        a = np.asfortranarray(np.random.default_rng(0).standard_normal((20000, 10)))
+        back, peak = traced_peak(linalg.dense_matrix, a)
+        assert back is a
+        assert peak < 0.01 * 8 * a.size
+
+    def test_1d_float64_vector_is_returned_without_a_copy(self):
+        v = np.arange(4.0)
+        assert linalg.dense_vector(v) is v
+        for other in (np.arange(4), v.reshape(2, 2)):  # ints, 2-D: copied, flat
+            out = linalg.dense_vector(other)
+            assert out.dtype == np.float64 and out.shape == (4,)
+            assert not np.shares_memory(out, other)
 
     def test_rejects_empty(self):
         with pytest.raises(DimensionError):

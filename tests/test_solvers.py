@@ -180,8 +180,9 @@ class TestRun:
 
     @pytest.mark.parametrize("method", ["rk", "rcd"])
     def test_run_holds_three_n_vectors(self, method):
-        # rk: alpha, the sampler's cumulative sums and a checkpoint's one
-        # n-vector; rcd: r, its step buffer and that n-vector
+        # rk: the sampler's cumulative sums and a checkpoint's one
+        # n-vector, and no alpha (see test_rk_keeps_no_alpha); rcd: r,
+        # its step buffer and that n-vector
         n, p = 20000, 10
         inst = oracle.gen_consistent(n, p, seed=12)
         config = RunConfig(max_iters=2000, seed=13)  # UNKNOWN: runs to max_iters
@@ -189,6 +190,17 @@ class TestRun:
                                   inst.reference, 0.9)
         assert trace.final().iter == 2000
         assert peak < 4 * 8 * n
+
+    def test_rk_keeps_no_alpha(self):
+        # alpha is read only as lam alpha, so at lam = 0 rk holds two
+        # n-vectors: the sampler's cumulative sums and a checkpoint's one
+        n, p = 20000, 10
+        inst = oracle.gen_consistent(n, p, seed=12)
+        config = RunConfig(max_iters=2000, seed=13)
+        trace, peak = traced_peak(run, "rk", inst.X, inst.y, Regime.UNKNOWN, config,
+                                  inst.reference, 0.9)
+        assert trace.final().iter == 2000
+        assert peak < 2.5 * 8 * n
 
     def test_trace_record_rejects_nonincreasing_iter(self):
         trace = ConvergenceTrace()

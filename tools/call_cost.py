@@ -17,7 +17,12 @@ working directory of each tree's own:
   read X from its sidecar, and whose peak RSS is the workload's);
 - `compare` of rk-ridge, rcd-ridge and rk-krr (gaussian, gamma 0.01,
   lambda 10) on `generate underdetermined 40 80 --seed 1`, 10000
-  iterations and 2 trials (the size of the dual-oracle call).
+  iterations and 2 trials (the size of the dual-oracle call);
+- `generate inconsistent 2000 3` (the krr-matfree set-up call, whose
+  peak RSS is that workload's).
+
+With these, the process whose peak RSS is a workload's is timed for
+every benchmark workload.
 
 The instances are generated once per tree before any timing. Then each
 of R runs (default 30, at least 2) takes every command once per tree,
@@ -58,6 +63,7 @@ COMMANDS = {
     "compare": ["compare", "dual", "--method", "rk-ridge", "--method", "rcd-ridge",
                 "--method", "rk-krr", "--kernel", "gaussian", "--gamma", "0.01",
                 "--lambda", "10", "--iters", "10000", "--trials", "2", "--out", "dual/cmp.csv"],
+    "gen-krr": ["generate", "inconsistent", "2000", "3", "--seed", "2", "--out", "gen-krr"],
 }
 
 
