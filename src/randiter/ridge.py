@@ -6,7 +6,7 @@ dual system (X X^T + lambda I) alpha = y, keeping beta = X^T alpha;
 O(p) per step) and rcd_ridge its column loop (coordinate descent on the
 primal system (X^T X + lambda I) beta = X^T y, keeping r = y - X beta;
 O(n) per step), both at lambda > 0. This module chooses their sampling
-weights, checkpoint measures and stop rule.
+weights, targets and stop rule.
 """
 
 from __future__ import annotations
@@ -64,17 +64,8 @@ def rk_ridge_run(
     if config.beta0 is not None:
         raise ValueError("rk_ridge starts from alpha = 0 and takes no beta0")
     sampler = build_sampler(linalg.row_norms_sq(X) + lam)
-
-    def measures(beta, alpha):  # one n-vector: v, then y - X beta
-        dbeta = beta - reference_beta
-        v = alpha - alpha_star
-        xtv = X.T @ v
-        energy = float(xtv @ xtv) + lam * float(v @ v)
-        res = np.subtract(y, np.matmul(X, beta, out=v), out=v)
-        return float(dbeta @ dbeta), energy, float(res @ res)
-
-    return row_descent(X, y, lam, sampler, config, measures, rate, "energy_err_sq",
-                       tol_on="energy_err_sq", plateau=True)
+    return row_descent(X, y, lam, sampler, config, reference_beta, rate, "energy_err_sq",
+                       alpha_star=alpha_star, tol_on="energy_err_sq", plateau=True)
 
 
 def rcd_ridge_run(
@@ -90,13 +81,5 @@ def rcd_ridge_run(
     rk_ridge_run does."""
     _check_lambda(lam)
     sampler = build_sampler(linalg.col_norms_sq(X) + lam)
-
-    def measures(beta):  # one n-vector: X v, then y - X beta
-        v = beta - reference_beta
-        xv = X @ v
-        energy = float(xv @ xv) + lam * float(v @ v)
-        res = np.subtract(y, np.matmul(X, beta, out=xv), out=xv)
-        return float(v @ v), energy, float(res @ res)
-
-    return column_descent(X, y, lam, sampler, config, measures, rate,
+    return column_descent(X, y, lam, sampler, config, reference_beta, rate,
                           "energy_err_sq", tol_on="energy_err_sq", plateau=True)

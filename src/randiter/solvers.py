@@ -156,9 +156,9 @@ def drive(
     cadence (config.checkpoint_every, else one epoch) or t = max_iters,
     `checkpoint(refresh)` returns (err_sq, energy_err_sq, residual_sq) of
     the current iterate for a record; when `refresh`, the column loop
-    first rebuilds the r it maintains, and rk-krr rebases on the K alpha
-    of the checkpoint's pass. `refresh` is true at the first
-    checkpoint at or after each multiple of the refresh period,
+    takes the checkpoint's y - X beta as the r it maintains, and rk-krr
+    rebases on the K alpha of the checkpoint's pass. `refresh` is true at
+    the first checkpoint at or after each multiple of the refresh period,
     RESIDUAL_REFRESH_EVERY times ceil(epoch / RESIDUAL_REFRESH_EVERY) for
     an epoch of len(sampler) steps: every 1000 steps up to an epoch of
     1000, about once an epoch beyond. The record's bound is rate^t times
@@ -267,6 +267,24 @@ def dual_sweep(J, G, b, lam, alpha, coord="row"):
     return delta
 
 
+def _measures(X, y, beta, reference, lam, alpha=None, alpha_star=None):
+    """A checkpoint's (err_sq, energy_err_sq, residual_sq) and y - X beta,
+    from one n-vector: X v for v = beta - reference, energy ||X v||^2 plus
+    lam ||v||^2 only at lam > 0 (an overflowed ||v||^2 stays inf, not
+    0 * inf), or w = alpha - alpha_star, energy ||X^T w||^2 + lam ||w||^2."""
+    v = beta - reference
+    err = float(v @ v)
+    if alpha_star is None:
+        work = X @ v
+        energy = float(work @ work) + (lam * err if lam else 0.0)
+    else:
+        work = alpha - alpha_star
+        xtw = X.T @ work
+        energy = float(xtw @ xtw) + lam * float(work @ work)
+    res = np.subtract(y, np.matmul(X, beta, out=work), out=work)
+    return (err, energy, float(res @ res)), res
+
+
 # The step loops below, for runs too short to sweep, call ndarray.dot
 # (the BLAS ddot of the steps' `@`, with less call overhead) and scale
 # into a scratch buffer: the same operations on the same operands, so
@@ -274,7 +292,7 @@ def dual_sweep(J, G, b, lam, alpha, coord="row"):
 # are exact zeros, of rk_step and rcd_step.
 
 
-def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
+def row_descent(X, y, lam, sampler, config, reference, rate, natural, alpha_star=None, **stop):
     """Coordinate descent on the dual system (X X^T + lam I) alpha = y
     for lam >= 0: rk at lam = 0, rk-ridge at lam > 0.
 
@@ -284,8 +302,8 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
     alpha_i += delta and beta += delta x_i, taken as `dual_advance`
     decides for rows of p entries and sweeps of SWEEP_MIN_STEPS rows or
     more; a row stepped singly keeps its ||x_i||^2 + lam from its first
-    step. Runs `drive` with checkpoint measures(beta, alpha) and the stop
-    rule `stop`; alpha is None at lam = 0, where nothing reads it.
+    step. Runs `drive` with the stop rule `stop` and `_measures` against
+    `reference` and rk-ridge's `alpha_star`; alpha is None at lam = 0.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
@@ -314,21 +332,23 @@ def row_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         beta += dual_sweep(J, XJ @ XJ.T, y[J] - XJ @ beta, lam, alpha) @ XJ
 
     loop = dual_advance(X.shape[1], SWEEP_MIN_STEPS, steps, sweep)
-    return drive(sampler, config, loop, lambda _: measures(beta, alpha), rate, natural, **stop)
+    return drive(sampler, config, loop,
+                 lambda _: _measures(X, y, beta, reference, lam, alpha, alpha_star)[0],
+                 rate, natural, **stop)
 
 
-def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
+def column_descent(X, y, lam, sampler, config, reference, rate, natural, **stop):
     """Coordinate descent on the primal system (X^T X + lam I) beta = X^T y
     for lam >= 0: rcd at lam = 0, rcd-ridge at lam > 0.
 
     Starts from beta = config.beta0 (zero if None) and keeps r = y - X beta,
     rebuilt to cap drift at the checkpoints `drive` asks to (the first at
-    or after every 1000 steps up to p = 1000, about once an epoch beyond).
+    or after every 1000 steps up to p = 1000, about once an epoch beyond)
+    as the y - X beta their `_measures` against `reference` formed.
     The step on column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 +
     lam), then beta_c += delta and r -= delta x_c, taken as `dual_advance`
     decides for columns of n entries and sweeps of COLUMN_SWEEP_MIN_STEPS
-    columns or more. Runs `drive` with checkpoint
-    measures(beta) and the stop rule `stop`.
+    columns or more. Runs `drive` with the stop rule `stop`.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
@@ -357,9 +377,11 @@ def column_descent(X, y, lam, sampler, config, measures, rate, natural, **stop):
         residual -= dual_sweep(J, XJ @ XJ.T, XJ @ residual, lam, beta, "column") @ XJ
 
     def checkpoint(refresh):
-        if refresh:  # y - X beta, with no temporary
-            np.subtract(y, np.matmul(X, beta, out=residual), out=residual)
-        return measures(beta)
+        nonlocal residual
+        measured, res = _measures(X, y, beta, reference, lam)
+        if refresh:
+            residual = res
+        return measured
 
     loop = dual_advance(X.shape[0], COLUMN_SWEEP_MIN_STEPS, steps, sweep)
     return drive(sampler, config, loop, checkpoint, rate, natural, **stop)
@@ -394,14 +416,6 @@ def run(
         raise ValueError(f"unknown method {method!r}: expected 'rk' or 'rcd'")
     sampler = build_sampler(norms(X))  # unnamed: only their cumulative sums stay
     consistent = regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
-
-    def measures(beta, *_):  # one n-vector: X (beta - reference), then y - X beta
-        diff = beta - reference
-        fitted = X @ diff
-        energy = float(fitted @ fitted)
-        res = np.subtract(y, np.matmul(X, beta, out=fitted), out=fitted)
-        return float(diff @ diff), energy, float(res @ res)
-
-    return descent(X, y, 0.0, sampler, config, measures, rate, natural,
+    return descent(X, y, 0.0, sampler, config, reference, rate, natural,
                    tol_on="residual_sq" if consistent else None,
                    plateau=regime == Regime.INCONSISTENT)

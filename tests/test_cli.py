@@ -305,6 +305,17 @@ class TestSidecar:
         assert back.tobytes() == y.tobytes()
         assert peak < 1.5 * 8 * n
 
+    def test_small_file_is_hashed_in_a_buffer_of_its_size(self, tmp_path):
+        # a 1 MB read block for a 403 KB file would peak near 1.4 MB
+        y = np.random.default_rng(6).standard_normal(20000)
+        path = str(tmp_path / "y.vec")
+        io.write_vector(path, y)
+        size = os.path.getsize(path)
+        assert size < io.HASH_BLOCK
+        back, peak = traced_peak(io.read_vector, path)
+        assert back.tobytes() == y.tobytes()
+        assert peak < 2 * size
+
     def test_sidecar_write_failure_is_io_error(self, tmp_path, capsys):
         out = tmp_path / "prob"
         os.makedirs(out / ("y.vec" + io.SIDECAR_SUFFIX))

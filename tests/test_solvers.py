@@ -158,6 +158,17 @@ class TestRun:
         assert final.err_sq <= 1e-20
         assert final.energy_err_sq <= 1e-20
 
+    @pytest.mark.parametrize("method", ["rk", "rcd"])
+    def test_overflowed_start_records_inf_not_nan(self, method):
+        # ||beta0 - reference||^2 overflows: at lam = 0 no lam ||v||^2 term
+        # may turn it into 0 * inf = nan
+        inst = oracle.gen_consistent(15, 6, seed=9)
+        config = RunConfig(max_iters=100, seed=4, beta0=np.full(6, 1e200))
+        with np.errstate(over="ignore"):
+            trace = run(method, inst.X, inst.y, inst.regime, config, inst.reference, 0.9)
+        first = trace.records[0]
+        assert (first.err_sq, first.energy_err_sq, first.residual_sq) == (np.inf,) * 3
+
     def test_trace_is_strictly_increasing_and_finite(self):
         inst = oracle.gen_consistent(15, 6, seed=9)
         rate = oracle.theoretical_rate(oracle.gram(inst.X))

@@ -170,9 +170,8 @@ def test_zero_row_drawn_inside_a_sweep_is_named():
     draws = sampler.draw_block(pcg(6), 30).tolist()
     assert draws.index(4) > 0  # not a sweep's first step
     with pytest.raises(ZeroNormRow, match="row 4 has zero norm"):
-        row_descent(X, inst.y, 0.0, sampler, RunConfig(max_iters=30, seed=6),
-                    lambda beta, alpha: (0.0, 0.0, 0.0), 0.9, "err_sq", tol_on=None,
-                    plateau=False)
+        row_descent(X, inst.y, 0.0, sampler, RunConfig(max_iters=30, seed=6), inst.reference,
+                    0.9, "err_sq", tol_on=None, plateau=False)
 
 
 def test_zero_column_drawn_inside_a_sweep_is_named(monkeypatch):
@@ -192,8 +191,8 @@ def test_zero_column_drawn_inside_a_sweep_is_named(monkeypatch):
     monkeypatch.setattr(solvers, "dual_sweep", spy)
     config = RunConfig(max_iters=30, seed=6, checkpoint_every=30)
     with pytest.raises(ZeroNormColumn, match="column 4 has zero norm"):
-        column_descent(X, inst.y, 0.0, sampler, config, lambda beta: (0.0, 0.0, 0.0), 0.9,
-                       "energy_err_sq", tol_on=None, plateau=False)
+        column_descent(X, inst.y, 0.0, sampler, config, inst.reference, 0.9, "energy_err_sq",
+                       tol_on=None, plateau=False)
     assert swept == [30]
 
 
