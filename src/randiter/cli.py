@@ -314,8 +314,12 @@ def _runs(args, methods):
                                checkpoint_every=args.checkpoint_every, beta0=beta0)
     for method in methods:
         rate, solve = _oracle_step(method, X, y, reference, regime, args)
-        yield method, [solve(dataclasses.replace(config, seed=args.seed + trial))
-                       for trial in range(args.trials)], rate
+        # an iterate that overflows is traced as inf and stops its run
+        # (exit 3); numpy's warnings about it would only add noise on stderr
+        with np.errstate(over="ignore", invalid="ignore"):
+            traces = [solve(dataclasses.replace(config, seed=args.seed + trial))
+                      for trial in range(args.trials)]
+        yield method, traces, rate
 
 
 def _mean_trace(traces):

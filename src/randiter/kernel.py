@@ -25,10 +25,11 @@ _FAMILIES = ("linear", "gaussian", "polynomial")
 
 # A dual sweep's k x |U| block of K, and each tile of K that apply_gram
 # forms, hold at most this many entries (256 KB), more only when a
-# single row is longer.
+# single row is longer; each _Gram writes them into one buffer of that
+# size.
 GRAM_TILE_ELEMS = 1 << 15
 # A block of K[J, U] this small (32 KB) costs less as a new array than
-# written into a buffer: at 32 x 40, 9.5 us against 11.2 for the product
+# written into the buffer: at 32 x 40, 9.5 us against 11.2 for the product
 SMALL_BLOCK = 1 << 12
 
 
@@ -93,6 +94,12 @@ class _Gram:
     however far it sits from the origin. With h = -gamma ||z||^2 cached,
     rows are [2 gamma z, h, 1] and points [z, 1, h], so rows[r] @
     points[c] is the exponent -gamma ||z_r - z_c||^2 in one product.
+
+    apply's tiles and block's large blocks are written into one buffer
+    of min(max(GRAM_TILE_ELEMS, n), n^2) values, allocated on first use
+    and kept: a new array of that size each pass or draw block would be
+    mapped and faulted in afresh, or left in the heap. A product is read
+    before the next one overwrites it.
     """
 
     def __init__(self, spec: KernelSpec, data: np.ndarray):
@@ -106,19 +113,37 @@ class _Gram:
             self.points = np.vstack((z.T, one, h)).T
         else:
             self.rows = self.points = data
+        self._buf = None
+
+    def _buffer(self) -> np.ndarray:
+        """The buffer, allocated on first use."""
+        if self._buf is None:
+            n = len(self.points)
+            size = min(max(GRAM_TILE_ELEMS, n), n * n)
+            # starting on a 64-byte cache line: a pass at n = 2000 took
+            # 4.03 ms so, against 4.24 to 4.47 ms 8 to 32 bytes past one,
+            # where malloc may leave it
+            raw = np.empty(size + 7)
+            skip = -raw.ctypes.data % 64 // 8
+            self._buf = raw[skip:skip + size]
+        return self._buf
 
     def _map(self, t: np.ndarray, diag) -> None:
         """The kernel map, in place, of products rows @ points, where
         t[diag] pairs each point with itself."""
         if self.spec.family == "gaussian":
+            # k(x, x) = exp(0) = 1 exactly: the product leaves the
+            # rounding of 2 gamma ||z||^2 + 2 h there, which in high
+            # dimension moves the solution by more than tol
+            t[diag] = 0.0
             # the exponent is <= 0, but rounds above it for
-            # near-identical points
-            np.minimum(t, 0.0, out=t)
+            # near-identical points. Past SMALL_BLOCK entries a read-only
+            # max costs less than the clamp (5.0 us against 13.3 at
+            # 2^15), so the clamp runs only where the max is not <= 0,
+            # a NaN max included; below about 3500 the max costs more.
+            if t.size <= SMALL_BLOCK or not t.max() <= 0.0:
+                np.minimum(t, 0.0, out=t)
             np.exp(t, out=t)
-            # k(x, x) = 1 exactly: the product leaves the rounding of
-            # 2 gamma ||z||^2 + 2 h there, which in high dimension moves
-            # the solution by more than tol
-            t[diag] = 1.0
         elif self.spec.family == "polynomial":
             t += self.spec.offset
             t **= self.spec.degree
@@ -129,15 +154,16 @@ class _Gram:
         self._map(out, i)
         return out
 
-    def block(self, J: np.ndarray, rows: np.ndarray, at: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    def block(self, J: np.ndarray, rows: np.ndarray, at: np.ndarray) -> np.ndarray:
         """K[J, U] from one product, for rows = self.rows[U] and U[at] = J;
-        K[J, :] is block(J, self.rows, J, buf). A block of more than
-        SMALL_BLOCK entries is written into the start of buf, which the
-        caller keeps: a new array would be mapped and faulted in afresh,
-        or left in the heap. A smaller one is a new array, which costs
-        less than matmul's out=."""
+        K[J, :] is block(J, self.rows, J). A block of more than
+        SMALL_BLOCK entries that fits is written into the buffer, and
+        holds until the next block or apply. Any other is a new array:
+        for a small one that costs less than matmul's out=."""
         size = len(J) * len(rows)
-        out = buf[:size].reshape(len(J), len(rows)) if size > SMALL_BLOCK else None
+        out = None
+        if SMALL_BLOCK < size <= len(self._buffer()):
+            out = self._buf[:size].reshape(len(J), len(rows))
         out = np.matmul(self.points[J], rows.T, out=out)
         self._map(out, (np.arange(len(J)), at))
         return out
@@ -155,7 +181,7 @@ class _Gram:
         live = [(u, out) for u, out in zip(v.reshape(-1, n), res.reshape(-1, n)) if u.any()]
         if not live:
             return res
-        buf = np.empty(min(max(GRAM_TILE_ELEMS, n), n * n))
+        buf = self._buffer()
         start = 0
         while start < n:
             # a tile takes the columns from its first row on, so it
@@ -198,7 +224,8 @@ def apply_gram(spec: KernelSpec, data: np.ndarray, v: np.ndarray, gram=None) -> 
     (more only when one row of K is longer), one BLAS product each,
     that cover about half of K, by symmetry. Extra memory is
     O(GRAM_TILE_ELEMS + n p). A caller that holds _Gram(spec, data) can
-    pass it as gram, which skips preparing the data again."""
+    pass it as gram, which skips preparing the data again and reuses the
+    gram's buffer."""
     return (_Gram(spec, data) if gram is None else gram).apply(v)
 
 
@@ -232,7 +259,9 @@ def krr_run(
     K[J, U] on U. Each draw block is cut into runs of k =
     min(SWEEP_STEPS, GRAM_TILE_ELEMS // |U at the block's end|) rows, at
     least 1, so a block of K holds at most GRAM_TILE_ELEMS entries
-    unless one row of K is longer. The run stops at the first checkpoint
+    unless one row of K is longer; the blocks of more than SMALL_BLOCK
+    entries and the checkpoints' tiles share the run's one buffer (see
+    _Gram). The run stops at the first checkpoint
     with energy_err_sq <= tol^2, at a plateau, or at max_iters.
     """
     if y.shape[0] != data.shape[0]:
@@ -270,12 +299,11 @@ def krr_run(
             u_rows[m:top] = gram.rows[fresh]
         # top is the most columns K[J, U] has in this block
         k = min(solvers.SWEEP_STEPS, max(1, GRAM_TILE_ELEMS // top))
-        buf = np.empty(k * top)  # for the block's large blocks of K[J, U]
         for J in solvers.sweeps(indices, k):
             at = slot[J]
             # J's new rows hold slots m, ..., end - 1
             end = max(m, int(at.max()) + 1) if top > m else m
-            KJ = gram.block(J, u_rows[:end], at, buf)
+            KJ = gram.block(J, u_rows[:end], at)
             if end > m:  # the new rows' y - K alpha; moved is 0 on their slots
                 into = at >= m
                 res[at[into]] = y_s[J[into]] - (KJ @ moved[:end])[into]

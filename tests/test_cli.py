@@ -817,6 +817,23 @@ class TestInputContract:
         assert code == cli.EXIT_USAGE
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("method", ["rk", "rcd"])
+    def test_overflowing_start_exits_3_with_nothing_on_stderr(self, tmp_path, capsys, method):
+        # at beta0 = 1e200 every checkpoint measure overflows: the trace
+        # records inf and the run stops, and numpy's overflow warnings,
+        # which pytest turns into errors, are not raised
+        problem, beta0 = str(tmp_path / "prob"), str(tmp_path / "b.vec")
+        assert run_cli("generate", "consistent", "15", "6", "--seed", "9",
+                       "--out", problem) == cli.EXIT_OK
+        io.write_vector(beta0, np.full(6, 1e200))
+        out = str(tmp_path / "t.csv")
+        capsys.readouterr()
+        code = run_cli("solve", problem, "--method", method, "--beta0", beta0, "--out", out)
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert capsys.readouterr().err == ""
+        record0 = open(out).read().splitlines()[1].split(",")
+        assert record0[0] == "0" and all(float(x) == math.inf for x in record0[1:4])
+
     def test_beta0_is_the_start(self, consistent_dir, tmp_path):
         beta0 = str(tmp_path / "b.vec")
         io.write_vector(beta0, np.ones(20))

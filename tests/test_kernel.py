@@ -235,7 +235,7 @@ class TestKrrRun:
         gram = _Gram(KernelSpec("gaussian", gamma=0.5), data)
 
         def sweep(J, G, b, lam, alpha):
-            want = gram.block(J, gram.rows, J, np.empty(len(J) * n)) @ alpha  # K[J, :] alpha
+            want = gram.block(J, gram.rows, J) @ alpha  # K[J, :] alpha
             drift.append(np.linalg.norm(y[J] - b - want) / np.linalg.norm(want)
                          if want.any() else np.linalg.norm(y[J] - b))
             return dual_sweep(J, G, b, lam, alpha)
@@ -384,6 +384,56 @@ class TestApplyGram:
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
         assert tile_bytes <= peak < 1 << 20
+
+    def test_one_buffer_serves_every_pass_and_block(self):
+        # the first pass allocates the buffer and the _Gram keeps it;
+        # later passes, and blocks of more than SMALL_BLOCK entries,
+        # write into it and allocate no other
+        buffer_bytes = 8 * GRAM_TILE_ELEMS
+        data = gaussian_points(2000, 3, seed=39)
+        v = np.random.default_rng(40).standard_normal((2, 2000))
+        J = np.arange(0, 2000, 200)
+        assert kernel.SMALL_BLOCK < len(J) * 2000 <= GRAM_TILE_ELEMS
+        gram = _Gram(KernelSpec("gaussian", gamma=0.5), data)
+        tracemalloc.start()
+        try:
+            gram.apply(v)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            for _ in range(3):
+                gram.apply(v)
+                gram.block(J, gram.rows, J)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert held >= buffer_bytes
+        assert peak - held < buffer_bytes // 2
+
+    def test_gaussian_coinciding_points_map_to_at_most_one(self):
+        # offset by 1e4, point 7 repeats point 3 and point 12 lies within
+        # an ulp of point 5; the exponent of such a pair can round above
+        # 0, and the map clamps it, so no entry exceeds k(x, x) = 1. A
+        # column is clamped outright, K's 100 x 100 block and the pass's
+        # one tile only where their largest exponent is above 0.
+        points = np.array(gaussian_points(100, 3, seed=45))
+        points[7] = points[3]
+        points[12] = points[5] + 1e-12
+        data = linalg.dense_matrix(points + 1e4)
+        assert np.any(data[12] != data[5])
+        spec = KernelSpec("gaussian", gamma=0.5)
+        gram = _Gram(spec, data)
+        exponents = gram.rows @ gram.points.T
+        np.fill_diagonal(exponents, 0.0)
+        assert exponents.max() > 0.0 and 100 * 100 > kernel.SMALL_BLOCK
+        every = np.arange(100)
+        for K in (np.column_stack([gram.column(i, np.empty(100)) for i in every]),
+                  gram.block(every, gram.rows, every)):
+            assert K.max() == 1.0 and np.all(K.diagonal() == 1.0)
+            for a, b in ((3, 7), (5, 12)):
+                assert 1.0 - 1e-15 <= K[a, b] <= 1.0 and 1.0 - 1e-15 <= K[b, a] <= 1.0
+        v = np.random.default_rng(46).standard_normal(100)
+        expected = oracle.gram_matrix(spec, data) @ v
+        assert np.linalg.norm(gram.apply(v) - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestKrrStopsAtTol:

@@ -53,6 +53,9 @@ CASES = {
     "rcd-ridge-40x80": ("rcd-ridge", 40, 80, None),
     "rcd-500x10": ("rcd", 500, 10, None),  # columns past the sweep cap
     "rk-krr-2000x3": ("rk-krr", 2000, 3, None),
+    # one epoch at the paper's scale: the K v pass of the checkpoint at
+    # its end takes about half the run's CPU
+    "rk-krr-8000x3": ("rk-krr", 8000, 3, None),
     # short runs: a checkpoint, and its K v pass, every 7 steps
     "rk-krr-40x80-every7": ("rk-krr", 40, 80, 7),
 }

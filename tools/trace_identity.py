@@ -21,6 +21,11 @@ thread, in a working directory of its own:
   multiple of 1000, so rk-krr rebases on K alpha at the first checkpoint
   at or after every 2000 steps, and its sweeps form blocks of K up to
   GRAM_TILE_ELEMS entries;
+- `generate` of `r300x3`, whose X.mtx the tool then rewrites so that
+  point 9 repeats point 0, and whose stale sidecar it removes, solved
+  the same way: the two points' exponent in K rounds above 0, the only
+  case in which the kernel map clamps a block or tile of more than
+  SMALL_BLOCK entries, and no other instance has such a pair;
 - on each instance but the ls-tall one, `solve --trials 2` with each of
   the five methods (rk-krr with the gaussian kernel), with rk-krr on each
   other kernel family, and one `compare` of all five, at the default
@@ -58,7 +63,11 @@ INSTANCES = {
 # Instances that are generated and compared, but not solved.
 GENERATE_ONLY = {"c50000x10": ["consistent", "50000", "10", "--seed", "1"]}
 # Instances that only rk-krr, with METHOD_FLAGS's gaussian kernel, solves.
-KRR_ONLY = {"i1500x3": ["inconsistent", "1500", "3", "--seed", "3"]}
+KRR_ONLY = {"i1500x3": ["inconsistent", "1500", "3", "--seed", "3"],
+            "r300x3": ["inconsistent", "300", "3", "--seed", "3"]}
+# Instances whose X gets one point twice right after `generate`:
+# name -> (the point copied, the point it overwrites).
+REPEATED = {"r300x3": (0, 9)}
 # Instances whose meta.txt is removed right after `generate`.
 UNLABELLED = ("u20x50-nometa",)
 METHOD_FLAGS = {
@@ -111,7 +120,23 @@ def run_tree(src: str, workdir: str) -> list[tuple[int, bytes]]:
         results.append((proc.returncode, proc.stderr))
         if argv[0] == "generate" and argv[-1] in UNLABELLED:
             os.remove(os.path.join(workdir, argv[-1], "meta.txt"))
+        if argv[0] == "generate" and argv[-1] in REPEATED:
+            repeat_point(os.path.join(workdir, argv[-1]), *REPEATED[argv[-1]])
     return results
+
+
+def repeat_point(problem: str, source: int, target: int) -> None:
+    """Overwrite row target of problem's X.mtx with row source, in the
+    text, and remove X.mtx's sidecar, which no longer matches it."""
+    path = os.path.join(problem, "X.mtx")
+    with open(path, "rb") as f:
+        lines = f.read().split(b"\n")
+    n, p = map(int, lines[1].split())
+    for col in range(p):  # values column by column, after the header and size lines
+        lines[2 + col * n + target] = lines[2 + col * n + source]
+    with open(path, "wb") as f:
+        f.write(b"\n".join(lines))
+    os.remove(path + ".values")
 
 
 def files_under(root: str) -> dict[str, bytes]:
