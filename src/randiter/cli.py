@@ -9,7 +9,8 @@ Exit codes: 0 success, 2 usage error (data that overflows the oracle
 or the run, and an oracle or a generated instance that does not fit in
 memory, included), 3 the run did not reach --tol in its method's own
 measure (see solvers.drive), 4 I/O error. Diagnostics go to stderr
-(controlled by RANDITER_LOG={off,info,debug}); data output never does.
+(controlled by RANDITER_LOG={off,info,debug}, in any case; unset or
+empty is off, any other value a usage error); data output never does.
 A call imports only what its command runs: logging only for RANDITER_LOG,
 and solvers, kernel and ridge only for the methods that run on them.
 
@@ -63,12 +64,11 @@ def _info(msg: str, *args) -> None:
 
 
 @contextlib.contextmanager
-def _stderr_logging():
+def _stderr_logging(setting):
     """While one command runs, send the randiter logger's records to
-    stderr at the RANDITER_LOG level (info or debug; off adds nothing).
-    Only that logger is touched, and it is restored afterwards, so a
-    process that calls main() keeps its own logging."""
-    setting = os.environ.get("RANDITER_LOG", "off").lower()
+    stderr at the RANDITER_LOG level `setting` (info or debug; off adds
+    nothing). Only that logger is touched, and it is restored afterwards,
+    so a process that calls main() keeps its own logging."""
     if setting == "off":
         yield
         return
@@ -234,7 +234,7 @@ def _kernel_spec(args):
     return KernelSpec(family, **{k: v for k, v in params.items() if v is not None})
 
 
-def _oracle_step(method, X, y, reference, regime, args):
+def _oracle_step(method, X, y, reference, regime, args, beta0):
     """One method's oracle quantities (targets, M, theoretical rate),
     computed once for all trials. Returns (rate, solve), where
     solve(run_config) is the per-trial solver step. M, y^T y and the trace
@@ -258,7 +258,7 @@ def _oracle_step(method, X, y, reference, regime, args):
         # the Gram + lambda I a method runs on is n x n for the dual methods, else p x p
         size = n if method in _NO_BETA0 else p
         trace = np.trace(M) + (size - len(M)) * lam  # the rate's denominator, the sampler's total
-    if not np.all(np.isfinite(M)):
+    if not (np.isfinite(M.min()) and np.isfinite(M.max())):  # NaN and inf show there
         raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
     if not np.isfinite(yy):
         raise UsageError("y overflows on this data: y^T y is non-finite")
@@ -271,7 +271,7 @@ def _oracle_step(method, X, y, reference, regime, args):
     rate = oracle.theoretical_rate(M, positive_only, size, lam)
     if method in ("rk", "rcd"):
         from . import solvers
-        return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate)
+        return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate, beta0)
     if method == "rk-krr":
         from . import kernel
         alpha_star = oracle.krr_alpha_star(X, y, spec, lam, M)
@@ -280,7 +280,7 @@ def _oracle_step(method, X, y, reference, regime, args):
     beta_rr, alpha_star = oracle.ridge_solution(X, y, lam, M)
     if method == "rk-ridge":
         return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)
-    return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate)
+    return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate, beta0)
 
 
 # Dual methods: they iterate on alpha from 0 and keep beta = X^T alpha,
@@ -311,9 +311,9 @@ def _runs(args, methods):
     beta0 = _read_beta0(args, methods, X.shape[1])
     _check_flags(args, methods, reference)
     config = solvers.RunConfig(max_iters=args.iters, tol=args.tol, seed=args.seed,
-                               checkpoint_every=args.checkpoint_every, beta0=beta0)
+                               checkpoint_every=args.checkpoint_every)
     for method in methods:
-        rate, solve = _oracle_step(method, X, y, reference, regime, args)
+        rate, solve = _oracle_step(method, X, y, reference, regime, args, beta0)
         # an iterate that overflows is traced as inf and stops its run
         # (exit 3); numpy's warnings about it would only add noise on stderr
         with np.errstate(over="ignore", invalid="ignore"):
@@ -386,7 +386,12 @@ def cmd_compare(args) -> int:
 
 
 def main(argv=None) -> int:
-    with _stderr_logging():
+    setting = os.environ.get("RANDITER_LOG", "").lower() or "off"
+    if setting not in ("off", "info", "debug"):
+        print(f"randiter: RANDITER_LOG must be off, info or debug (any case), got "
+              f"{os.environ['RANDITER_LOG']!r}", file=sys.stderr)
+        return EXIT_USAGE
+    with _stderr_logging(setting):
         parser = _build_parser()
         try:
             args = parser.parse_args(argv)

@@ -268,8 +268,6 @@ def krr_run(
         raise DimensionError(f"y has length {y.shape[0]}, data has {data.shape[0]} rows")
     if not lam > 0.0:
         raise ValueError("kernel ridge requires lambda > 0")
-    if config.beta0 is not None:
-        raise ValueError("krr_run starts from alpha = 0 and takes no beta0")
     n = data.shape[0]
     sampler = build_sampler(krr_weights(spec, data, lam))
     gram = _Gram(spec, data)

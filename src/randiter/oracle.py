@@ -182,7 +182,7 @@ def gen_inconsistent(n: int, p: int, noise_scale: float, seed: int) -> RegimeIns
     beta_ls = rng.standard_normal(p)
     for _ in range(MAX_GENERATION_RETRIES):
         v = rng.standard_normal(n)
-        z = v - X @ linalg.solve_spd(gram(X), X.T @ v)
+        z = v - X @ ls_solution(X, v)
         norm = float(np.linalg.norm(z))
         if norm > RANK_TOL:
             z *= noise_scale / norm

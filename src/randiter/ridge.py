@@ -61,11 +61,9 @@ def rk_ridge_run(
     plateau, or at max_iters.
     """
     _check_lambda(lam)
-    if config.beta0 is not None:
-        raise ValueError("rk_ridge starts from alpha = 0 and takes no beta0")
     sampler = build_sampler(linalg.row_norms_sq(X) + lam)
-    return row_descent(X, y, lam, sampler, config, reference_beta, rate, "energy_err_sq",
-                       alpha_star=alpha_star, tol_on="energy_err_sq", plateau=True)
+    return row_descent(X, y, lam, sampler, config, reference_beta, rate, alpha_star,
+                       tol_on="energy_err_sq", plateau=True)
 
 
 def rcd_ridge_run(
@@ -75,11 +73,12 @@ def rcd_ridge_run(
     config: RunConfig,
     reference_beta: np.ndarray,
     rate: float,
+    beta0: np.ndarray | None = None,
 ) -> ConvergenceTrace:
-    """Run rcd_ridge; energy_err_sq is the (Sigma + lambda I)-norm error
-    ||X v||^2 + lambda ||v||^2 for v = beta - beta_RR. Stops as
-    rk_ridge_run does."""
+    """Run rcd_ridge from beta0 (zero if None); energy_err_sq is the
+    (Sigma + lambda I)-norm error ||X v||^2 + lambda ||v||^2 for
+    v = beta - beta_RR. Stops as rk_ridge_run does."""
     _check_lambda(lam)
     sampler = build_sampler(linalg.col_norms_sq(X) + lam)
-    return column_descent(X, y, lam, sampler, config, reference_beta, rate,
-                          "energy_err_sq", tol_on="energy_err_sq", plateau=True)
+    return column_descent(X, y, lam, sampler, config, reference_beta, rate, beta0,
+                          tol_on="energy_err_sq", plateau=True)

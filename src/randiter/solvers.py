@@ -95,13 +95,12 @@ class ConvergenceTrace:
 
 @dataclass
 class RunConfig:
-    """Driver knobs shared by every solver run."""
+    """The knobs `drive` reads, shared by every solver run."""
 
     max_iters: int
     tol: float = 1e-12
     seed: int = 0
     checkpoint_every: int | None = None  # default: one epoch (n or p)
-    beta0: np.ndarray | None = None  # default: zero vector
 
 
 def rk_step(beta: np.ndarray, X: np.ndarray, y: np.ndarray, row: int) -> None:
@@ -292,22 +291,23 @@ def _measures(X, y, beta, reference, lam, alpha=None, alpha_star=None):
 # are exact zeros, of rk_step and rcd_step.
 
 
-def row_descent(X, y, lam, sampler, config, reference, rate, natural, alpha_star=None, **stop):
+def row_descent(X, y, lam, sampler, config, reference, rate, alpha_star=None, beta0=None, **stop):
     """Coordinate descent on the dual system (X X^T + lam I) alpha = y
     for lam >= 0: rk at lam = 0, rk-ridge at lam > 0.
 
-    Starts from alpha = 0 and beta = config.beta0 (zero if None) and keeps
+    Starts from alpha = 0 and beta = beta0 (zero if None) and keeps
     beta = beta0 + X^T alpha. The step on row i is
     delta = (y_i - x_i.beta - lam alpha_i) / (||x_i||^2 + lam), then
     alpha_i += delta and beta += delta x_i, taken as `dual_advance`
     decides for rows of p entries and sweeps of SWEEP_MIN_STEPS rows or
     more; a row stepped singly keeps its ||x_i||^2 + lam from its first
     step. Runs `drive` with the stop rule `stop` and `_measures` against
-    `reference` and rk-ridge's `alpha_star`; alpha is None at lam = 0.
+    `reference` and rk-ridge's `alpha_star`. At lam = 0 alpha is None and
+    the natural column err_sq, at lam > 0 energy_err_sq.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
-    beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
+    beta = np.zeros(X.shape[1]) if beta0 is None else np.array(beta0, np.float64)
     alpha = np.zeros(X.shape[0]) if lam else None
     scaled = np.empty_like(beta)
     norms = {}  # ||x_i||^2 + lam of each row stepped singly, from its first step
@@ -334,25 +334,25 @@ def row_descent(X, y, lam, sampler, config, reference, rate, natural, alpha_star
     loop = dual_advance(X.shape[1], SWEEP_MIN_STEPS, steps, sweep)
     return drive(sampler, config, loop,
                  lambda _: _measures(X, y, beta, reference, lam, alpha, alpha_star)[0],
-                 rate, natural, **stop)
+                 rate, "energy_err_sq" if lam else "err_sq", **stop)
 
 
-def column_descent(X, y, lam, sampler, config, reference, rate, natural, **stop):
+def column_descent(X, y, lam, sampler, config, reference, rate, beta0=None, **stop):
     """Coordinate descent on the primal system (X^T X + lam I) beta = X^T y
     for lam >= 0: rcd at lam = 0, rcd-ridge at lam > 0.
 
-    Starts from beta = config.beta0 (zero if None) and keeps r = y - X beta,
+    Starts from beta = beta0 (zero if None) and keeps r = y - X beta,
     rebuilt to cap drift at the checkpoints `drive` asks to (the first at
     or after every 1000 steps up to p = 1000, about once an epoch beyond)
     as the y - X beta their `_measures` against `reference` formed.
     The step on column c is delta = (x_c.r - lam beta_c) / (||x_c||^2 +
     lam), then beta_c += delta and r -= delta x_c, taken as `dual_advance`
     decides for columns of n entries and sweeps of COLUMN_SWEEP_MIN_STEPS
-    columns or more. Runs `drive` with the stop rule `stop`.
+    columns or more. Runs `drive` with the stop rule `stop`; natural column energy_err_sq.
     """
     if y.shape[0] != X.shape[0]:
         raise DimensionError(f"y has length {y.shape[0]}, X has {X.shape[0]} rows")
-    beta = np.zeros(X.shape[1]) if config.beta0 is None else np.array(config.beta0, np.float64)
+    beta = np.zeros(X.shape[1]) if beta0 is None else np.array(beta0, np.float64)
     residual = y - X @ beta
     columns = list(X.T)
     norms = [float(xc @ xc) + lam for xc in columns]
@@ -384,7 +384,7 @@ def column_descent(X, y, lam, sampler, config, reference, rate, natural, **stop)
         return measured
 
     loop = dual_advance(X.shape[0], COLUMN_SWEEP_MIN_STEPS, steps, sweep)
-    return drive(sampler, config, loop, checkpoint, rate, natural, **stop)
+    return drive(sampler, config, loop, checkpoint, rate, "energy_err_sq", **stop)
 
 
 def run(
@@ -395,8 +395,9 @@ def run(
     config: RunConfig,
     reference: np.ndarray,
     rate: float,
+    beta0: np.ndarray | None = None,
 ) -> ConvergenceTrace:
-    """Run `method`, "rk" or "rcd", on X and y; record a convergence trace.
+    """Run `method`, "rk" or "rcd", on X and y from beta0 (zero if None).
 
     `reference` is the regime's target (beta*, beta_LS or beta_MN) from
     the oracle; `rate` is the theoretical per-iteration contraction
@@ -409,13 +410,13 @@ def run(
     ones at a plateau; UNKNOWN ones run to max_iters, counted as converged.
     """
     if method == "rk":
-        norms, descent, natural = linalg.row_norms_sq, row_descent, "err_sq"
+        norms, descent = linalg.row_norms_sq, row_descent
     elif method == "rcd":
-        norms, descent, natural = linalg.col_norms_sq, column_descent, "energy_err_sq"
+        norms, descent = linalg.col_norms_sq, column_descent
     else:
         raise ValueError(f"unknown method {method!r}: expected 'rk' or 'rcd'")
     sampler = build_sampler(norms(X))  # unnamed: only their cumulative sums stay
     consistent = regime in (Regime.CONSISTENT_UNIQUE, Regime.UNDERDETERMINED)
-    return descent(X, y, 0.0, sampler, config, reference, rate, natural,
+    return descent(X, y, 0.0, sampler, config, reference, rate, beta0=beta0,
                    tol_on="residual_sq" if consistent else None,
                    plateau=regime == Regime.INCONSISTENT)

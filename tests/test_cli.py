@@ -130,6 +130,23 @@ class TestFileFormats:
         assert meta["regime"] == "consistent"
         assert float(meta["noise_scale"]) == 0.5
 
+    def test_meta_skips_blank_and_comment_lines(self, tmp_path):
+        path = tmp_path / "meta.txt"
+        path.write_text("# written by hand\n\nregime=consistent\n   \n  # n=7\nn=5\n")
+        assert io.read_meta(str(path)) == {"regime": "consistent", "n": "5"}
+
+    def test_comment_lines_before_the_size_line_change_nothing(self, consistent_dir, tmp_path):
+        path = os.path.join(consistent_dir, "X.mtx")
+        X = io.read_matrix(path)
+        first = str(tmp_path / "first.csv")
+        assert run_cli("solve", consistent_dir, "--method", "rk", "--out", first) == 0
+        _rewrite(path, lambda lines: lines[:1] + ["% a comment", "%"] + lines[1:])
+        os.remove(sidecar(path))
+        assert io.read_matrix(path).tobytes() == X.tobytes()
+        again = str(tmp_path / "again.csv")
+        assert run_cli("solve", consistent_dir, "--method", "rk", "--out", again) == 0
+        assert open(again, "rb").read() == open(first, "rb").read()
+
     def test_rejects_non_matrixmarket(self, tmp_path):
         path = tmp_path / "bad.mtx"
         path.write_text("not a matrix\n")
@@ -398,6 +415,21 @@ def test_int_below_its_lower_bound_is_usage_error(consistent_dir, tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,name,value", [
+    (["solve", "{prob}", "--method", "rk", "--iters", "1.5"], "--iters", "1.5"),
+    (["compare", "{prob}", "--method", "rk", "--checkpoint-every", "ten"],
+     "--checkpoint-every", "ten"),
+    (["generate", "consistent", "30", "1e1"], "p", "1e1"),
+], ids=lambda v: v if isinstance(v, str) else "-".join(v[:1] + v[-2:]))
+def test_int_flag_that_is_no_int_is_usage_error(consistent_dir, tmp_path, capsys, argv, name,
+                                                value):
+    out = tmp_path / "out"
+    argv = [consistent_dir if arg == "{prob}" else arg for arg in argv]
+    assert run_cli(*argv, "--out", str(out)) == cli.EXIT_USAGE
+    assert f"argument {name}: invalid int value: {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSolve:
     def test_rk_converges_end_to_end(self, consistent_dir, tmp_path):
         trace_out = str(tmp_path / "trace.csv")
@@ -580,6 +612,23 @@ class TestLogging:
         assert "randiter: wrote consistent instance" in capsys.readouterr().err
         assert not logging.getLogger("randiter").handlers
 
+    @pytest.mark.parametrize("value", ["", "OFF", "Off"])
+    def test_empty_or_off_in_any_case_logs_nothing(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("RANDITER_LOG", value)
+        assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("value", ["of", "banana", "1", "information"])
+    def test_unknown_value_is_usage_error_before_any_command(self, tmp_path, monkeypatch, capsys,
+                                                             value):
+        monkeypatch.setenv("RANDITER_LOG", value)
+        out = tmp_path / "p"
+        assert run_cli("generate", "consistent", "12", "3", "--out", str(out)) == cli.EXIT_USAGE
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("randiter: RANDITER_LOG must be off, info or debug")
+        assert repr(value) in line
+        assert not out.exists() and not logging.getLogger("randiter").handlers
+
     def test_records_reach_a_handler_the_host_attached(self, tmp_path, monkeypatch, caplog):
         # this process has imported logging, so the records go out with
         # RANDITER_LOG unset, as they did when the cli imported it itself
@@ -726,6 +775,16 @@ class TestCompare:
         rows = {line.split(",")[0]: line.split(",") for line in open(out).read().splitlines()[1:]}
         assert float(rows["rk"][3]) <= 1e-12       # ||beta - beta_MN||^2
         assert float(rows["rcd"][3]) > 1e-4        # floor above 1e-2 in norm
+
+    def test_contraction_is_zero_without_two_positive_errors(self, consistent_dir, tmp_path):
+        # started at the reference, fewer than two checkpoints of either
+        # run have a positive error in its natural column to fit between
+        out = str(tmp_path / "cmp.csv")
+        start = os.path.join(consistent_dir, "reference.vec")
+        assert run_cli("compare", consistent_dir, "--method", "rk", "--method", "rcd",
+                       "--beta0", start, "--out", out) == 0
+        rows = [line.split(",") for line in open(out).read().splitlines()[1:]]
+        assert [(row[0], float(row[7])) for row in rows] == [("rk", 0.0), ("rcd", 0.0)]
 
     def test_single_config_degenerates_to_solve_summary(self, consistent_dir, tmp_path):
         out = str(tmp_path / "cmp.csv")

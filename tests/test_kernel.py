@@ -175,12 +175,12 @@ class TestKrrRun:
         assert errs[-1] < 1e-20
         assert np.all(np.diff(errs[:10]) <= 0.0)
 
-    def test_rejects_beta0(self):
-        # krr_run iterates on alpha from 0; a primal start has no meaning
+    @pytest.mark.parametrize("lam", [0.0, -0.1, float("nan")])
+    def test_lambda_not_positive_rejected(self, lam):
         data = gaussian_points(4, 2, seed=15)
-        config = RunConfig(max_iters=10, beta0=np.ones(2))
-        with pytest.raises(ValueError, match="beta0"):
-            krr_run(data, np.ones(4), KernelSpec("linear"), 0.1, config, np.zeros(4), 0.9)
+        with pytest.raises(ValueError, match="kernel ridge requires lambda > 0"):
+            krr_run(data, np.ones(4), KernelSpec("linear"), lam, RunConfig(max_iters=10),
+                    np.zeros(4), 0.9)
 
     def test_matrix_free_run_allocation_audit(self):
         # krr_run itself at n = 2000, sweeps and checkpoints included,

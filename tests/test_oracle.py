@@ -146,6 +146,12 @@ class TestKrrAlphaStar:
         K = oracle.gram_matrix(spec, data)
         assert np.max(np.abs((K + 0.1 * np.eye(20)) @ alpha - y)) <= 1e-8
 
+    @pytest.mark.parametrize("lam", [0.0, -0.1, float("nan")])
+    def test_lambda_not_positive_rejected(self, lam):
+        data = linalg.dense_matrix([[1.0]])
+        with pytest.raises(ValueError, match="requires lambda > 0"):
+            oracle.krr_alpha_star(data, np.array([1.0]), KernelSpec("linear"), lam)
+
     def test_passed_A_gives_the_bits_of_the_default(self):
         rng = np.random.default_rng(6)
         data = linalg.dense_matrix(rng.standard_normal((20, 2)))
@@ -170,6 +176,12 @@ class TestTheoreticalRate:
     def test_zero_trace(self):
         with pytest.raises(DegenerateMatrix):
             oracle.theoretical_rate(np.zeros((2, 2)))
+
+    def test_positive_only_with_no_eigenvalue_above_the_cutoff(self):
+        # the cutoff is relative to ||M||_F, whose square overflows here:
+        # no eigenvalue is above an infinite cutoff
+        with pytest.raises(DegenerateMatrix, match="no eigenvalue above"):
+            oracle.theoretical_rate(np.diag([1e160, 0.0]), positive_only=True)
 
     @settings(deadline=None, max_examples=60)
     @given(
@@ -297,6 +309,9 @@ class TestGenerators:
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             oracle.gen_consistent(3, 5, seed=0)
+        for n, p in ((3, 5), (4, 4)):
+            with pytest.raises(ValueError, match="inconsistent regime requires n > p"):
+                oracle.gen_inconsistent(n, p, 0.5, seed=0)
         with pytest.raises(ValueError):
             oracle.gen_underdetermined(5, 3, seed=0)
 

@@ -140,14 +140,6 @@ class TestRidgeRuns:
         with pytest.raises(ValueError):
             rcd_ridge_run(X, y, 0.0, RunConfig(max_iters=10), np.zeros(3), 0.9)
 
-    def test_rk_ridge_rejects_beta0(self):
-        # the row loop keeps beta = X^T alpha from alpha = 0; a primal
-        # start would break that, so it is refused, not dropped
-        X, y = scaled_instance(6, 3, seed=10)
-        config = RunConfig(max_iters=10, beta0=np.ones(3))
-        with pytest.raises(ValueError, match="beta0"):
-            rk_ridge_run(X, y, 0.1, config, np.zeros(3), np.zeros(6), 0.9)
-
     def test_rk_ridge_trace_energy_decreases(self):
         X, y = scaled_instance(20, 6, seed=11)
         lam = 0.2

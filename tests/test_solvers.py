@@ -163,9 +163,10 @@ class TestRun:
         # ||beta0 - reference||^2 overflows: at lam = 0 no lam ||v||^2 term
         # may turn it into 0 * inf = nan
         inst = oracle.gen_consistent(15, 6, seed=9)
-        config = RunConfig(max_iters=100, seed=4, beta0=np.full(6, 1e200))
+        config = RunConfig(max_iters=100, seed=4)
         with np.errstate(over="ignore"):
-            trace = run(method, inst.X, inst.y, inst.regime, config, inst.reference, 0.9)
+            trace = run(method, inst.X, inst.y, inst.regime, config, inst.reference, 0.9,
+                        np.full(6, 1e200))
         first = trace.records[0]
         assert (first.err_sq, first.energy_err_sq, first.residual_sq) == (np.inf,) * 3
 

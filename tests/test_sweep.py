@@ -171,7 +171,7 @@ def test_zero_row_drawn_inside_a_sweep_is_named():
     assert draws.index(4) > 0  # not a sweep's first step
     with pytest.raises(ZeroNormRow, match="row 4 has zero norm"):
         row_descent(X, inst.y, 0.0, sampler, RunConfig(max_iters=30, seed=6), inst.reference,
-                    0.9, "err_sq", tol_on=None, plateau=False)
+                    0.9, tol_on=None, plateau=False)
 
 
 def test_zero_column_drawn_inside_a_sweep_is_named(monkeypatch):
@@ -191,9 +191,33 @@ def test_zero_column_drawn_inside_a_sweep_is_named(monkeypatch):
     monkeypatch.setattr(solvers, "dual_sweep", spy)
     config = RunConfig(max_iters=30, seed=6, checkpoint_every=30)
     with pytest.raises(ZeroNormColumn, match="column 4 has zero norm"):
-        column_descent(X, inst.y, 0.0, sampler, config, inst.reference, 0.9, "energy_err_sq",
+        column_descent(X, inst.y, 0.0, sampler, config, inst.reference, 0.9,
                        tol_on=None, plateau=False)
     assert swept == [30]
+
+
+@pytest.mark.parametrize("coord", ["row", "column"])
+def test_zero_norm_drawn_in_a_single_step_is_named(coord, monkeypatch):
+    # the draws of the two tests above, with a checkpoint every 4 steps:
+    # every block is shorter than SWEEP_MIN_STEPS and
+    # COLUMN_SWEEP_MIN_STEPS, so index 4 is met by a single step
+    inst = oracle.gen_consistent(30, 10, 3)
+    X = inst.X.copy()
+    if coord == "row":
+        X[4] = 0.0
+        sampler, descent, error = build_sampler(np.ones(30)), row_descent, ZeroNormRow
+    else:
+        X[:, 4] = 0.0
+        sampler, descent, error = build_sampler(np.ones(10)), column_descent, ZeroNormColumn
+    every = 4
+    assert 4 in sampler.draw_block(pcg(6), 30).tolist()
+    assert every < min(SWEEP_MIN_STEPS, COLUMN_SWEEP_MIN_STEPS)
+    swept = []
+    monkeypatch.setattr(solvers, "dual_sweep", lambda J, *args: swept.append(len(J)))
+    config = RunConfig(max_iters=30, seed=6, checkpoint_every=every)
+    with pytest.raises(error, match=f"{coord} 4 has zero norm"):
+        descent(X, inst.y, 0.0, sampler, config, inst.reference, 0.9, tol_on=None, plateau=False)
+    assert swept == []
 
 
 def overflowing_below_the_diagonal(G):

@@ -1,8 +1,11 @@
 """The measuring scripts under tools/ run and print what they promise."""
 
+import importlib.util
 import os
 import subprocess
 import sys
+
+from randiter import cli
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 
@@ -16,3 +19,42 @@ def test_step_cost_prints_one_positive_time_a_case():
     [row] = rows
     label, us_per_step = row.split()
     assert label == "rk:30x10" and float(us_per_step) > 0.0
+
+
+def load_tool(name):
+    """A script under tools/ as a module, without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestTraceIdentity:
+    tool = load_tool("trace_identity")
+
+    def test_commands_write_distinct_outputs_with_known_methods(self):
+        runs = [argv for argv in self.tool.commands() if argv[0] in ("solve", "compare")]
+        outs = [argv[argv.index("--out") + 1] for argv in runs]
+        assert runs and len(set(outs)) == len(outs)
+        for argv in runs:
+            methods = [argv[k + 1] for k, arg in enumerate(argv) if arg == "--method"]
+            assert methods and set(methods) <= set(cli.METHODS)
+
+    def test_column_report_names_the_column_that_changed(self):
+        header = "iter,err_sq,energy_err_sq,residual_sq,bound\n"
+        before = header + "0,4,2,1,2\n10,2,1,0.5,1\n"
+        after = header + "0,4,2,1,2\n10,2,1,0.25,1\n"
+        line, changes, from_start = self.tool.column_report(before.encode(), after.encode())
+        assert "rows same, iter same" in line
+        assert {name for name, change in changes.items() if change} == {"residual_sq"}
+        assert changes["residual_sq"] == 0.5  # |0.5 - 0.25| / 0.5
+        assert {name for name, change in from_start.items() if change} == {"residual_sq"}
+        assert from_start["residual_sq"] == 0.25  # |0.5 - 0.25| / record 0's 1
+
+    def test_relative_change_of_non_finite_values(self):
+        nan, inf = float("nan"), float("inf")
+        assert self.tool.relative_change(nan, nan) == 0.0
+        assert self.tool.relative_change(1.0, nan) == 1.0
+        assert self.tool.relative_change(inf, 1.0) == 1.0
+        assert self.tool.relative_change(inf, inf) == 0.0
+        assert self.tool.relative_change(2.0, 1.0) == 0.5
