@@ -48,7 +48,17 @@ EXIT_USAGE = 2
 EXIT_NO_CONVERGENCE = 3
 EXIT_IO = 4
 
-METHODS = ("rk", "rcd", "rk-ridge", "rcd-ridge", "rk-krr")
+# One row per method: (reads --lambda > 0, else runs at lambda 0 against
+# reference.vec; iterates on alpha from 0 on the n x n system, so takes no
+# --beta0; runs on K from --kernel, which stands in for X X^T).
+_METHODS = {
+    "rk": (False, False, False),
+    "rcd": (False, False, False),
+    "rk-ridge": (True, True, False),
+    "rcd-ridge": (True, False, False),
+    "rk-krr": (True, True, True),
+}
+METHODS = tuple(_METHODS)
 
 
 class UsageError(Exception):
@@ -193,37 +203,40 @@ def _load_problem(problem_dir):
     return X, y, reference, regime
 
 
-# The run flags that only some methods read: flag -> (args attribute,
-# the methods that read it, the --kernel it needs, if any).
+# The run flags that only some methods read: flag -> (args attribute, the
+# _METHODS column true for the methods that read it, the --kernel it needs).
 _FLAG_READERS = {
-    "--lambda": ("lam", ("rk-ridge", "rcd-ridge", "rk-krr"), None),
-    "--kernel": ("kernel", ("rk-krr",), None),
-    "--gamma": ("gamma", ("rk-krr",), "gaussian"),
-    "--degree": ("degree", ("rk-krr",), "poly"),
-    "--offset": ("offset", ("rk-krr",), "poly"),
+    "--lambda": ("lam", 0, None),
+    "--kernel": ("kernel", 2, None),
+    "--gamma": ("gamma", 2, "gaussian"),
+    "--degree": ("degree", 2, "poly"),
+    "--offset": ("offset", 2, "poly"),
 }
 
 
 def _check_flags(args, methods, reference):
     """Before any method runs: --tol is finite and >= 0, what each method
     needs is there, some method reads each flag given, and KernelSpec
-    takes rk-krr's kernel parameters."""
+    takes the kernel parameters."""
     if not 0.0 <= args.tol < np.inf:
         raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
     for method in methods:
-        if method in ("rk", "rcd"):
+        reads_lam, _, on_k = _METHODS[method]
+        if not reads_lam:
             if reference is None:
-                raise UsageError("rk/rcd need a reference.vec in the problem directory")
+                at_zero = "/".join(m for m, row in _METHODS.items() if not row[0])
+                raise UsageError(f"{at_zero} need a reference.vec in the problem directory")
         elif args.lam is None or not 0.0 < args.lam < np.inf:
             raise UsageError(f"{method} requires a finite --lambda > 0")
-        if method == "rk-krr" and args.kernel is None:
-            raise UsageError("rk-krr requires --kernel")
-    for flag, (dest, readers, kernel_name) in _FLAG_READERS.items():
+        if on_k and args.kernel is None:
+            raise UsageError(f"{method} requires --kernel")
+    for flag, (dest, column, kernel_name) in _FLAG_READERS.items():
+        readers = [m for m, row in _METHODS.items() if row[column]]
         if getattr(args, dest) is not None and (
                 not set(readers) & set(methods) or kernel_name not in (None, args.kernel)):
             where = ", ".join(readers) + (f" with --kernel {kernel_name}" if kernel_name else "")
             raise UsageError(f"{flag} is unused here: it is read only by {where}")
-    if "rk-krr" in methods:
+    if args.kernel is not None:  # the checks above leave it set just where a method runs on K
         _kernel_spec(args)
 
 
@@ -237,15 +250,16 @@ def _kernel_spec(args):
 def _oracle_step(method, X, y, reference, regime, args, beta0):
     """One method's oracle quantities (targets, M, theoretical rate),
     computed once for all trials. Returns (rate, solve), where
-    solve(run_config) is the per-trial solver step. M, y^T y and the trace
-    of the Gram the method runs on come first and must be finite, so data
-    that overflows them is a usage error before any closed form or run starts
-    on it. M is oracle.small_gram(X) + lambda I (lambda 0 for rk and rcd), or K + lambda I."""
+    solve(run_config) is the per-trial solver step. M is oracle.small_gram(X) + lambda I
+    (lambda 0 where --lambda is not read), or K + lambda I. Data that overflows M, y^T y
+    or the trace of the Gram the method runs on, checked before any closed form, or the
+    targets the method reads, checked before any run, is a usage error."""
     n, p = X.shape
-    lam = 0.0 if method in ("rk", "rcd") else args.lam
+    reads_lam, dual, on_k = _METHODS[method]
+    lam = args.lam if reads_lam else 0.0
     source = method
     with np.errstate(over="ignore", invalid="ignore"):
-        if method == "rk-krr":  # rows of X are the data points
+        if on_k:  # rows of X are the data points
             spec = _kernel_spec(args)
             M, name = oracle.gram_matrix(spec, X) + lam * np.eye(n), "K + lambda I"
             params = {"polynomial": f" --degree {spec.degree} --offset {spec.offset}",
@@ -255,51 +269,34 @@ def _oracle_step(method, X, y, reference, regime, args, beta0):
             M = oracle.small_gram(X) + lam * np.eye(min(n, p))
             name = ("X^T X" if p <= n else "X X^T") + (" + lambda I" if lam else "")
         yy = y @ y
-        # the Gram + lambda I a method runs on is n x n for the dual methods, else p x p
-        size = n if method in _NO_BETA0 else p
+        size = n if dual else p  # the Gram + lambda I the method runs on is size x size
         trace = np.trace(M) + (size - len(M)) * lam  # the rate's denominator, the sampler's total
-    if not (np.isfinite(M.min()) and np.isfinite(M.max())):  # NaN and inf show there
-        raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
-    if not np.isfinite(yy):
-        raise UsageError("y overflows on this data: y^T y is non-finite")
-    if not np.isfinite(trace):
-        raise UsageError(f"{method} overflows on this data: the trace of its Gram"
-                         f"{' + lambda I' if lam else ''} is non-finite")
-
-    # for p > n, the errors rk and rcd measure see only X^T X's positive eigenvalues
-    positive_only = method in ("rk", "rcd") and p > n
-    rate = oracle.theoretical_rate(M, positive_only, size, lam)
-    if method in ("rk", "rcd"):
-        from . import solvers
-        return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate, beta0)
-    if method == "rk-krr":
+        if not (np.isfinite(M.min()) and np.isfinite(M.max())):  # NaN and inf show there
+            raise UsageError(f"{source} overflows on this data: {name} has non-finite entries")
+        if not np.isfinite(yy):
+            raise UsageError("y overflows on this data: y^T y is non-finite")
+        if not np.isfinite(trace):
+            raise UsageError(f"{method} overflows on this data: the trace of its Gram"
+                             f"{' + lambda I' if lam else ''} is non-finite")
+        # for p > n, the errors measured at lambda 0 see only X^T X's positive eigenvalues
+        positive_only = not reads_lam and p > n
+        rate = oracle.theoretical_rate(M, positive_only, size, lam)
+        if not reads_lam:
+            from . import solvers
+            return rate, lambda cfg: solvers.run(method, X, y, regime, cfg, reference, rate, beta0)
+        beta_rr, alpha_star = ((None, oracle.krr_alpha_star(X, y, spec, lam, M)) if on_k
+                               else oracle.ridge_solution(X, y, lam, M))
+    # the targets the method reads: beta_RR when it runs on X, alpha* on the n x n system
+    for target, value in (("beta_RR", beta_rr), ("alpha*", alpha_star if dual else None)):
+        if value is not None and not np.isfinite(value).all():
+            raise UsageError(f"{method} overflows at --lambda {lam}: its {target} is non-finite")
+    if on_k:
         from . import kernel
-        alpha_star = oracle.krr_alpha_star(X, y, spec, lam, M)
         return rate, lambda cfg: kernel.krr_run(X, y, spec, lam, cfg, alpha_star, rate)
     from . import ridge
-    beta_rr, alpha_star = oracle.ridge_solution(X, y, lam, M)
-    if method == "rk-ridge":
+    if dual:
         return rate, lambda cfg: ridge.rk_ridge_run(X, y, lam, cfg, beta_rr, alpha_star, rate)
     return rate, lambda cfg: ridge.rcd_ridge_run(X, y, lam, cfg, beta_rr, rate, beta0)
-
-
-# Dual methods: they iterate on alpha from 0 and keep beta = X^T alpha,
-# so a primal start vector has no meaning for them.
-_NO_BETA0 = ("rk-ridge", "rk-krr")
-
-
-def _read_beta0(args, methods, p):
-    """The --beta0 vector, checked against every method to be run and
-    against the problem's p, before any of them runs; None if unset."""
-    if args.beta0 is None:
-        return None
-    for method in methods:
-        if method in _NO_BETA0:
-            raise UsageError(f"{method} does not take --beta0: it starts from alpha = 0")
-    beta0 = io.read_vector(args.beta0)
-    if beta0.shape[0] != p:
-        raise UsageError(f"--beta0 has length {beta0.shape[0]}, expected {p}")
-    return beta0
 
 
 def _runs(args, methods):
@@ -308,7 +305,12 @@ def _runs(args, methods):
     step and one run per trial, with seeds args.seed, args.seed + 1, ..."""
     from . import solvers
     X, y, reference, regime = _load_problem(args.problem_dir)
-    beta0 = _read_beta0(args, methods, X.shape[1])
+    dual = [method for method in methods if _METHODS[method][1]]
+    if args.beta0 is not None and dual:
+        raise UsageError(f"{dual[0]} does not take --beta0: it starts from alpha = 0")
+    beta0 = None if args.beta0 is None else io.read_vector(args.beta0)
+    if beta0 is not None and beta0.shape[0] != X.shape[1]:
+        raise UsageError(f"--beta0 has length {beta0.shape[0]}, expected {X.shape[1]}")
     _check_flags(args, methods, reference)
     config = solvers.RunConfig(max_iters=args.iters, tol=args.tol, seed=args.seed,
                                checkpoint_every=args.checkpoint_every)

@@ -127,7 +127,10 @@ def theoretical_rate(M: np.ndarray, positive_only: bool = False, size: int | Non
     if tr <= 0.0:
         raise DegenerateMatrix("theoretical_rate needs a positive trace")
     if positive_only:
-        cutoff = POSITIVE_EIG_REL_TOL * math.sqrt(linalg.frobenius_sq(M) + extra * lam * lam)
+        # ||M||_F as s ||M / s||_F, s = max |M|: ||M||_F^2 overflows where ||M||_F does not
+        s = max(float(np.max(np.abs(M))), lam)
+        cutoff = POSITIVE_EIG_REL_TOL * s * math.sqrt(
+            linalg.frobenius_sq(M / s) + extra * (lam / s) ** 2)
         positive = eigs[eigs > cutoff]
         if positive.size == 0:
             raise DegenerateMatrix("no eigenvalue above the positive-part cutoff")

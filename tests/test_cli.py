@@ -668,12 +668,24 @@ class TestImportsPerCommand:
         assert not modules & {"logging", "randiter.solvers", "randiter.sampling",
                               "randiter.kernel", "randiter.ridge"}
 
-    def test_rk_solve_loads_no_kernel_ridge_or_logging(self, tmp_path):
+    # method and its flags -> (the run modules it loads, those it does not)
+    SOLVES = {
+        "rk": ((), ("kernel", "ridge")),
+        "rcd": ((), ("kernel", "ridge")),
+        "rk-ridge --lambda 0.1": (("ridge",), ("kernel",)),
+        "rcd-ridge --lambda 0.1": (("ridge",), ("kernel",)),
+        "rk-krr --lambda 0.1 --kernel gaussian": (("kernel",), ("ridge",)),
+    }
+
+    @pytest.mark.parametrize("method", list(SOLVES), ids=lambda m: m.split()[0])
+    def test_solve_loads_only_its_methods_modules(self, tmp_path, method):
         assert run_cli("generate", "consistent", "30", "10", "--out", str(tmp_path / "p")) == 0
-        code, modules, _ = fresh_imports([*self.CLI, "solve", "p", "--method", "rk",
-                                          "--out", "t.csv"], tmp_path)
-        assert code == 0 and {"randiter.solvers", "randiter.sampling"} <= modules
-        assert not modules & {"logging", "randiter.kernel", "randiter.ridge"}
+        code, modules, _ = fresh_imports([*self.CLI, "solve", "p", "--method", *method.split(),
+                                          "--iters", "300", "--out", "t.csv"], tmp_path)
+        loads, skips = (["randiter." + name for name in names] for names in self.SOLVES[method])
+        assert code in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE)
+        assert {"randiter.solvers", "randiter.sampling", *loads} <= modules
+        assert not modules & {"logging", *skips}
 
     def test_library_solvers_load_no_oracle_or_cli(self, tmp_path):
         code, modules, _ = fresh_imports(["-c", "from randiter import io, kernel, solvers"],
@@ -1047,6 +1059,43 @@ class TestInputContract:
         assert code == cli.EXIT_OK
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("method,expected,err", [
+        ("rk-ridge", cli.EXIT_USAGE,
+         "randiter: rk-ridge overflows at --lambda 1e-320: its alpha* is non-finite\n"),
+        ("rcd-ridge", cli.EXIT_OK, ""),
+    ], ids=["rk-ridge", "rcd-ridge"])
+    def test_subnormal_lambda_is_judged_by_the_targets_a_method_reads(self, tmp_path, capsys,
+                                                                      method, expected, err):
+        # on tall data alpha* = (y - X beta_RR) / lambda overflows at a
+        # subnormal lambda; rk-ridge reads alpha*, rcd-ridge only beta_RR
+        prob = str(tmp_path / "i")
+        assert run_cli("generate", "inconsistent", "12", "5", "--seed", "1", "--out", prob) == 0
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = run_cli("solve", prob, "--method", method, "--lambda", "1e-320",
+                           "--out", str(tmp_path / "t.csv"))
+        assert (code, capsys.readouterr().err) == (expected, err)
+
+    @pytest.mark.parametrize("method,expected", [("rk", cli.EXIT_OK),
+                                                 ("rcd", cli.EXIT_NO_CONVERGENCE)])
+    def test_positive_part_cutoff_where_the_gram_norm_squared_overflows(self, tmp_path, capsys,
+                                                                        method, expected):
+        # X and y times 1e79: ||X X^T||_F^2 overflows, but the cutoff
+        # 1e-10 ||X X^T||_F is about 2e149, below every eigenvalue (3.5e157
+        # to 1.9e159). rcd's residual_sq then rests near 1e125, above --tol.
+        prob = str(tmp_path / "u")
+        assert run_cli("generate", "underdetermined", "4", "8", "--seed", "1", "--out", prob) == 0
+        for name, read, write in (("X.mtx", io.read_matrix, io.write_matrix),
+                                  ("y.vec", io.read_vector, io.write_vector)):
+            path = os.path.join(prob, name)
+            write(path, read(path) * 1e79)
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code = run_cli("solve", prob, "--method", method, "--out", str(tmp_path / "t.csv"))
+        assert (code, capsys.readouterr().err) == (expected, "")
+
     @pytest.mark.parametrize("method", ["rk-ridge", "rcd-ridge"])
     def test_ridge_oracles_need_no_outer_gram_on_tall_data(self, consistent_dir, tmp_path,
                                                            monkeypatch, method):
@@ -1142,7 +1191,7 @@ def tiny_problem(tmp_path_factory):
     iters=st.sampled_from([0, 1, 5, 40, 300, 1500]),
     every=st.sampled_from([None, None, 1, 7, 40, 0]),
     trials=st.sampled_from([1, 1, 2, 3, 0]),
-    lam=st.sampled_from([None, "-1", "0", "1e-3", "0.5", "10"]),
+    lam=st.sampled_from([None, "-1", "0", "1e-320", "1e-3", "0.5", "10"]),
     kernel=st.sampled_from([None, "linear", "gaussian", "poly"]),
     beta0_len=st.sampled_from([None, None, None, 0, 3, 4]),  # p = 4
     corruption=st.just("intact") | st.sampled_from(sorted(CORRUPTIONS)),
@@ -1299,3 +1348,20 @@ class TestComparePrecheck:
         assert message in capsys.readouterr().err
         assert trials == []
         assert not os.path.exists(out)
+
+
+def test_readme_method_table_says_what_the_cli_does():
+    # README's one table of per-method rules, row by row against cli._METHODS
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as f:
+        lines = [line for line in f.read().splitlines() if line.startswith("| ")]
+    header, *rows = [[cell.strip() for cell in line.strip("|").split("|")] for line in lines]
+    assert header == ["method", "solves", "reads `--lambda`", "takes `--beta0`",
+                      "needs `reference.vec`", "`--kernel`", "stops on"]
+    assert [row[0] for row in rows] == list(cli.METHODS)
+    yes = {"yes": True, "no": False}
+    for method, solves, lam, beta0, reference, kernel_flag, stop in rows:
+        reads_lam, dual, on_k = cli._METHODS[method]
+        assert ([yes[lam], yes[beta0], yes[reference], yes[kernel_flag]]
+                == [reads_lam, not dual, not reads_lam, on_k]), method
+        assert ["λ" in solves, "α" in solves, "K" in solves] == [reads_lam, dual, on_k], method
+        assert stop == ("`energy_err_sq`" if reads_lam else "`residual_sq`"), method

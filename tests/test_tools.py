@@ -40,6 +40,25 @@ class TestTraceIdentity:
             methods = [argv[k + 1] for k, arg in enumerate(argv) if arg == "--method"]
             assert methods and set(methods) <= set(cli.METHODS)
 
+    def test_usage_errors_break_each_rule_of_the_method_table(self):
+        usage = self.tool.USAGE_ERRORS
+        assert set(cli._FLAG_READERS) <= {arg for argv in usage for arg in argv}
+
+        def breaking(method, rule):
+            return any(rule(argv) for argv in usage
+                       if method in [argv[k + 1] for k, arg in enumerate(argv) if arg == "--method"])
+
+        def no_positive_lambda(argv):
+            return "--lambda" not in argv or float(argv[argv.index("--lambda") + 1]) <= 0.0
+
+        no_reference = [name for name, lost in self.tool.REMOVED.items() if lost == "reference.vec"]
+        for method, (reads_lam, _, on_k) in cli._METHODS.items():
+            assert breaking(method, no_positive_lambda) or not reads_lam, method
+            assert breaking(method, lambda argv: argv[1] in no_reference) or reads_lam, method
+            # rejected where the method starts from alpha = 0, else of the wrong length
+            assert breaking(method, lambda argv: "--beta0" in argv), method
+            assert breaking(method, lambda argv: "--kernel" not in argv) or not on_k, method
+
     def test_column_report_names_the_column_that_changed(self):
         header = "iter,err_sq,energy_err_sq,residual_sq,bound\n"
         before = header + "0,4,2,1,2\n10,2,1,0.5,1\n"

@@ -29,7 +29,13 @@ thread, in a working directory of its own:
 - on each instance but the ls-tall one, `solve --trials 2` with each of
   the five methods (rk-krr with the gaussian kernel), with rk-krr on each
   other kernel family, and one `compare` of all five, at the default
-  checkpoint cadence and at `--checkpoint-every 7`.
+  checkpoint cadence and at `--checkpoint-every 7`;
+- `generate` of `c12x4-noref`, whose reference.vec is then removed, and
+  the usage errors (exit 2) of USAGE_ERRORS: each flag that only some
+  methods read, given where none reads it; each method run without the
+  --lambda or --kernel it needs; --beta0 on the methods that start from
+  alpha = 0, and of the wrong length; rk and rcd with no reference.vec.
+  Their --beta0 files are other instances' reference.vec.
 
 Then every command's exit code and stderr, and every file the commands
 wrote, are compared byte for byte. Differences are listed one a line.
@@ -68,8 +74,10 @@ KRR_ONLY = {"i1500x3": ["inconsistent", "1500", "3", "--seed", "3"],
 # Instances whose X gets one point twice right after `generate`:
 # name -> (the point copied, the point it overwrites).
 REPEATED = {"r300x3": (0, 9)}
-# Instances whose meta.txt is removed right after `generate`.
-UNLABELLED = ("u20x50-nometa",)
+# Instances that only USAGE_ERRORS runs on.
+USAGE_ONLY = {"c12x4-noref": ["consistent", "12", "4", "--seed", "1"]}
+# Instances that lose a file right after `generate`: name -> the file.
+REMOVED = {"u20x50-nometa": "meta.txt", "c12x4-noref": "reference.vec"}
 METHOD_FLAGS = {
     "rk": [],
     "rcd": [],
@@ -83,12 +91,42 @@ KERNEL_FLAGS = {
     "poly": ["--kernel", "poly", "--degree", "3", "--offset", "1", "--lambda", "0.1"],
 }
 CADENCES = {"default": [], "every7": ["--checkpoint-every", "7"]}
+KRR = ["--method", "rk-krr", "--lambda", "0.1", "--kernel"]
+# Commands that exit 2 before any method runs, without --out.
+USAGE_ERRORS = [
+    ["solve", "c50x20", "--method", "rk", "--lambda", "0.1"],
+    ["solve", "c50x20", "--method", "rcd", "--kernel", "linear"],
+    ["solve", "c50x20", "--method", "rcd-ridge", "--lambda", "0.1", "--kernel", "poly"],
+    ["solve", "c50x20", *KRR, "linear", "--gamma", "2"],
+    ["solve", "c50x20", *KRR, "gaussian", "--degree", "3"],
+    ["solve", "c50x20", *KRR, "gaussian", "--offset", "1"],
+    ["compare", "c50x20", "--method", "rk", "--method", "rcd", "--lambda", "0.1"],
+    ["compare", "c50x20", "--method", "rk", "--method", "rk-ridge", "--lambda", "0.1",
+     "--gamma", "2"],
+    ["solve", "c50x20", "--method", "rk-ridge"],
+    ["solve", "c50x20", "--method", "rcd-ridge", "--lambda", "0"],
+    ["solve", "c50x20", "--method", "rk-krr", "--lambda", "-1", "--kernel", "linear"],
+    ["solve", "c50x20", "--method", "rk-krr", "--kernel", "linear"],
+    ["solve", "c50x20", "--method", "rk-krr", "--lambda", "0.1"],
+    ["compare", "c50x20", "--method", "rcd", "--method", "rk-krr", "--lambda", "0.1"],
+    ["solve", "c50x20", "--method", "rk-ridge", "--lambda", "0.1",
+     "--beta0", "c50x20/reference.vec"],
+    ["solve", "c50x20", *KRR, "gaussian", "--beta0", "c50x20/reference.vec"],
+    ["compare", "c50x20", "--method", "rcd", "--method", "rk-ridge", "--lambda", "0.1",
+     "--beta0", "c50x20/reference.vec"],
+    ["solve", "c50x20", "--method", "rk", "--beta0", "u20x50/reference.vec"],
+    ["solve", "c50x20", "--method", "rcd", "--beta0", "i30x10/reference.vec"],
+    ["solve", "c50x20", "--method", "rcd-ridge", "--lambda", "0.1",
+     "--beta0", "u20x50/reference.vec"],
+    ["solve", "c12x4-noref", "--method", "rk"],
+    ["compare", "c12x4-noref", "--method", "rk-ridge", "--method", "rcd", "--lambda", "0.1"],
+]
 
 
 def commands() -> list[list[str]]:
     """The argv of every command, in the order they run."""
     cmds = [["generate", *spec, "--out", name]
-            for name, spec in {**INSTANCES, **GENERATE_ONLY, **KRR_ONLY}.items()]
+            for name, spec in {**INSTANCES, **GENERATE_ONLY, **KRR_ONLY, **USAGE_ONLY}.items()]
     for name in INSTANCES:
         for cadence, every in CADENCES.items():
             for method, flags in METHOD_FLAGS.items():
@@ -106,6 +144,7 @@ def commands() -> list[list[str]]:
         for cadence, every in CADENCES.items():
             cmds.append(["solve", name, "--method", "rk-krr", *METHOD_FLAGS["rk-krr"], *every,
                          "--trials", "2", "--out", f"{name}/rk-krr-{cadence}.csv"])
+    cmds += [[*argv, "--out", f"{argv[1]}/usage-{k}.csv"] for k, argv in enumerate(USAGE_ERRORS)]
     return cmds
 
 
@@ -118,8 +157,8 @@ def run_tree(src: str, workdir: str) -> list[tuple[int, bytes]]:
         proc = subprocess.run([sys.executable, "-m", "randiter.cli", *argv], cwd=workdir,
                               env=env, capture_output=True)
         results.append((proc.returncode, proc.stderr))
-        if argv[0] == "generate" and argv[-1] in UNLABELLED:
-            os.remove(os.path.join(workdir, argv[-1], "meta.txt"))
+        if argv[0] == "generate" and argv[-1] in REMOVED:
+            os.remove(os.path.join(workdir, argv[-1], REMOVED[argv[-1]]))
         if argv[0] == "generate" and argv[-1] in REPEATED:
             repeat_point(os.path.join(workdir, argv[-1]), *REPEATED[argv[-1]])
     return results
