@@ -1,8 +1,11 @@
+import argparse
 import gc
 import hashlib
 import logging
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -1222,6 +1225,12 @@ def test_solve_exits_with_a_documented_code(tiny_problem, capsys, method, iters,
         err = capsys.readouterr().err
     assert code in (cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_NO_CONVERGENCE, cli.EXIT_IO)
     assert "Traceback" not in err
+    # README's stderr half of the contract: a run says nothing, a failure
+    # one `randiter: ` line, or argparse's own usage text on exit 2
+    if code in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE):
+        assert err == ""
+    elif not (code == cli.EXIT_USAGE and err.startswith("usage: ")):
+        assert err.startswith("randiter: ") and err.count("\n") == 1 and err.endswith("\n"), err
 
 
 # Bytes a random edit writes: any byte, or one that often keeps the file
@@ -1365,3 +1374,42 @@ def test_readme_method_table_says_what_the_cli_does():
                 == [reads_lam, not dual, not reads_lam, on_k]), method
         assert ["λ" in solves, "α" in solves, "K" in solves] == [reads_lam, dual, on_k], method
         assert stop == ("`energy_err_sq`" if reads_lam else "`residual_sq`"), method
+
+
+def _readme():
+    with open(os.path.join(os.path.dirname(SRC), "README.md"), encoding="utf-8") as f:
+        return f.read()
+
+
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    # every `randiter ...` line of README's sh blocks, continuations
+    # joined, runs in order and exits 0, with /tmp/ mapped into tmp_path
+    blocks = re.findall(r"^```sh\n(.*?)^```", _readme(), re.M | re.S)
+    commands = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("randiter ")]
+    assert len(commands) > 1
+    monkeypatch.chdir(tmp_path)
+    for command in commands:
+        argv = [arg.replace("/tmp/", f"{tmp_path}/") for arg in shlex.split(command)[1:]]
+        assert cli.main(argv) == cli.EXIT_OK, (command, capsys.readouterr().err)
+
+
+def test_readme_names_the_whole_cli_surface():
+    # every option string but --help, every choice of every argument, each
+    # exit code with its meaning and every RANDITER_LOG value
+    text = _readme()
+    parser = cli._build_parser()
+    parsers = [parser] + [sub for action in parser._actions
+                          if isinstance(action, argparse._SubParsersAction)
+                          for sub in action.choices.values()]
+    actions = [action for p in parsers for action in p._actions]
+    words = ({s for action in actions for s in action.option_strings} - {"-h", "--help"}
+             | {str(c) for action in actions for c in action.choices or ()})
+    assert [w for w in sorted(words)
+            if not re.search(rf"(?<![\w-]){re.escape(w)}(?![\w-])", text)] == []
+    meanings = {cli.EXIT_OK: "success", cli.EXIT_USAGE: "usage error",
+                cli.EXIT_NO_CONVERGENCE: "did not reach `--tol`", cli.EXIT_IO: "I/O error"}
+    assert {getattr(cli, name) for name in dir(cli) if name.startswith("EXIT_")} == set(meanings)
+    for code, meaning in meanings.items():
+        assert f"- `{code}` {meaning}" in text, code
+    assert all(f"`{value}`" in text for value in ("RANDITER_LOG", "off", "info", "debug"))
