@@ -26,7 +26,7 @@ import numpy as np
 
 from . import Regime, linalg
 from .errors import DimensionError, ZeroNormColumn, ZeroNormRow
-from .sampling import WeightedSampler, build_sampler
+from .sampling import PCG64Stream, WeightedSampler, build_sampler
 
 # The column loop maintains r = y - X beta incrementally; rebuilding it
 # caps floating-point drift so per-step optimality stays testable.
@@ -148,13 +148,14 @@ def drive(
 ) -> ConvergenceTrace:
     """The checkpoint and stop loop that every method's run shares.
 
-    Steps t = 1..max_iters (>= 1) draw their indices from `sampler` with the
-    seed config.seed, in blocks that end at multiples of
-    RESIDUAL_REFRESH_EVERY and at checkpoints, and `advance(indices)`
-    takes those steps in order. When t is a multiple of the checkpoint
-    cadence (config.checkpoint_every, else one epoch) or t = max_iters,
-    `checkpoint(refresh)` returns (err_sq, energy_err_sq, residual_sq) of
-    the current iterate for a record; when `refresh`, the column loop
+    Steps t = 1..max_iters (>= 1) draw their indices from `sampler` with
+    the uniforms of PCG64Stream(config.seed), in blocks that end at
+    multiples of RESIDUAL_REFRESH_EVERY and at checkpoints, and
+    `advance(indices)` takes those steps in order. When t is a multiple
+    of the checkpoint cadence (config.checkpoint_every, else one epoch)
+    or t = max_iters, `checkpoint(refresh)` returns (err_sq,
+    energy_err_sq, residual_sq) of the current iterate for a record;
+    when `refresh`, the column loop
     takes the checkpoint's y - X beta as the r it maintains, and rk-krr
     rebases on the K alpha of the checkpoint's pass. `refresh` is true at
     the first checkpoint at or after each multiple of the refresh period,
@@ -178,7 +179,7 @@ def drive(
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
     period = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
     tol_sq = config.tol * config.tol
-    rng = np.random.Generator(np.random.PCG64(config.seed))
+    rng = PCG64Stream(config.seed)
     trace = ConvergenceTrace(natural=natural)
     history: list[float] = []
 

@@ -7,7 +7,8 @@ from randiter import oracle
 
 
 def pcg(seed):
-    """The random stream `drive` draws from for a run with this seed."""
+    """numpy's generator for this seed, whose uniforms `drive` draws, byte
+    for byte, from sampling.PCG64Stream(seed)."""
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -665,9 +665,10 @@ class TestImportsPerCommand:
     CLI = ["-m", "randiter.cli"]
 
     def test_generate_loads_no_solver_and_no_logging(self, tmp_path):
+        # and numpy.random, whose normals it draws
         code, modules, _ = fresh_imports([*self.CLI, "generate", "consistent", "30", "10",
                                           "--out", "p"], tmp_path)
-        assert code == 0 and "randiter.oracle" in modules
+        assert code == 0 and {"randiter.oracle", "numpy.random"} <= modules
         assert not modules & {"logging", "randiter.solvers", "randiter.sampling",
                               "randiter.kernel", "randiter.ridge"}
 
@@ -688,13 +689,31 @@ class TestImportsPerCommand:
         loads, skips = (["randiter." + name for name in names] for names in self.SOLVES[method])
         assert code in (cli.EXIT_OK, cli.EXIT_NO_CONVERGENCE)
         assert {"randiter.solvers", "randiter.sampling", *loads} <= modules
-        assert not modules & {"logging", *skips}
+        assert not modules & {"logging", "numpy.random", *skips}
+
+    def test_compare_loads_no_numpy_random(self, tmp_path):
+        # runs draw from sampling.PCG64Stream
+        assert run_cli("generate", "underdetermined", "20", "40", "--out",
+                       str(tmp_path / "u")) == 0
+        code, modules, _ = fresh_imports([*self.CLI, "compare", "u", "--method", "rk-ridge",
+                                          "--method", "rcd-ridge", "--method", "rk-krr",
+                                          "--kernel", "gaussian", "--lambda", "0.1",
+                                          "--iters", "300", "--out", "c.csv"], tmp_path)
+        assert code == cli.EXIT_OK
+        assert {"randiter.ridge", "randiter.kernel"} <= modules
+        assert "numpy.random" not in modules
 
     def test_library_solvers_load_no_oracle_or_cli(self, tmp_path):
-        code, modules, _ = fresh_imports(["-c", "from randiter import io, kernel, solvers"],
-                                         tmp_path)
+        # nor numpy.random, through a whole rk-krr run
+        run = ("import numpy as np\n"
+               "from randiter import io, kernel, solvers\n"
+               "data, y = np.eye(4, 2), np.ones(4)\n"
+               "trace = kernel.krr_run(data, y, kernel.KernelSpec('linear'), 0.5,\n"
+               "                       solvers.RunConfig(max_iters=20), np.zeros(4), 0.9)\n"
+               "print(trace.final().iter)\n")
+        code, modules, _ = fresh_imports(["-c", run], tmp_path)
         assert code == 0 and "randiter.kernel" in modules
-        assert not modules & {"randiter.oracle", "randiter.cli"}
+        assert not modules & {"randiter.oracle", "randiter.cli", "numpy.random"}
 
     def test_rk_krr_under_randiter_log_prints_its_lines(self, tmp_path):
         # compare logs no line of its own; generate and solve do

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from randiter import linalg
 from randiter.errors import DegenerateWeights, NegativeWeight
-from randiter.sampling import build_sampler
+from randiter.sampling import REFILL, PCG64Stream, build_sampler
 
 from conftest import pcg
 
@@ -110,12 +110,41 @@ class TopUniform:
         return self.U if size is None else np.full(size, self.U)
 
 
+# numpy's generator, and the stream that runs draw from in its place
+SOURCES = {"numpy": pcg, "stream": PCG64Stream}
+
+
+class TestPCG64Stream:
+    SEEDS = [0, 1, 41, 2**32 - 1, 2**32, 2**63, 2**64 + 1, 10**39 + 7]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("k", [1, 7, 40, 1000, REFILL - 1, REFILL, REFILL + 1])
+    def test_block_is_numpys_bytes(self, seed, k):
+        ours, numpys = PCG64Stream(seed), pcg(seed)
+        for _ in range(3):  # and the stream continues alike
+            assert ours.random(k).tobytes() == numpys.random(k).tobytes()
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_mixed_blocks_are_numpys_bytes(self, seed):
+        ours, numpys = PCG64Stream(seed), pcg(seed)
+        for k in [3, REFILL - 2, 1, 0, 2 * REFILL + 5, 40, 1000, REFILL, 7]:
+            assert ours.random(k).tobytes() == numpys.random(k).tobytes()
+            assert ours.random() == numpys.random()
+
+    def test_negative_size_raises_and_leaves_the_stream(self):
+        ours, numpys = PCG64Stream(3), pcg(3)
+        with pytest.raises(ValueError):
+            ours.random(-1)
+        assert ours.random(5).tobytes() == numpys.random(5).tobytes()
+
+
 class TestDrawBlock:
+    @pytest.mark.parametrize("source", SOURCES)
     @pytest.mark.parametrize("k", [1, 7, 1024, 1025])
     @pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
-    def test_equals_k_scalar_draws(self, seed, k):
+    def test_equals_k_scalar_draws(self, seed, k, source):
         s = build_sampler([0.5, 0.0, 2.0, 1e-3, 3.0, 0.0])
-        rng_block, rng_scalar = pcg(seed), pcg(seed)
+        rng_block, rng_scalar = SOURCES[source](seed), SOURCES[source](seed)
         for _ in range(2):  # and the stream continues alike
             block = s.draw_block(rng_block, k)
             assert block.shape == (k,)
@@ -128,14 +157,15 @@ class TestDrawBlock:
         assert s.draw(TopUniform()) == 1
         assert s.draw_block(TopUniform(), 5).tolist() == [1] * 5
 
+    @pytest.mark.parametrize("source", SOURCES)
     @settings(deadline=None, max_examples=20)
     @given(st.lists(st.sampled_from([0.0, 1e-300, 0.25, 1.0, 7.0]), min_size=1, max_size=8),
            st.integers(0, 2**32))
-    def test_zero_weight_never_returned(self, weights, seed):
+    def test_zero_weight_never_returned(self, source, weights, seed):
         w = np.array(weights)
         if float(w.sum()) <= 0.0:
             return
         s = build_sampler(w)
-        drawn = np.concatenate([s.draw_block(pcg(seed), 3000),
+        drawn = np.concatenate([s.draw_block(SOURCES[source](seed), 3000),
                                 s.draw_block(TopUniform(), 3)])
         assert np.all(w[drawn] > 0.0)

@@ -219,3 +219,36 @@ class TestRun:
         trace.append(TraceRecord(0, 1.0, 1.0, 1.0, 1.0))
         with pytest.raises(ValueError):
             trace.append(TraceRecord(0, 1.0, 1.0, 1.0, 1.0))
+
+
+class TestSeedContract:
+    # RunConfig.seed takes what numpy's SeedSequence took for an int seed
+    INST = oracle.gen_inconsistent(30, 10, 0.1, seed=3)
+
+    def trace(self, seed):
+        config = RunConfig(max_iters=90, seed=seed, checkpoint_every=10)  # to max_iters
+        return run("rk", self.INST.X, self.INST.y, Regime.UNKNOWN, config,
+                   self.INST.reference, 0.9).column("err_sq").tolist()
+
+    def test_negative_seed_raises_value_error(self):
+        with pytest.raises(ValueError):
+            self.trace(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 1.0, "1"])
+    def test_non_integer_seed_raises_type_error(self, seed):
+        with pytest.raises(TypeError):
+            self.trace(seed)
+
+    def test_integer_likes_run_as_their_int(self):
+        assert self.trace(np.int64(7)) == self.trace(np.uint64(7)) == self.trace(7)
+        assert self.trace(True) == self.trace(1) != self.trace(7)
+
+    def test_seeds_past_64_bits_run(self):
+        assert self.trace(2**64 + 1) != self.trace(1)
+
+    def test_no_seed_draws_fresh_entropy(self):
+        first, second = self.trace(None), self.trace(None)
+        assert first != second and first[0] == second[0]
+
+    def test_int_list_seed_runs(self):
+        assert self.trace([1, 2**40]) == self.trace([1, 0, 256]) != self.trace(1)

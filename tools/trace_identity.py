@@ -30,6 +30,9 @@ thread, in a working directory of its own:
   the five methods (rk-krr with the gaussian kernel), with rk-krr on each
   other kernel family, and one `compare` of all five, at the default
   checkpoint cadence and at `--checkpoint-every 7`;
+- on `i30x10` and `u20x50`, `solve --trials 2` with rk, rcd-ridge and
+  rk-krr (gaussian kernel) at each seed of BIG_SEEDS, whose entropy is
+  two and three 32-bit words, where every other run's seed fits in one;
 - `generate` of `c12x4-noref`, whose reference.vec is then removed, and
   the usage errors (exit 2) of USAGE_ERRORS: each flag that only some
   methods read, given where none reads it; each method run without the
@@ -91,6 +94,10 @@ KERNEL_FLAGS = {
     "poly": ["--kernel", "poly", "--degree", "3", "--offset", "1", "--lambda", "0.1"],
 }
 CADENCES = {"default": [], "every7": ["--checkpoint-every", "7"]}
+# Run seeds past 32 and 64 bits, and the instances and methods run at them.
+BIG_SEEDS = ["4294967296", "18446744073709551617"]
+BIG_SEED_INSTANCES = ["i30x10", "u20x50"]
+BIG_SEED_METHODS = ["rk", "rcd-ridge", "rk-krr"]
 KRR = ["--method", "rk-krr", "--lambda", "0.1", "--kernel"]
 # Commands that exit 2 before any method runs, without --out.
 USAGE_ERRORS = [
@@ -140,6 +147,12 @@ def commands() -> list[list[str]]:
                 compare += ["--method", method]
             cmds.append(compare + METHOD_FLAGS["rk-krr"] + every
                         + ["--out", f"{name}/compare-{cadence}.csv"])
+    for name in BIG_SEED_INSTANCES:
+        for seed in BIG_SEEDS:
+            for method in BIG_SEED_METHODS:
+                cmds.append(["solve", name, "--method", method, *METHOD_FLAGS[method],
+                             "--seed", seed, "--trials", "2",
+                             "--out", f"{name}/{method}-seed{seed}.csv"])
     for name in KRR_ONLY:
         for cadence, every in CADENCES.items():
             cmds.append(["solve", name, "--method", "rk-krr", *METHOD_FLAGS["rk-krr"], *every,
