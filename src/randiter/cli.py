@@ -11,8 +11,10 @@ memory, included), 3 the run did not reach --tol in its method's own
 measure (see solvers.drive), 4 I/O error. Diagnostics go to stderr
 (controlled by RANDITER_LOG={off,info,debug}, in any case; unset or
 empty is off, any other value a usage error); data output never does.
-A call imports only what its command runs: logging only for RANDITER_LOG,
-and solvers, kernel and ridge only for the methods that run on them.
+At info and debug the CLI prints its progress lines to stderr itself:
+it never imports or configures logging. A call imports only what its
+command runs: solvers, kernel and ridge only for the methods that run
+on them.
 
 Run as `python -m randiter.cli`, the process switches the cyclic garbage
 collector off before its imports, then freezes the objects they leave
@@ -33,7 +35,6 @@ if __name__ == "__main__":
     gc.disable()
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import dataclasses  # noqa: E402
 import os  # noqa: E402
 import sys  # noqa: E402
@@ -65,37 +66,17 @@ class UsageError(Exception):
     pass
 
 
-def _info(msg: str, *args) -> None:
-    """Log msg % args at INFO on the randiter logger if the process has
-    imported logging: if it has not, no handler could print the record."""
+def _info(args, msg: str, *values) -> None:
+    """Print "randiter: " + msg % values to stderr where main() found
+    RANDITER_LOG at info or debug (args.log). At off, hand the record to
+    the randiter logger at INFO if the process has imported logging: if
+    it has not, no handler could print it."""
+    if args.log != "off":
+        print("randiter: " + msg % values, file=sys.stderr)
+        return
     logging = sys.modules.get("logging")
     if logging is not None:
-        logging.getLogger("randiter").info(msg, *args)
-
-
-@contextlib.contextmanager
-def _stderr_logging(setting):
-    """While one command runs, send the randiter logger's records to
-    stderr at the RANDITER_LOG level `setting` (info or debug; off adds
-    nothing). Only that logger is touched, and it is restored afterwards,
-    so a process that calls main() keeps its own logging."""
-    if setting == "off":
-        yield
-        return
-    import logging
-    log = logging.getLogger("randiter")
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("randiter: %(message)s"))
-    saved = log.level, log.propagate
-    log.addHandler(handler)
-    log.setLevel(logging.DEBUG if setting == "debug" else logging.INFO)
-    log.propagate = False
-    try:
-        yield
-    finally:
-        log.removeHandler(handler)
-        log.setLevel(saved[0])
-        log.propagate = saved[1]
+        logging.getLogger("randiter").info(msg, *values)
 
 
 def _int_at_least(low: int):
@@ -175,7 +156,7 @@ def cmd_generate(args) -> int:
         meta["noise_scale"] = noise
         meta["norm_z"] = float(np.linalg.norm(inst.z))
     io.write_meta(paths["meta"], meta)
-    _info("wrote %s instance to %s", args.regime, args.out)
+    _info(args, "wrote %s instance to %s", args.regime, args.out)
     return EXIT_OK
 
 
@@ -341,10 +322,10 @@ def cmd_solve(args) -> int:
     io.write_trace_csv(args.out, traces[0])
     if len(traces) > 1:
         io.write_trace_csv(args.out + ".mean.csv", _mean_trace(traces))
-    _info("solve %s: final err_sq=%.3e", args.method, traces[0].final().err_sq)
+    _info(args, "solve %s: final err_sq=%.3e", args.method, traces[0].final().err_sq)
 
     if not traces[0].converged:
-        _info("did not converge within %d iterations", args.iters)
+        _info(args, "did not converge within %d iterations", args.iters)
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
 
@@ -393,33 +374,30 @@ def main(argv=None) -> int:
         print(f"randiter: RANDITER_LOG must be off, info or debug (any case), got "
               f"{os.environ['RANDITER_LOG']!r}", file=sys.stderr)
         return EXIT_USAGE
-    with _stderr_logging(setting):
-        parser = _build_parser()
-        try:
-            args = parser.parse_args(argv)
-        except SystemExit as exc:
-            return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-        try:
-            if args.command == "generate":
-                return cmd_generate(args)
-            if args.command == "solve":
-                return cmd_solve(args)
-            return cmd_compare(args)
-        except UsageError as exc:
-            print(f"randiter: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except (OSError, IOError) as exc:
-            print(f"randiter: I/O error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except (RanditerError, ValueError) as exc:
-            print(f"randiter: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except MemoryError:
-            what = (f"the {args.n} x {args.p} instance does not fit in memory"
-                    if args.command == "generate"
-                    else "the closed-form oracle does not fit in memory for this problem")
-            print(f"randiter: out of memory: {what}", file=sys.stderr)
-            return EXIT_USAGE
+    parser = _build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    args.log = setting
+    try:
+        if args.command == "generate":
+            return cmd_generate(args)
+        if args.command == "solve":
+            return cmd_solve(args)
+        return cmd_compare(args)
+    except OSError as exc:
+        print(f"randiter: I/O error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (UsageError, RanditerError, ValueError) as exc:
+        print(f"randiter: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError:
+        what = (f"the {args.n} x {args.p} instance does not fit in memory"
+                if args.command == "generate"
+                else "the closed-form oracle does not fit in memory for this problem")
+        print(f"randiter: out of memory: {what}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

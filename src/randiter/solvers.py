@@ -173,7 +173,7 @@ def drive(
     if config.max_iters < 1:
         raise ValueError("max_iters must be positive")
     epoch = len(sampler)
-    every = config.checkpoint_every or epoch
+    every = epoch if config.checkpoint_every is None else config.checkpoint_every
     if every < 1:
         raise ValueError("checkpoint_every must be positive")
     window = PLATEAU_WINDOW * math.ceil(epoch / every)

@@ -609,11 +609,28 @@ class TestLogging:
         finally:
             (gc.enable if enabled else gc.disable)()
 
-    def test_info_goes_to_stderr(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("RANDITER_LOG", "info")
-        assert run_cli("generate", "consistent", "12", "3", "--out", str(tmp_path / "p")) == 0
-        assert "randiter: wrote consistent instance" in capsys.readouterr().err
-        assert not logging.getLogger("randiter").handlers
+    @pytest.mark.parametrize("value", ["info", "INFO", "debug", "Debug"])
+    def test_info_goes_to_stderr(self, tmp_path, monkeypatch, capsys, value):
+        # the line is printed, not logged: a handler the host attached to
+        # the root logger gets no record, and the randiter logger is untouched
+        monkeypatch.setenv("RANDITER_LOG", value)
+        logger = logging.getLogger("randiter")
+        before = (logger.level, logger.handlers[:], logger.propagate)
+        records, host = [], logging.Handler(logging.DEBUG)
+        host.emit = records.append
+        level = logging.root.level
+        logging.root.addHandler(host)
+        logging.root.setLevel(logging.DEBUG)
+        try:
+            assert run_cli("generate", "consistent", "12", "3",
+                           "--out", str(tmp_path / "p")) == 0
+        finally:
+            logging.root.removeHandler(host)
+            logging.root.setLevel(level)
+        line = f"randiter: wrote consistent instance to {tmp_path / 'p'}\n"
+        assert capsys.readouterr().err == line
+        assert records == []
+        assert (logger.level, logger.handlers, logger.propagate) == before
 
     @pytest.mark.parametrize("value", ["", "OFF", "Off"])
     def test_empty_or_off_in_any_case_logs_nothing(self, tmp_path, monkeypatch, capsys, value):
@@ -660,8 +677,8 @@ def fresh_imports(args, cwd, **env):
 
 class TestImportsPerCommand:
     # with no bytecode written, a CLI process compiles every module it
-    # imports: each loads only the modules its command runs, and logging
-    # only under RANDITER_LOG
+    # imports: each loads only the modules its command runs, and never
+    # logging, under RANDITER_LOG too
     CLI = ["-m", "randiter.cli"]
 
     def test_generate_loads_no_solver_and_no_logging(self, tmp_path):
@@ -723,7 +740,7 @@ class TestImportsPerCommand:
                  ["solve", "u", *krr, "--out", "t.csv"]]
         outputs = [fresh_imports([*self.CLI, *argv], tmp_path, RANDITER_LOG="debug")
                    for argv in calls]
-        assert all(code == 0 and "logging" in modules for code, modules, _ in outputs)
+        assert all(code == 0 and "logging" not in modules for code, modules, _ in outputs)
         assert outputs[0][2] == ["randiter: wrote underdetermined instance to u"]
         [line] = outputs[2][2]
         assert line.startswith("randiter: solve rk-krr: final err_sq=")

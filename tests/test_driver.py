@@ -77,7 +77,7 @@ def step_loop(weights, config, epoch, step, measures, natural, stop, refresh=Non
     previous checkpoint and at or before t; stop(rec, history, window)
     after each one, where a plateau window spans PLATEAU_WINDOW
     checkpoints and at least one epoch of steps."""
-    every = config.checkpoint_every or epoch
+    every = epoch if config.checkpoint_every is None else config.checkpoint_every
     window = PLATEAU_WINDOW * math.ceil(epoch / every)
     period = RESIDUAL_REFRESH_EVERY * math.ceil(epoch / RESIDUAL_REFRESH_EVERY)
     sampler = build_sampler(weights)
@@ -573,3 +573,12 @@ def test_run_inputs_are_checked_in_the_shared_loops(entry, max_iters, cut, error
     inst = oracle.gen_consistent(30, 10, 1)
     with pytest.raises(error, match=message):
         ENTRY_POINTS[entry](inst.X, inst.y[:30 - cut], RunConfig(max_iters=max_iters))
+
+
+@pytest.mark.parametrize("every", [0, -3])
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS)[:-1])
+def test_checkpoint_cadence_below_one_is_rejected(entry, every):
+    # 0 is no cadence, not the one-epoch default that None asks for
+    inst = oracle.gen_consistent(30, 10, 1)
+    with pytest.raises(ValueError, match="checkpoint_every must be positive"):
+        ENTRY_POINTS[entry](inst.X, inst.y, RunConfig(max_iters=100, checkpoint_every=every))

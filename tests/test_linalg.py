@@ -72,6 +72,10 @@ class TestConstruction:
         with pytest.raises(DimensionError):
             linalg.dense_vector([])
 
+    def test_rejects_a_3d_array(self):
+        with pytest.raises(DimensionError, match="ndim=3"):
+            linalg.dense_matrix(np.zeros((2, 2, 2)))
+
 
 class TestNorms:
     def test_row_norms_identity(self):
@@ -148,6 +152,12 @@ class TestSolveSpd:
     def test_not_symmetric(self):
         with pytest.raises(NotSymmetric):
             linalg.solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
+
+    def test_rejects_a_non_square_a_or_a_b_of_the_wrong_length(self):
+        with pytest.raises(DimensionError, match="square"):
+            linalg.solve_spd(np.eye(3, 2), np.ones(3))
+        with pytest.raises(DimensionError, match=r"\(2, 2\) x \(3,\)"):
+            linalg.solve_spd(np.eye(2), np.ones(3))
 
 
 class TestSymEigs:

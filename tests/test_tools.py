@@ -40,6 +40,14 @@ class TestTraceIdentity:
             methods = [argv[k + 1] for k, arg in enumerate(argv) if arg == "--method"]
             assert methods and set(methods) <= set(cli.METHODS)
 
+    def test_logged_commands_run_with_outputs_of_their_own(self):
+        cmds, logged = self.tool.commands(), self.tool.LOGGED
+        assert all(argv in cmds for _, argv in logged)
+        assert {setting for setting, _ in logged} == {"info", "debug"}
+        assert {argv[0] for _, argv in logged} == {"generate", "solve", "compare"}
+        outs = [argv[argv.index("--out") + 1] for argv in cmds]
+        assert len(set(outs)) == len(outs)
+
     def test_usage_errors_break_each_rule_of_the_method_table(self):
         usage = self.tool.USAGE_ERRORS
         assert set(cli._FLAG_READERS) <= {arg for argv in usage for arg in argv}

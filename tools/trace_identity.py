@@ -38,7 +38,11 @@ thread, in a working directory of its own:
   methods read, given where none reads it; each method run without the
   --lambda or --kernel it needs; --beta0 on the methods that start from
   alpha = 0, and of the wrong length; rk and rcd with no reference.vec.
-  Their --beta0 files are other instances' reference.vec.
+  Their --beta0 files are other instances' reference.vec;
+- the commands of LOGGED, under RANDITER_LOG=info or debug, so that
+  their progress lines are on stderr: a `generate`, a `solve` that
+  converges, one that exits 3, a `compare` and a usage error. Every
+  other command runs under RANDITER_LOG=off.
 
 Then every command's exit code and stderr, and every file the commands
 wrote, are compared byte for byte. Differences are listed one a line.
@@ -129,6 +133,18 @@ USAGE_ERRORS = [
     ["compare", "c12x4-noref", "--method", "rk-ridge", "--method", "rcd", "--lambda", "0.1"],
 ]
 
+# Commands run under a RANDITER_LOG other than off: (setting, argv).
+LOGGED = [
+    ("info", ["generate", "consistent", "12", "4", "--seed", "2", "--out", "c12x4-logged"]),
+    ("debug", ["solve", "c50x20", "--method", "rk", "--out", "c50x20/rk-logged.csv"]),
+    ("info", ["solve", "c50x20", "--method", "rcd", "--iters", "20",
+              "--out", "c50x20/rcd-logged-exit3.csv"]),
+    ("debug", ["compare", "u20x50", "--method", "rk", "--method", "rcd-ridge", "--lambda", "0.1",
+               "--out", "u20x50/compare-logged.csv"]),
+    ("info", ["solve", "c50x20", "--method", "rk", "--gamma", "2",
+              "--out", "c50x20/usage-logged.csv"]),
+]
+
 
 def commands() -> list[list[str]]:
     """The argv of every command, in the order they run."""
@@ -158,17 +174,19 @@ def commands() -> list[list[str]]:
             cmds.append(["solve", name, "--method", "rk-krr", *METHOD_FLAGS["rk-krr"], *every,
                          "--trials", "2", "--out", f"{name}/rk-krr-{cadence}.csv"])
     cmds += [[*argv, "--out", f"{argv[1]}/usage-{k}.csv"] for k, argv in enumerate(USAGE_ERRORS)]
-    return cmds
+    return cmds + [argv for _, argv in LOGGED]
 
 
 def run_tree(src: str, workdir: str) -> list[tuple[int, bytes]]:
     """Run every command against the tree at src; (exit code, stderr) of each."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src), OPENBLAS_NUM_THREADS="1",
-               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", RANDITER_LOG="off")
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    settings = {tuple(argv): setting for setting, argv in LOGGED}
     results = []
     for argv in commands():
         proc = subprocess.run([sys.executable, "-m", "randiter.cli", *argv], cwd=workdir,
-                              env=env, capture_output=True)
+                              env=dict(env, RANDITER_LOG=settings.get(tuple(argv), "off")),
+                              capture_output=True)
         results.append((proc.returncode, proc.stderr))
         if argv[0] == "generate" and argv[-1] in REMOVED:
             os.remove(os.path.join(workdir, argv[-1], REMOVED[argv[-1]]))
